@@ -29,11 +29,10 @@ from .entropy import (DecayBound, EntropyTrace, HypocoercivityCertificate, Inequ
                       production_rate_check_langevin, production_rate_check_langevin_gaussian)
 from .control import (GridControl1D, LangevinRiccati, feynman_kac_g,
                       langevin_control_solution, solve_g_pde_1d)
-from .reversal import (DriftField, DriftIdentityReport, LawEquivalenceReport,
-                       ReverseDensityReport, controlled_drift, drift_identity_check,
-                       grid_drift_identity_check, kinetic_drift_identity_check,
-                       kinetic_law_equivalence_test, law_equivalence_test,
-                       reversal_drift, reverse_density_check)
+from .reversal import (DriftIdentityReport, LawEquivalenceReport, ReverseDensityReport,
+                       drift_identity_check, grid_drift_identity_check,
+                       kinetic_drift_identity_check, kinetic_law_equivalence_test,
+                       law_equivalence_test, reverse_density_check)
 from .jarzynski import (EstimatorReport, VarianceReport, estimate_free_energy_is,
                         estimate_free_energy_vanilla, variance_report)
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import rng as rngmod
 from .errors import BlowUpError, PositivityError, SpecError
@@ -203,6 +202,8 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     beta dV/ds sits on the diagonal, and ``theta`` selects implicit Euler (1)
     or Crank-Nicolson (0.5) in reversed time.
     """
+    from scipy.linalg import solve_banded
+
     if spec.dimension != 1:
         raise SpecError("solve_g_pde_1d is one-dimensional")
     n_steps = int(round(spec.horizon / dt))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CertificateInfeasible, SpecError
 from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, GridDensity2D,
@@ -412,6 +411,8 @@ def optimize_omega(xi: float, beta: float, hessian_bound: float, lsi_kappa: floa
     Coarse log-grid scan over [1e-6, 1e2]^3 followed by Nelder-Mead descent in
     log-parameters from the best grid points.
     """
+    from scipy.optimize import minimize
+
     a, b, c, omega, order = _omega_grid_search(xi, beta, hessian_bound, lsi_kappa,
                                                grid_points)
     if not np.isfinite(omega[order[0]]):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import PositivityError, QuadratureError, SpecError
 from .model import BrownianSpec, LangevinSpec
@@ -287,6 +286,8 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     monotonicity for frozen potentials); 0.5 gives the second-order
     Crank-Nicolson variant used where accuracy of the trace matters.
     """
+    from scipy.linalg import solve_banded
+
     if spec.dimension != 1:
         raise SpecError("solve_fp_1d is one-dimensional")
     n_steps = int(round(spec.horizon / dt))
@@ -433,6 +434,8 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     quadratic or perturbed potential the Gibbs state is then a fixed point of
     the full step up to roundoff.
     """
+    from scipy.linalg import solve_banded
+
     if spec.dimension != 1:
         raise SpecError("solve_kinetic_fp_2d expects one position dimension")
     n_steps = int(round(spec.horizon / dt))

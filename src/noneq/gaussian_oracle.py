@@ -104,14 +104,6 @@ def gaussian_weighted_fisher(p: GaussianLaw, q: GaussianLaw, weight: np.ndarray)
     return float(np.trace(weight @ m @ p.cov @ m.T) + g_mean @ weight @ g_mean)
 
 
-def gaussian_relative_fisher(p: GaussianLaw, q: GaussianLaw,
-                             gamma: np.ndarray | None = None) -> float:
-    """E_P |sigma^T grad ln dP/dQ|^2 with gamma = sigma sigma^T (identity default)."""
-    if gamma is None:
-        gamma = np.eye(p.dim)
-    return gaussian_weighted_fisher(p, q, gamma)
-
-
 def gaussian_modified_functional(p: GaussianLaw, q: GaussianLaw,
                                  a: float, b: float, c: float) -> float:
     """KL plus the anisotropic gradient form used by kinetic decay estimates.

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SpecError
 from .fokker_planck import GridDensity1D
@@ -49,6 +48,8 @@ class VarianceReport:
 
 def _finalize_report(log_vals: np.ndarray, beta: float, kind: str, dt: float,
                      seed: int) -> EstimatorReport:
+    from scipy.special import logsumexp
+
     n = len(log_vals)
     if n < 2:
         raise SpecError("need at least two finite paths")

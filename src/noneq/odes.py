@@ -63,27 +63,3 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
         else:  # last point odd: integrate backwards from the final even point
             out[i] = out[i - 1] + h / 12.0 * (5.0 * y[i - 1] + 8.0 * y[i] - y[i - 2])
     return out
-
-
-def refine_to_tolerance(make_values: Callable[[np.ndarray], np.ndarray],
-                        lo: float, hi: float, eval_times: np.ndarray,
-                        tol: float = 1e-10, start: int = 512, max_doublings: int = 8):
-    """Cumulative integral of a smooth function to a requested tolerance.
-
-    ``make_values(grid)`` returns integrand samples.  The uniform grid doubles
-    until successive cumulative integrals (restricted to ``eval_times``, which
-    must lie on the grid hierarchy) agree within ``tol``.
-    """
-    eval_times = np.asarray(eval_times, dtype=float)
-    prev = None
-    m = start
-    for _ in range(max_doublings + 1):
-        grid = np.linspace(lo, hi, m + 1)
-        vals = make_values(grid)
-        cum = cumulative_simpson(vals, (hi - lo) / m)
-        cur = np.interp(eval_times, grid, cum)
-        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
-            return cur, grid, cum
-        prev = cur
-        m *= 2
-    return cur, grid, cum

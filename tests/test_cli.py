@@ -2,12 +2,14 @@
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import noneq
 from noneq.cli import main
 
 
@@ -128,3 +130,16 @@ class TestAggregateRun:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "validate" in proc.stdout
+
+    def test_validate_does_not_load_scipy(self, tmp_path):
+        """scipy is imported on first use by the solvers, never at start-up."""
+        script = ("import sys\n"
+                  "import noneq.cli\n"
+                  f"assert noneq.cli.main(['validate', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(noneq.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

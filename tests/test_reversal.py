@@ -1,7 +1,10 @@
 """The time-flipped reverse process against the steered forward process."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from noneq import (
     BrownianSpec,
@@ -19,6 +22,7 @@ from noneq import (
     riccati_value_function,
     solve_g_pde_1d,
 )
+from noneq.reversal import _ks_statistic, _sidak_ks_coefficient
 
 KNOTS = np.linspace(0.0, 1.0, 21)
 CHECK_TIMES = np.linspace(0.0, 1.0, 11)
@@ -128,6 +132,34 @@ class TestLawEquivalence:
                                            seed=3)
         assert rep.ok, rep.summary()
         assert len(rep.rows) == 10  # position and momentum at five times
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejects_zero_control(self, seed):
+        """Tilted start but no steering: the marginals drift off the reverse law."""
+        spec = moving_spec()
+        ric = riccati_value_function(spec, KNOTS)
+        unsteered = SimpleNamespace(tilted_initial_law=ric.tilted_initial_law,
+                                    control=lambda x, s: 0.0 * ric.control(x, s))
+        rep = law_equivalence_test(spec, unsteered, n_paths=4000, dt=2e-3, seed=seed)
+        assert not rep.ok, rep.summary()
+
+
+class TestKolmogorovSmirnov:
+    @pytest.mark.parametrize("n1, n2, ties", [(37, 53, True), (400, 250, True),
+                                              (1000, 1300, False), (5, 3, False)])
+    def test_statistic_matches_scipy(self, n1, n2, ties):
+        rng = np.random.default_rng(n1 * n2)
+        for shift in (-0.3, 0.0, 0.3):  # either side of the CDF gap may win
+            a = rng.standard_normal(n1)
+            b = rng.standard_normal(n2) + shift
+            if ties:
+                a, b = np.round(a, 1), np.round(b, 1)
+            expected = ks_2samp(a, b, method="asymp").statistic
+            assert _ks_statistic(a, b) == expected
+
+    def test_sidak_coefficient(self):
+        assert _sidak_ks_coefficient(0.01, 1) == pytest.approx(1.6276, abs=5e-5)
+        assert _sidak_ks_coefficient(0.01, 15) == pytest.approx(2.0002, abs=5e-5)
 
 
 class TestReverseDensity:
