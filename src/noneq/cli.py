@@ -27,15 +27,15 @@ from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supr
                       optimize_omega, production_rate_check_gaussian,
                       production_rate_check_grid, production_rate_check_langevin_gaussian)
 from .errors import CertificateInfeasible, ConfigError
-from .fokker_planck import _box_from_spec, solve_fp_1d
+from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid_1d, solve_fp_1d
 from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
     riccati_value_function
 from .jarzynski import estimate_free_energy_is, estimate_free_energy_vanilla, \
     variance_report
 from .model import (BrownianSpec, Constant, DiffusionFactor, LangevinSpec, Linear,
-                    NoCirculation, QuadraticPotential, RadialLinearCirculation,
-                    RotationCirculation, Sine, TanhPerturbedPotential,
-                    free_energy_difference, gibbs_grid, spec_from_config, validate_spec)
+                    QuadraticPotential, RadialLinearCirculation, RotationCirculation,
+                    Sine, TanhPerturbedPotential, free_energy_difference, spec_from_config,
+                    validate_spec)
 from .reversal import (drift_identity_check, grid_drift_identity_check,
                        kinetic_drift_identity_check, kinetic_law_equivalence_test,
                        law_equivalence_test, reverse_density_check)
@@ -249,7 +249,7 @@ def run_entropy_langevin(p, out, seed, meta):
 def run_bound_overdamped(p, out, seed, meta):
     spec = _tanh_spec(amplitude=p["amplitude"], horizon=p["horizon"], beta=p["beta"])
     lo, hi = _box_from_spec(spec, 10.0)
-    init = gibbs_grid(spec, 0.0, lo, hi, p["cells"])
+    init = gibbs_grid_1d(spec, 0.0, GridDensity1D(lo, hi, np.zeros(p["cells"])))
     n_steps = int(round(spec.horizon / p["dt"]))
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)

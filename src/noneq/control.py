@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import BlowUpError, PositivityError, SpecError
-from .fokker_planck import GridDensity1D, _box_from_spec
+from .fokker_planck import GridDensity1D, _box_from_spec, _fitted_rates, _theta_step
 from .gaussian_oracle import RICCATI_BLOWUP, GaussianLaw
 from .model import BrownianSpec, LangevinSpec, langevin_partition_function, partition_function
 from .odes import rk4_path
@@ -173,18 +173,16 @@ class GridControl1D:
         dt = self.times[1] - self.times[0]
         u_s = derivative_uniform(u_val, dt)
         resid = np.full_like(u_val, np.nan)
+        x_face = 0.5 * (x[:-1] + x[1:])[:, None]
         for i, s in enumerate(self.times):
             gamma = float(self.spec.diffusion.gamma(s)[0, 0])
-            beta = self.spec.beta
-            v_c = self.spec.potential.v(x[:, None], s)
-            v_f = self.spec.potential.v(0.5 * (x[:-1] + x[1:])[:, None], s)
-            base = gamma / (beta * h * h)
-            cup = base * np.exp(beta * (v_c[:-1] - v_f))
-            cdn = base * np.exp(beta * (v_c[1:] - v_f))
+            up, down, _ = _fitted_rates(self.spec.potential.v(x[:, None], s),
+                                        self.spec.potential.v(x_face, s),
+                                        gamma, self.spec.beta, h)
             row = u_val[i]
             lu = np.zeros_like(row)
-            lu[:-1] += cup * (row[1:] - row[:-1])
-            lu[1:] += cdn * (row[:-1] - row[1:])
+            lu[:-1] += down * (row[1:] - row[:-1])
+            lu[1:] += up * (row[:-1] - row[1:])
             ux = np.gradient(row, h)
             resid[i] = u_s[i] + lu - gamma * ux ** 2 \
                 + self.spec.potential.dv_ds(x[:, None], s)
@@ -202,8 +200,6 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     beta dV/ds sits on the diagonal, and ``theta`` selects implicit Euler (1)
     or Crank-Nicolson (0.5) in reversed time.
     """
-    from scipy.linalg import solve_banded
-
     if spec.dimension != 1:
         raise SpecError("solve_g_pde_1d is one-dimensional")
     n_steps = int(round(spec.horizon / dt))
@@ -220,22 +216,12 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     slices = [g.copy()]
     for k in range(n_steps - 1, -1, -1):
         s_mid = (k + 0.5) * dt
-        v_c = spec.potential.v(xcol, s_mid)
-        v_f = spec.potential.v(x_face, s_mid)
         gamma = float(spec.diffusion.gamma(s_mid)[0, 0])
-        base = gamma / (beta * h * h)
-        cup = np.concatenate([base * np.exp(beta * (v_c[:-1] - v_f)), [0.0]])
-        cdn = np.concatenate([[0.0], base * np.exp(beta * (v_c[1:] - v_f))])
-        diag = -(cup + cdn) - beta * spec.potential.dv_ds(xcol, s_mid)
-        # (I - theta dt B) g_k = (I + (1-theta) dt B) g_{k+1}
-        rhs = g * (1.0 + (1.0 - theta) * dt * diag)
-        rhs[:-1] += (1.0 - theta) * dt * cup[:-1] * g[1:]
-        rhs[1:] += (1.0 - theta) * dt * cdn[1:] * g[:-1]
-        ab = np.zeros((3, cells))
-        ab[0, 1:] = -theta * dt * cup[:-1]
-        ab[1] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * cdn[1:]
-        g = solve_banded((1, 1), ab, rhs)
+        up, down, diag = _fitted_rates(spec.potential.v(xcol, s_mid),
+                                       spec.potential.v(x_face, s_mid), gamma, beta, h)
+        # adjoint generator with killing beta dV/ds, stepped in reversed time
+        g = _theta_step(down, up, diag - beta * spec.potential.dv_ds(xcol, s_mid),
+                        g, dt, theta)
         if g.min() <= 0.0:
             raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g.min():.3e}")
         slices.append(g.copy())

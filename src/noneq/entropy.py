@@ -204,31 +204,42 @@ class DecayBound:
         return self.sqrt_bound ** 2
 
 
-def _gronwall_envelope(times, r0, beta, gamma_minus, kappa_fn, forcing_fn,
-                       tol: float = 1e-10) -> DecayBound:
-    """sqrt R(s) <= e^{-A(s)} sqrt R(0) + int_0^s f(u) e^{A(u)-A(s)} du with
-    A(s) = (gamma_minus/beta) int_0^s kappa; evaluated by cumulative Simpson
-    on doubling grids until the result is stable to ``tol``."""
+def _gronwall(times, y0: float, terms: Callable, tol: float) -> np.ndarray:
+    """y(s) = e^{-A(s)} y0 + int_0^s f(u) e^{A(u)-A(s)} du on ``times``, where
+    ``terms(grid, h)`` returns A and f on a uniform grid of spacing h over
+    [0, times[-1]]; evaluated by cumulative Simpson on doubling grids until
+    the result is stable to ``tol``."""
     times = np.asarray(times, dtype=float)
     hi = float(times[-1])
     m = 1024
     prev = None
     for _ in range(9):
         grid = np.linspace(0.0, hi, m + 1)
-        hgrid = hi / m
-        kap = np.asarray(kappa_fn(grid), dtype=float)
-        big_a = (gamma_minus / beta) * cumulative_simpson(kap, hgrid)
-        forcing = np.asarray(forcing_fn(grid), dtype=float)
+        h = hi / m
+        big_a, forcing = terms(grid, h)
         # shift the exponent for overflow safety: e^{A(u)-A(s)} <= 1 on u<=s
-        inner = cumulative_simpson(forcing * np.exp(big_a - big_a[-1]), hgrid)
-        sqrt_bound_grid = np.exp(-big_a) * math.sqrt(max(r0, 0.0)) \
-            + np.exp(big_a[-1] - big_a) * inner
-        cur = np.interp(times, grid, sqrt_bound_grid)
+        inner = cumulative_simpson(forcing * np.exp(big_a - big_a[-1]), h)
+        vals = np.exp(-big_a) * y0 + np.exp(big_a[-1] - big_a) * inner
+        cur = np.interp(times, grid, vals)
         if prev is not None and np.max(np.abs(cur - prev)) <= tol:
             break
         prev = cur
         m *= 2
-    return DecayBound(times=times, sqrt_bound=cur)
+    return cur
+
+
+def _gronwall_envelope(times, r0, beta, gamma_minus, kappa_fn, forcing_fn,
+                       tol: float) -> DecayBound:
+    """sqrt R(s) <= e^{-A(s)} sqrt R(0) + int_0^s f(u) e^{A(u)-A(s)} du with
+    A(s) = (gamma_minus/beta) int_0^s kappa."""
+
+    def terms(grid, h):
+        kap = np.asarray(kappa_fn(grid), dtype=float)
+        big_a = (gamma_minus / beta) * cumulative_simpson(kap, h)
+        return big_a, np.asarray(forcing_fn(grid), dtype=float)
+
+    return DecayBound(times=np.asarray(times, dtype=float),
+                      sqrt_bound=_gronwall(times, math.sqrt(max(r0, 0.0)), terms, tol))
 
 
 def decay_bound_supremum(times, r0: float, beta: float, gamma_minus: float,
@@ -360,29 +371,18 @@ def kinetic_decay_bound_time_dependent(cert: HypocoercivityCertificate, e0: floa
                                        tol: float = 1e-10) -> np.ndarray:
     """Time-dependent envelope: Gronwall with rate omega(u) and forcing
     (beta^2/2) L1(u)^2 / omega(u) + beta^2 (c + b/2) L2(u)^2."""
-    times = np.asarray(times, dtype=float)
-    hi = float(times[-1])
-    m = 1024
-    prev = None
-    for _ in range(9):
-        grid = np.linspace(0.0, hi, m + 1)
-        h = hi / m
+
+    def terms(grid, h):
         om = np.asarray(omega_fn(grid), dtype=float)
         if np.any(om <= 0):
             raise CertificateInfeasible("omega > 0", "time-dependent rate must be positive")
-        big_o = cumulative_simpson(om, h)
         l1v = np.asarray(l1_fn(grid), dtype=float)
         l2v = np.asarray(l2_fn(grid), dtype=float)
         forcing = 0.5 * cert.beta ** 2 * l1v ** 2 / om \
             + cert.beta ** 2 * (cert.c + 0.5 * cert.b) * l2v ** 2
-        inner = cumulative_simpson(forcing * np.exp(big_o - big_o[-1]), h)
-        vals = np.exp(-big_o) * e0 + np.exp(big_o[-1] - big_o) * inner
-        cur = np.interp(times, grid, vals)
-        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
-            break
-        prev = cur
-        m *= 2
-    return cur
+        return cumulative_simpson(om, h), forcing
+
+    return _gronwall(times, e0, terms, tol)
 
 
 def _omega_grid_search(xi, beta, hessian_bound, lsi_kappa, grid_points):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -181,11 +181,9 @@ def _log_ratio_gradient_1d(rho: np.ndarray, ref: np.ndarray, h: float) -> np.nda
 
 def fisher_and_rate_terms(spec: BrownianSpec, density: GridDensity1D, s: float) -> RateTerms:
     """Central-difference Fisher integral and the two potential-rate integrals."""
-    x = density.x[:, None]
     h = density.h
-    boltz = np.exp(-spec.beta * spec.potential.v(x, s))
-    gibbs = boltz / (np.sum(boltz) * h)
-    dv = spec.potential.dv_ds(x, s)
+    gibbs = gibbs_grid_1d(spec, s, density).values
+    dv = spec.potential.dv_ds(density.x[:, None], s)
     gamma = float(spec.diffusion.gamma(s)[0, 0])
     rho = density.values
     grad = _log_ratio_gradient_1d(rho, gibbs, h)
@@ -201,13 +199,8 @@ def kinetic_fisher_and_rate_terms(spec: LangevinSpec, density: GridDensity2D,
                                   s: float) -> RateTerms:
     """Same balance for the kinetic dynamics; the Fisher part only sees the
     momentum gradient, weighted by xi."""
-    p = density.p[None, :]
     hq, hp = density.hq, density.hp
-    m_scalar = float(spec.mass[0, 0])
-    v_q = spec.potential.v(density.q[:, None], s)[:, None]
-    ham = v_q + 0.5 * p * p / m_scalar
-    boltz = np.exp(-spec.beta * ham)
-    gibbs = boltz / (np.sum(boltz) * hq * hp)
+    gibbs = kinetic_gibbs_grid(spec, s, density).values
     rho = density.values
     mask = (rho > TINY) & (gibbs > TINY)
     u = np.zeros_like(rho)
@@ -224,6 +217,50 @@ def kinetic_fisher_and_rate_terms(spec: LangevinSpec, density: GridDensity2D,
         state_term=float(np.sum(dv * rho) * hq * hp),
         fisher=fisher,
     )
+
+
+# ---------------------------------------------------------------------------
+# fitted-flux generator (shared by every grid solver)
+# ---------------------------------------------------------------------------
+
+def _fitted_rates(v_c: np.ndarray, v_f: np.ndarray, gamma: float, beta: float, h: float):
+    """Scharfetter-Gummel rates of the tridiagonal generator A for potential
+    values at cell centres ``v_c`` and interior faces ``v_f``.
+
+    ``up[i]`` is the rate from cell i+1 to i (A's super-diagonal), ``down[i]``
+    the rate from i to i+1 (its sub-diagonal), and ``diag`` makes every column
+    sum to zero.  A exp(-beta v_c) = 0 up to roundoff; the transpose (``up``
+    and ``down`` swapped) is the backward generator, and it maps constants
+    to zero.
+    """
+    base = gamma / (beta * h * h)
+    up = base * np.exp(beta * (v_c[1:] - v_f))
+    down = base * np.exp(beta * (v_c[:-1] - v_f))
+    diag = np.zeros(len(v_c))
+    diag[:-1] -= down
+    diag[1:] -= up
+    return up, down, diag
+
+
+def _theta_step(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, r: np.ndarray,
+                dt: float, theta: float) -> np.ndarray:
+    """Solve (I - theta dt A) r' = (I + (1 - theta) dt A) r along axis 0 of r,
+    with A = tridiag(sub, diag, sup)."""
+    from scipy.linalg import solve_banded
+
+    if theta < 1.0:
+        c = (1.0 - theta) * dt
+        col = (slice(None),) + (None,) * (r.ndim - 1)
+        explicit = r * (1.0 + c * diag)[col]
+        explicit[:-1] += (c * sup)[col] * r[1:]
+        explicit[1:] += (c * sub)[col] * r[:-1]
+    else:
+        explicit = r
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -theta * dt * sup
+    ab[1] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * sub
+    return solve_banded((1, 1), ab, explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +323,6 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     monotonicity for frozen potentials); 0.5 gives the second-order
     Crank-Nicolson variant used where accuracy of the trace matters.
     """
-    from scipy.linalg import solve_banded
-
     if spec.dimension != 1:
         raise SpecError("solve_fp_1d is one-dimensional")
     n_steps = int(round(spec.horizon / dt))
@@ -304,32 +339,14 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     snaps = [rho.copy()]
     mass_drift = abs(np.sum(rho) * h - 1.0)
     xcol = x[:, None]
-    x_face = 0.5 * (x[:-1] + x[1:])
+    x_face = 0.5 * (x[:-1] + x[1:])[:, None]
 
     for k in range(n_steps):
         s_mid = (k + 0.5) * dt
-        beta = spec.beta
-        v_c = spec.potential.v(xcol, s_mid)
-        v_f = spec.potential.v(x_face[:, None], s_mid)
         gamma = float(spec.diffusion.gamma(s_mid)[0, 0])
-        base = gamma / (beta * h * h)
-        # interface conductances against the fitted Boltzmann weight
-        up = base * np.exp(beta * (v_c[1:] - v_f))      # flow i+1 -> i
-        down = base * np.exp(beta * (v_c[:-1] - v_f))   # flow i -> i+1
-        diag = np.zeros(cells)
-        diag[:-1] -= down
-        diag[1:] -= up
-        if theta < 1.0:
-            explicit = rho * (1.0 + (1.0 - theta) * dt * diag)
-            explicit[:-1] += (1.0 - theta) * dt * up * rho[1:]
-            explicit[1:] += (1.0 - theta) * dt * down * rho[:-1]
-        else:
-            explicit = rho
-        ab = np.zeros((3, cells))
-        ab[0, 1:] = -theta * dt * up
-        ab[1] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * down
-        rho = solve_banded((1, 1), ab, explicit)
+        up, down, diag = _fitted_rates(spec.potential.v(xcol, s_mid),
+                                       spec.potential.v(x_face, s_mid), gamma, spec.beta, h)
+        rho = _theta_step(up, down, diag, rho, dt, theta)
         if rho.min() < -1e-14:
             raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
         np.clip(rho, 0.0, None, out=rho)
@@ -434,8 +451,6 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     quadratic or perturbed potential the Gibbs state is then a fixed point of
     the full step up to roundoff.
     """
-    from scipy.linalg import solve_banded
-
     if spec.dimension != 1:
         raise SpecError("solve_kinetic_fp_2d expects one position dimension")
     n_steps = int(round(spec.horizon / dt))
@@ -458,22 +473,12 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     beta, xi = spec.beta, spec.xi
     # Momentum friction-diffusion: fitted flux against exp(-beta p^2 / 2m),
     # identical tridiagonal system for every position column.
-    phi_c = 0.5 * beta * ps * ps / m_scalar
     p_face = 0.5 * (ps[:-1] + ps[1:])
-    phi_f = 0.5 * beta * p_face * p_face / m_scalar
-    base = xi / (beta * hp * hp)
-    up = base * np.exp(phi_c[1:] - phi_f)
-    down = base * np.exp(phi_c[:-1] - phi_f)
-    diag = np.zeros(npp)
-    diag[:-1] -= down
-    diag[1:] -= up
+    up, down, diag = _fitted_rates(0.5 * ps * ps / m_scalar, 0.5 * p_face * p_face / m_scalar,
+                                   xi, beta, hp)
 
     def diffusion_half(r: np.ndarray) -> np.ndarray:
-        ab = np.zeros((3, npp))
-        ab[0, 1:] = -0.5 * dt * up
-        ab[1] = 1.0 - 0.5 * dt * diag
-        ab[2, :-1] = -0.5 * dt * down
-        return solve_banded((1, 1), ab, r.T).T
+        return _theta_step(up, down, diag, r.T, 0.5 * dt, 1.0).T
 
     qq, pp_grid = np.meshgrid(qs, ps, indexing="ij")
 

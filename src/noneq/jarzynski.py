@@ -19,7 +19,7 @@ import numpy as np
 from .errors import SpecError
 from .fokker_planck import GridDensity1D
 from .gaussian_oracle import GaussianLaw
-from .model import (BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian,
+from .model import (LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian,
                     langevin_partition_function, partition_function)
 from .sde import TrajectoryEnsemble
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -623,17 +623,6 @@ def langevin_gibbs_gaussian(spec: LangevinSpec, s: float):
     cov[:n, :n] = np.eye(n) / (spec.beta * k)
     cov[n:, n:] = spec.mass / spec.beta
     return GaussianLaw(mean=mean, cov=cov)
-
-
-def gibbs_grid(spec: BrownianSpec, s: float, lo: float, hi: float, cells: int):
-    """Cell-centred Gibbs density on a uniform 1D grid, normalised on the grid."""
-    from .fokker_planck import GridDensity1D
-
-    x = GridDensity1D.centers(lo, hi, cells)
-    vals = np.exp(-spec.beta * spec.potential.v(x[:, None], s))
-    h = (hi - lo) / cells
-    vals = vals / (np.sum(vals) * h)
-    return GridDensity1D(lo=lo, hi=hi, values=vals, s=float(s))
 
 
 # ---------------------------------------------------------------------------

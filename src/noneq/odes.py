@@ -56,10 +56,7 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     out[::2][: len(even)] = even
     # odd points: integral over [x_{i-1}, x_i] from the quadratic on (i-1, i, i+1)
     half = h / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])
-    idx = np.arange(1, n, 2)
-    for i in idx:
-        if i + 1 < n:
-            out[i] = out[i - 1] + half[i - 1]
-        else:  # last point odd: integrate backwards from the final even point
-            out[i] = out[i - 1] + h / 12.0 * (5.0 * y[i - 1] + 8.0 * y[i] - y[i - 2])
+    out[1:-1:2] = out[:-2:2] + half[::2]
+    if n % 2 == 0:  # last point odd: integrate backwards from the final even point
+        out[-1] = out[-2] + h / 12.0 * (8.0 * y[-2] + 5.0 * y[-1] - y[-3])
     return out

@@ -298,18 +298,15 @@ class ReverseDensityReport:
         return float(np.max(self.l1_errors))
 
 
-def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
-                          cells: int = 800, radius_std: float = 10.0,
-                          n_check: int = 5) -> ReverseDensityReport:
-    """March the reverse-process density and compare with exp(-beta V) g / Z(T).
+def _reverse_march(spec: BrownianSpec, dt: float, cells: int, radius_std: float,
+                   n_check: int):
+    """March rho^R from exp(-beta V(., T)) / Z(T) on the reversed spec's box.
 
-    Both solvers share the same box, so the comparison is pointwise in the
-    cells; errors are reported in L1.  The final compared slice (reverse time
-    T) doubles as a check that the reverse process ends in the tilted
-    initial law.
+    Returns the solution, Z(T), the reverse check times, and for each of them
+    the forward time s = T - u of the nearest recorded slice with that slice.
     """
     if spec.dimension != 1:
-        raise SpecError("reverse_density_check is one-dimensional")
+        raise SpecError("the reverse grid march is one-dimensional")
     rspec = spec.reversed()
     lo, hi = _box_from_spec(rspec, radius_std)
     x = GridDensity1D.centers(lo, hi, cells)
@@ -321,15 +318,28 @@ def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
     sol = solve_fp_1d(rspec, init, dt, cells=cells, radius_std=radius_std,
                       record_every=record)
     check_times = np.linspace(0.0, spec.horizon, n_check + 1)[1:]
+    idx = [int(np.argmin(np.abs(sol.times - u))) for u in check_times]
+    slices = [(spec.horizon - float(sol.times[i]), sol.snapshots[i]) for i in idx]
+    return sol, z_t, check_times, slices
+
+
+def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
+                          cells: int = 800, radius_std: float = 10.0,
+                          n_check: int = 5) -> ReverseDensityReport:
+    """March the reverse-process density and compare with exp(-beta V) g / Z(T).
+
+    Both solvers share the same box, so the comparison is pointwise in the
+    cells; errors are reported in L1.  The final compared slice (reverse time
+    T) doubles as a check that the reverse process ends in the tilted
+    initial law.
+    """
+    sol, z_t, check_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    x = GridDensity1D.centers(sol.lo, sol.hi, cells)
     errs = np.empty(len(check_times))
-    for i, u in enumerate(check_times):
-        idx = int(np.argmin(np.abs(sol.times - u)))
-        u_grid = float(sol.times[idx])
-        rho = sol.snapshots[idx]
-        s = spec.horizon - u_grid
+    for i, (s, rho) in enumerate(slices):
         predicted = np.exp(-spec.beta * spec.potential.v(x[:, None], s)) \
             * control.g_at(x, s) / z_t
-        errs[i] = float(np.sum(np.abs(rho - predicted)) * (hi - lo) / cells)
+        errs[i] = float(np.sum(np.abs(rho - predicted)) * (sol.hi - sol.lo) / cells)
     return ReverseDensityReport(times=check_times, l1_errors=errs)
 
 
@@ -344,28 +354,14 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
     limited by the spatial resolution (second-order differences), which sets
     the tolerance callers should use.
     """
-    if spec.dimension != 1:
-        raise SpecError("grid_drift_identity_check is one-dimensional")
-    rspec = spec.reversed()
-    lo, hi = _box_from_spec(rspec, radius_std)
-    x = GridDensity1D.centers(lo, hi, cells)
-    h = (hi - lo) / cells
-    z_t = partition_function(spec, spec.horizon).z
-    init = np.exp(-spec.beta * spec.potential.v(x[:, None], spec.horizon)) / z_t
-
-    n_steps = int(round(spec.horizon / dt))
-    record = max(1, n_steps // (4 * n_check))
-    sol = solve_fp_1d(rspec, init, dt, cells=cells, radius_std=radius_std,
-                      record_every=record)
-    check_times = np.linspace(0.0, spec.horizon, n_check + 1)[1:]
+    sol, _, check_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    x = GridDensity1D.centers(sol.lo, sol.hi, cells)
+    h = (sol.hi - sol.lo) / cells
     steer = control.control_field()
     resid = np.empty(len(check_times))
     fwd_times = np.empty(len(check_times))
-    for i, u in enumerate(check_times):
-        idx = int(np.argmin(np.abs(sol.times - u)))
-        u_grid = float(sol.times[idx])
-        s = spec.horizon - u_grid
-        log_rho = np.log(np.maximum(sol.snapshots[idx], 1e-300))
+    for i, (s, rho) in enumerate(slices):
+        log_rho = np.log(np.maximum(rho, 1e-300))
         score = np.gradient(log_rho, h)
         center, std = spec.potential.envelope(s, spec.beta)
         core = np.abs(x - center) <= core_std * std

@@ -3,7 +3,9 @@
 Ensembles are split into fixed-width blocks of paths.  Each block draws its
 noise from an independent Philox stream keyed by ``(base_seed, block_index)``,
 so a run is bit-identical whether the blocks are processed serially or in
-parallel, and adding paths never perturbs the noise of existing blocks.
+parallel, and adding paths never perturbs the noise of existing full blocks.
+A trailing partial block draws ``nb`` normals per step, so its noise changes
+when the ensemble grows past it.
 """
 
 from __future__ import annotations
@@ -38,11 +40,3 @@ def block_layout(n_paths: int) -> list[tuple[int, int, int]]:
         block += 1
     return spans
 
-
-def scalar_generator(seed: int, purpose: int = 0) -> np.random.Generator:
-    """A stream for non-path randomness (initial conditions etc.).
-
-    Uses the block index space far above any realistic path block so the two
-    kinds of stream never collide.
-    """
-    return block_generator(seed, 2**32 + purpose)

@@ -15,6 +15,7 @@ from noneq import (
     Linear,
     QuadratureError,
     QuadraticPotential,
+    TanhPerturbedPotential,
     fisher_and_rate_terms,
     gaussian_kl,
     gibbs_grid_1d,
@@ -23,8 +24,12 @@ from noneq import (
     ou_moments,
     relative_entropy_grid,
     solve_fp_1d,
+    solve_g_pde_1d,
     solve_kinetic_fp_2d,
 )
+from noneq.fokker_planck import _fitted_rates, _theta_step
+
+EPS = np.finfo(float).eps
 
 
 def ou_spec(k0=1.0, k1=None, beta=1.0, horizon=1.0):
@@ -95,6 +100,69 @@ class TestOverdampedSolver:
         a = solve_fp_1d(spec, law, dt=1e-3, cells=400)
         b = solve_fp_1d(spec, lambda x: law.pdf(x[:, None]), dt=1e-3, cells=400)
         assert_allclose(a.snapshots, b.snapshots, atol=1e-12)
+
+
+class TestFittedFluxOperator:
+    """Contracts of the one generator every grid solver steps with."""
+
+    CELLS = 400
+
+    def frozen_rates(self, beta=1.5):
+        pot = TanhPerturbedPotential(Constant(0.8))
+        x = GridDensity1D.centers(-6.0, 6.0, self.CELLS)
+        v_c = pot.v(x[:, None], 0.0)
+        v_f = pot.v(0.5 * (x[:-1] + x[1:])[:, None], 0.0)
+        return v_c, _fitted_rates(v_c, v_f, 0.7, beta, 12.0 / self.CELLS)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_gibbs_is_a_fixed_point(self, theta):
+        v_c, (up, down, diag) = self.frozen_rates()
+        gibbs = np.exp(-1.5 * v_c)
+        step = _theta_step(up, down, diag, gibbs, 0.05, theta)
+        assert np.max(np.abs(step - gibbs)) <= self.CELLS * EPS * np.max(gibbs)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_mass_is_conserved(self, theta):
+        _, (up, down, diag) = self.frozen_rates()
+        r = np.random.default_rng(11).random(self.CELLS) + 0.1
+        step = _theta_step(up, down, diag, r, 0.05, theta)
+        assert abs(np.sum(step) - np.sum(r)) <= self.CELLS * EPS * np.sum(r)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_adjoint_keeps_constants(self, theta):
+        _, (up, down, diag) = self.frozen_rates()
+        step = _theta_step(down, up, diag, np.ones(self.CELLS), 0.05, theta)
+        assert np.max(np.abs(step - 1.0)) <= self.CELLS * EPS
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_killed_march_is_dual_to_g_march(self, theta):
+        """The forward march with killing beta dV/ds carries sum(rho_0 g_0) h
+        to sum(rho_T) h exactly, because the g-march steps with the
+        transpose; the untransposed generator misses at O(1)."""
+        spec = ou_spec(k0=1.0, k1=2.0)
+        cells, dt = 200, 1e-2
+        ctl = solve_g_pde_1d(spec, dt, cells=cells, theta=theta)
+        h = (ctl.hi - ctl.lo) / cells
+        x = ctl.x[:, None]
+        x_face = 0.5 * (ctl.x[:-1] + ctl.x[1:])[:, None]
+        rho0 = np.exp(-spec.beta * spec.potential.v(x, 0.0))
+        rho0 /= np.sum(rho0) * h
+        paired = np.sum(rho0 * ctl.g[0]) * h
+
+        def killed_mass(swap):
+            rho = rho0
+            for k in range(len(ctl.times) - 1):
+                s_mid = (k + 0.5) * dt
+                up, down, diag = _fitted_rates(spec.potential.v(x, s_mid),
+                                               spec.potential.v(x_face, s_mid),
+                                               1.0, spec.beta, h)
+                kill = diag - spec.beta * spec.potential.dv_ds(x, s_mid)
+                sup, sub = (down, up) if swap else (up, down)
+                rho = _theta_step(sup, sub, kill, rho, dt, theta)
+            return np.sum(rho) * h
+
+        assert abs(killed_mass(False) - paired) <= cells * EPS * paired
+        assert abs(killed_mass(True) - paired) >= 0.1 * paired
 
 
 class TestEntropyQuadrature:

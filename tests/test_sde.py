@@ -26,6 +26,7 @@ from noneq import (
     zero_control,
 )
 from noneq.model import Potential
+from noneq.rng import BLOCK_SIZE
 
 
 class FlatPotential(Potential):
@@ -96,6 +97,16 @@ class TestForward:
         b = simulate_forward(ou_spec(k1=2.0), 300, dt=1e-2, seed=42)
         assert_array_equal(a.states, b.states)
         assert_array_equal(a.work, b.work)
+
+    def test_adding_paths_keeps_full_blocks(self):
+        """Each full block of paths draws from its own stream, so growing the
+        ensemble leaves every earlier full block bit-identical."""
+        spec = ou_spec(k1=2.0, horizon=0.1)
+        a = simulate_forward(spec, 20000, dt=0.02, seed=3)
+        b = simulate_forward(spec, 40000, dt=0.02, seed=3)
+        full = slice(0, BLOCK_SIZE)
+        assert_array_equal(a.states[:, full], b.states[:, full])
+        assert_array_equal(a.work[:, full], b.work[:, full])
 
     def test_weak_order_one_in_dt(self):
         """The sampled-chain mean follows the drift recursion exactly, so a
