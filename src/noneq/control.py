@@ -28,7 +28,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import BlowUpError, PositivityError, SpecError
 from .fokker_planck import GridDensity1D, _box_from_spec, _fitted_rates, _theta_step
-from .gaussian_oracle import RICCATI_BLOWUP, GaussianLaw
+from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard
 from .model import BrownianSpec, LangevinSpec, langevin_partition_function, partition_function
 from .odes import rk4_path
 from .sde import ControlField
@@ -249,32 +249,30 @@ class LangevinRiccati:
             raise SpecError("kinetic riccati solution requires a quadratic potential")
         pot = spec.potential
         probe = np.linspace(0.0, spec.horizon, 33)
-        if max(abs(float(pot.mu.value(s))) for s in probe) > 1e-12:
+        if np.max(np.abs(pot.mu.value(probe))) > 1e-12:
             raise SpecError("kinetic riccati solution requires a centred potential")
         m_scalar = float(spec.mass[0, 0])
         if np.max(np.abs(spec.mass - m_scalar * np.eye(spec.dimension))) > 1e-12:
             raise SpecError("kinetic riccati solution requires scalar mass")
         self.spec = spec
         self.mass_scalar = m_scalar
-        self.times = np.asarray(times, dtype=float)
-        if abs(self.times[-1] - spec.horizon) > 1e-12:
-            raise SpecError("riccati grid must end at the horizon")
+        self.times = _riccati_grid(times, spec.horizon)
         xi, beta, n = spec.xi, spec.beta, spec.dimension
 
-        def rhs(s, y):
-            lqq, lqp, lpp, c0 = y
-            if max(abs(lqq), abs(lqp), abs(lpp), abs(c0)) > RICCATI_BLOWUP:
-                raise BlowUpError(
-                    f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
-            eta = float(pot.k.value(s))
-            etad = float(pot.k.derivative(s))
+        def coef(s):
+            return s, pot.k.value(s), pot.k.derivative(s)
+
+        def rhs(c, y):
+            s, eta, etad = c
+            lqq, lqp, lpp, c0 = y.tolist()
+            _riccati_guard(s, lqq, lqp, lpp, c0)
             dqq = 2.0 * (eta * lqp + xi * lqp * lqp) - etad
             dqp = -lqq / m_scalar + eta * lpp + xi * lqp / m_scalar + 2.0 * xi * lqp * lpp
             dpp = 2.0 * (-lqp / m_scalar + xi * lpp / m_scalar + xi * lpp * lpp)
             dc0 = -(xi / beta) * n * lpp
             return np.array([dqq, dqp, dpp, dc0])
 
-        back = rk4_path(rhs, np.zeros(4), self.times[::-1], substeps)
+        back = rk4_path(rhs, coef, np.zeros(4), self.times[::-1], substeps)
         coeffs = back[::-1]
         self.lqq = coeffs[:, 0].copy()
         self.lqp = coeffs[:, 1].copy()

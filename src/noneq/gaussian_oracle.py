@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class GaussianLaw:
         chol = np.linalg.cholesky(self.cov)
         z = generator.standard_normal((size, self.dim))
         return self.mean + z @ chol.T
-
-    def marginal(self, indices: Sequence[int]) -> "GaussianLaw":
-        idx = np.asarray(indices, dtype=int)
-        return GaussianLaw(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
 
 def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
@@ -199,6 +195,7 @@ def _circulation_matrix(circ, n: int) -> np.ndarray:
 
 
 def _ou_system(spec: BrownianSpec):
+    """Stage coefficients (A, force, noise rate) of the linear moment ODE."""
     if not spec.potential.is_quadratic:
         raise SpecError("ou_moments requires a quadratic potential")
     n = spec.dimension
@@ -206,16 +203,14 @@ def _ou_system(spec: BrownianSpec):
     pot = spec.potential
     ones = np.ones(n)
 
-    def amat(s):
-        return jmat - float(pot.k.value(s)) * spec.diffusion.gamma(s)
+    def coef(s):
+        gam = spec.diffusion.gamma(s)
+        k = pot.k.value(s)
+        amat = jmat - k[..., None, None] * gam
+        force = (k * pot.mu.value(s))[..., None] * (gam @ ones)
+        return amat, force, (2.0 / spec.beta) * gam
 
-    def force(s):
-        return float(pot.k.value(s)) * float(pot.mu.value(s)) * (spec.diffusion.gamma(s) @ ones)
-
-    def noise(s):
-        return (2.0 / spec.beta) * spec.diffusion.gamma(s)
-
-    return amat, force, noise
+    return coef
 
 
 def _pack(mean, cov):
@@ -226,28 +221,26 @@ def _unpack(y, n):
     return y[:n], y[n:].reshape(n, n)
 
 
-def _moment_path(amat, force, noise, init: GaussianLaw, times, substeps=16):
-    n = init.dim
+def _moment_rhs(c, y):
+    amat, force, noise = c
+    m, cov = _unpack(y, len(force))
+    dm = amat @ m + force
+    dc = amat @ cov + cov @ amat.T + noise
+    return _pack(dm, dc)
 
-    def rhs(s, y):
-        m, c = _unpack(y, n)
-        a = amat(s)
-        dm = a @ m + force(s)
-        dc = a @ c + c @ a.T + noise(s)
-        return _pack(dm, dc)
 
-    ys = rk4_path(rhs, _pack(init.mean, init.cov), np.asarray(times, dtype=float), substeps)
+def _moment_path(coef, init: GaussianLaw, times, substeps=16):
+    ys = rk4_path(_moment_rhs, coef, _pack(init.mean, init.cov), times, substeps)
     laws = []
     for y in ys:
-        m, c = _unpack(y, n)
+        m, c = _unpack(y, init.dim)
         laws.append(GaussianLaw(m, 0.5 * (c + c.T)))
     return laws
 
 
 def ou_moments_path(spec: BrownianSpec, init: GaussianLaw, times, substeps: int = 16):
     """Gaussian laws of the overdamped process at ``times`` (ODE-exact moments)."""
-    amat, force, noise = _ou_system(spec)
-    return _moment_path(amat, force, noise, init, times, substeps)
+    return _moment_path(_ou_system(spec), init, times, substeps)
 
 
 def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 32) -> GaussianLaw:
@@ -261,7 +254,7 @@ def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 
 # ---------------------------------------------------------------------------
 
 def _langevin_system(spec: LangevinSpec, reverse: bool = False):
-    """Drift matrix A(s), affine force, and noise rate of the linear dynamics.
+    """Stage coefficients (A, force, noise rate) of the linear kinetic dynamics.
 
     Forward:  d(q,p) = A (q,p) ds + noise on p,
               A = [[0, M^-1], [-eta(s) I, -xi M^-1]].
@@ -274,33 +267,23 @@ def _langevin_system(spec: LangevinSpec, reverse: bool = False):
     pot = spec.potential
     minv = spec.mass_inv
     T = spec.horizon
-
-    def amat(s):
-        t = T - s if reverse else s
-        eta = float(pot.k.value(t))
-        sign = -1.0 if reverse else 1.0
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = sign * minv
-        a[n:, :n] = -sign * eta * np.eye(n)
-        a[n:, n:] = -spec.xi * minv
-        return a
-
-    def force(s):
-        t = T - s if reverse else s
-        eta = float(pot.k.value(t))
-        mu = float(pot.mu.value(t))
-        sign = -1.0 if reverse else 1.0
-        f = np.zeros(2 * n)
-        f[n:] = sign * eta * mu * np.ones(n)
-        return f
-
+    sign = -1.0 if reverse else 1.0
     noise_rate = np.zeros((2 * n, 2 * n))
     noise_rate[n:, n:] = (2.0 * spec.xi / spec.beta) * np.eye(n)
 
-    def noise(s):
-        return noise_rate
+    def coef(s):
+        t = T - s if reverse else s
+        eta = pot.k.value(t)
+        mu = pot.mu.value(t)
+        amat = np.zeros(s.shape + (2 * n, 2 * n))
+        amat[..., :n, n:] = sign * minv
+        amat[..., n:, :n] = (-sign * eta)[..., None, None] * np.eye(n)
+        amat[..., n:, n:] = -spec.xi * minv
+        force = np.zeros(s.shape + (2 * n,))
+        force[..., n:] = (sign * eta * mu)[..., None] * np.ones(n)
+        return amat, force, np.broadcast_to(noise_rate, amat.shape)
 
-    return amat, force, noise
+    return coef
 
 
 @dataclass
@@ -318,14 +301,6 @@ class FundamentalMatrix:
     mass_inv: np.ndarray
     xi: float
 
-    def sigma(self, s, eta: float) -> np.ndarray:
-        n = self.mass_inv.shape[0]
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = -self.mass_inv
-        out[n:, :n] = eta * np.eye(n)
-        out[n:, n:] = self.xi * self.mass_inv
-        return out
-
     def det_identity_residual(self) -> float:
         """max_s |det Gamma(s) * exp(xi tr(M^-1) s) - 1|."""
         trace = self.xi * np.trace(self.mass_inv)
@@ -333,29 +308,33 @@ class FundamentalMatrix:
         return float(np.max(np.abs(dets * np.exp(trace * self.times) - 1.0)))
 
 
+def _flow_rhs(c, g):
+    return c[0] @ g
+
+
 class LangevinPropagator:
-    """Gaussian law transport for linear kinetic dynamics on a time grid."""
+    """Gaussian law transport for linear kinetic dynamics on a time grid.
+
+    The flow map ``fundamental`` is integrated on first access.
+    """
 
     def __init__(self, spec: LangevinSpec, times, reverse: bool = False, substeps: int = 16):
         self.spec = spec
         self.reverse = reverse
         self.times = np.asarray(times, dtype=float)
         self.substeps = substeps
-        self._amat, self._force, self._noise = _langevin_system(spec, reverse)
-        n = spec.dimension
-        eye = np.eye(2 * n)
+        self._coef = _langevin_system(spec, reverse)
 
-        def gamma_rhs(s, g):
-            return self._amat(s) @ g
-
-        gammas = rk4_path(gamma_rhs, eye, self.times, substeps)
-        self.fundamental = FundamentalMatrix(times=self.times, gammas=gammas,
-                                             mass_inv=spec.mass_inv, xi=spec.xi)
+    @cached_property
+    def fundamental(self) -> FundamentalMatrix:
+        eye = np.eye(2 * self.spec.dimension)
+        gammas = rk4_path(_flow_rhs, self._coef, eye, self.times, self.substeps)
+        return FundamentalMatrix(times=self.times, gammas=gammas,
+                                 mass_inv=self.spec.mass_inv, xi=self.spec.xi)
 
     def push(self, init: GaussianLaw):
         """Laws at every grid time, starting from ``init`` at times[0]."""
-        return _moment_path(self._amat, self._force, self._noise, init,
-                            self.times, self.substeps)
+        return _moment_path(self._coef, init, self.times, self.substeps)
 
 
 def langevin_propagator(spec: LangevinSpec, times, reverse: bool = False,
@@ -366,6 +345,21 @@ def langevin_propagator(spec: LangevinSpec, times, reverse: bool = False,
 # ---------------------------------------------------------------------------
 # quadratic value function of the optimal control (overdamped, 1D)
 # ---------------------------------------------------------------------------
+
+def _riccati_grid(times, horizon: float) -> np.ndarray:
+    """Knots of a backward Riccati solve: increasing, ending at the horizon."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2 or not np.all(np.diff(times) > 0):
+        raise SpecError("riccati grid needs at least two strictly increasing knots")
+    if abs(times[-1] - horizon) > 1e-12:
+        raise SpecError("riccati grid must end at the horizon")
+    return times
+
+
+def _riccati_guard(s: float, *coeffs: float):
+    if max(map(abs, coeffs)) > RICCATI_BLOWUP:
+        raise BlowUpError(f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
+
 
 class BrownianRiccati:
     """Backward quadratic solution U(x, s) = alpha s x^2 + delta x + c0.
@@ -384,24 +378,17 @@ class BrownianRiccati:
         if not isinstance(spec.circulation, NoCirculation):
             raise SpecError("riccati solution assumes zero circulation")
         self.spec = spec
-        self.times = np.asarray(times, dtype=float)
-        if abs(self.times[-1] - spec.horizon) > 1e-12:
-            raise SpecError("riccati grid must end at the horizon")
+        self.times = _riccati_grid(times, spec.horizon)
         pot = spec.potential
 
-        def gamma_s(s):
-            return float(spec.diffusion.gamma(s)[0, 0])
+        def coef(s):
+            return (s, spec.diffusion.gamma(s)[..., 0, 0], pot.k.value(s), pot.k.derivative(s),
+                    pot.mu.value(s), pot.mu.derivative(s))
 
-        def rhs(s, y):
-            alpha, delta, c0 = y
-            if max(abs(alpha), abs(delta), abs(c0)) > RICCATI_BLOWUP:
-                raise BlowUpError(
-                    f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
-            g = gamma_s(s)
-            k = float(pot.k.value(s))
-            kd = float(pot.k.derivative(s))
-            mu = float(pot.mu.value(s))
-            mud = float(pot.mu.derivative(s))
+        def rhs(c, y):
+            s, g, k, kd, mu, mud = c
+            alpha, delta, c0 = y.tolist()
+            _riccati_guard(s, alpha, delta, c0)
             da = 2.0 * g * k * alpha + 4.0 * g * alpha * alpha - 0.5 * kd
             dd = g * k * delta + 4.0 * g * alpha * delta - 2.0 * g * k * alpha * mu \
                 + kd * mu + k * mud
@@ -409,7 +396,7 @@ class BrownianRiccati:
                 - 0.5 * kd * mu * mu - k * mud * mu
             return np.array([da, dd, dc])
 
-        back = rk4_path(rhs, np.zeros(3), self.times[::-1], substeps)
+        back = rk4_path(rhs, coef, np.zeros(3), self.times[::-1], substeps)
         coeffs = back[::-1]
         self.alpha = coeffs[:, 0].copy()
         self.delta = coeffs[:, 1].copy()

@@ -318,13 +318,17 @@ class DiffusionFactor:
         return self.base.shape
 
     def sigma(self, s) -> np.ndarray:
+        """sigma(s); an array of times gives one factor per time, stacked on its shape."""
+        if np.ndim(s):
+            scale = np.ones(np.shape(s)) if self.schedule is None else self.schedule.value(s)
+            return np.multiply.outer(scale, self.base)
         if self.schedule is None:
             return self.base
         return float(self.schedule.value(s)) * self.base
 
     def gamma(self, s) -> np.ndarray:
         sig = self.sigma(s)
-        return sig @ sig.T
+        return sig @ sig.swapaxes(-1, -2)
 
     def div_gamma(self, x, s):
         x = np.asarray(x, dtype=float)

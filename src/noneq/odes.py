@@ -7,33 +7,43 @@ from typing import Callable
 import numpy as np
 
 
-def rk4_step(f: Callable, s: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(s, y)
-    k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(s + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_path(f: Callable, y0: np.ndarray, times: np.ndarray, substeps: int = 8) -> np.ndarray:
-    """Integrate y' = f(s, y) through ``times`` (monotone, either direction).
+def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,
+             substeps: int = 8) -> np.ndarray:
+    """Integrate y' = f(coef(s), y) through ``times`` (monotone, either direction).
 
     Each interval between consecutive grid times is split into ``substeps``
-    RK4 steps.  Returns an array of shape (len(times),) + y0.shape.
+    RK4 steps.  ``coef`` is called once per path on each of the three arrays
+    of stage times (step start, midpoint, step end), shaped (intervals,
+    substeps); it returns a tuple of float arrays whose leading axes are
+    those two.  ``f`` receives one stage's slice of that tuple, with scalar
+    coefficients as Python floats.  Returns an array of shape
+    (len(times),) + y0.shape.
     """
     times = np.asarray(times, dtype=float)
     y = np.array(y0, dtype=float, copy=True)
     out = np.empty((len(times),) + y.shape)
     out[0] = y
-    for i in range(len(times) - 1):
-        h = (times[i + 1] - times[i]) / substeps
-        # Stage times are anchored to the interval start so the last stage
-        # lands exactly on the knot: s += h drifts across substeps and can
-        # sample a one-sided coefficient on the wrong side of a junction.
+    h = np.diff(times) / substeps
+    # Stage times are anchored to the interval start so the last stage
+    # lands exactly on the knot: s += h drifts across substeps and can
+    # sample a one-sided coefficient on the wrong side of a junction.
+    start = times[:-1, None] + np.arange(substeps) * h[:, None]
+    stages = [coef(start), coef(start + 0.5 * h[:, None]), coef(start + h[:, None])]
+    for i, hi in enumerate(h.tolist()):
+        c1, c2, c4 = (_interval_stages(c, i) for c in stages)
         for j in range(substeps):
-            y = rk4_step(f, times[i] + j * h, y, h)
+            k1 = f(c1[j], y)
+            k2 = f(c2[j], y + 0.5 * hi * k1)
+            k3 = f(c2[j], y + 0.5 * hi * k2)
+            k4 = f(c4[j], y + hi * k3)
+            y = y + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
     return out
+
+
+def _interval_stages(coefs, i: int) -> list:
+    """Interval ``i`` of each coefficient array, as one tuple per substep."""
+    return list(zip(*(a[i].tolist() if a.ndim == 2 else a[i] for a in coefs)))
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from noneq import (
+    BlowUpError,
     BrownianSpec,
     Constant,
     GaussianLaw,
@@ -177,3 +178,28 @@ class TestKineticSolution:
         stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
         exact = float(sol.g(0.7, -0.2, 0.0))
         assert abs(mean - exact) <= 4.0 * stderr + 5.0 * 1e-3 * exact
+
+
+RICCATI_SOLVERS = {
+    "overdamped": lambda pot, times: riccati_value_function(
+        BrownianSpec(pot, beta=1.0, horizon=1.0), times),
+    "kinetic": lambda pot, times: langevin_control_solution(
+        LangevinSpec(pot, beta=1.0, horizon=1.0), times),
+}
+
+
+class TestRiccatiGuards:
+    @pytest.mark.parametrize("solver", RICCATI_SOLVERS)
+    @pytest.mark.parametrize("times", [[1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.4, 1.0]],
+                             ids=["one-knot", "repeated", "unsorted"])
+    def test_degenerate_grid_is_a_spec_error(self, solver, times):
+        with pytest.raises(SpecError, match="strictly increasing"):
+            RICCATI_SOLVERS[solver](QuadraticPotential(Linear(1.0, 2.0, 1.0)), np.array(times))
+
+    @pytest.mark.parametrize("solver, where", [("overdamped", "0.999922"),
+                                               ("kinetic", "0.999844")])
+    def test_blow_up_reports_the_stage_time(self, solver, where):
+        pot = QuadraticPotential(Linear(1.0, 1e10, 1.0))
+        with pytest.raises(BlowUpError,
+                           match=rf"^riccati coefficients exceeded 1e\+08 at s={where}$"):
+            RICCATI_SOLVERS[solver](pot, np.linspace(0.0, 1.0, 201))
