@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
 from .errors import BlowUpError, PositivityError, SpecError
 from .fokker_planck import GridDensity1D, _box_from_spec, _fitted_rates, _theta_step
 from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard
 from .model import BrownianSpec, LangevinSpec, langevin_partition_function, partition_function
 from .odes import rk4_path
-from .sde import ControlField
+from .sde import ControlField, _overdamped_step, _run_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -44,35 +43,18 @@ def feynman_kac_g(spec: BrownianSpec, x0, s0: float, n_paths: int, dt: float,
                   seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of g(x0, s0) with its standard error.
 
-    Runs uncontrolled paths of the overdamped dynamics from the fixed point
-    x0 at time s0 to the horizon and averages exp(-beta W) of the accumulated
-    schedule work.
+    Runs the overdamped block runner, uncontrolled, from the fixed point x0
+    at time s0 to the horizon and averages exp(-beta W) of the accumulated
+    schedule work over the paths that stay finite.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = spec.dimension
     if x0.shape != (d,):
         raise SpecError(f"x0 must have shape ({d},)")
-    span = spec.horizon - s0
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-        raise SpecError("dt must divide the interval [s0, T]")
-    m = spec.diffusion.shape[1]
-    amp = math.sqrt(2.0 * dt / spec.beta)
-
-    vals = []
-    for block, start, stop in rngmod.block_layout(n_paths):
-        nb = stop - start
-        gen = rngmod.block_generator(seed, block)
-        x = np.tile(x0, (nb, 1))
-        w = np.zeros(nb)
-        for k in range(n_steps):
-            s = s0 + k * dt
-            z = gen.standard_normal((nb, m))
-            x_new = x + dt * spec.drift(x, s) + amp * (z @ spec.diffusion.sigma(s).T)
-            w += dt * spec.potential.dv_ds(0.5 * (x + x_new), s + 0.5 * dt)
-            x = x_new
-        vals.append(np.exp(-spec.beta * w))
-    vals = np.concatenate(vals)
+    ens = _run_blocks(lambda: _overdamped_step(spec, dt), spec.horizon - s0, n_paths, dt,
+                      seed, lambda gen, size: np.tile(x0, (size, 1)), d,
+                      spec.diffusion.shape[1], "brownian", s0=s0)
+    vals = np.exp(-spec.beta * ens.terminal_work[ens.finite()])
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, stderr

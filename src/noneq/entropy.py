@@ -306,15 +306,6 @@ class HypocoercivityCertificate:
     lambda2: float
     omega: float
 
-    @property
-    def s_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.b, self.c]])
-
-    @property
-    def dissipation_matrix(self) -> np.ndarray:
-        return _dissipation_matrix(self.a, self.b, self.c, self.xi, self.beta,
-                                   self.hessian_bound)
-
 
 def _dissipation_matrix(a, b, c, xi, beta, hessian_bound):
     el = hessian_bound

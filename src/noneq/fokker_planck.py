@@ -123,10 +123,6 @@ class GridDensity2D:
         cqp = float(dq @ w @ dp)
         return np.array([mq, mp]), np.array([[vq, cqp], [cqp, vp]])
 
-    def momentum_marginal(self) -> GridDensity1D:
-        vals = self.values.sum(axis=0) * self.hq
-        return GridDensity1D(self.plo, self.phi, vals, self.s)
-
 
 # ---------------------------------------------------------------------------
 # entropy functionals on grids
@@ -280,10 +276,6 @@ class FPSolution1D:
         if abs(self.times[idx] - t) > 1e-9:
             raise KeyError(f"time {t} was not recorded")
         return GridDensity1D(self.lo, self.hi, self.snapshots[idx].copy(), float(self.times[idx]))
-
-    def densities(self):
-        return [GridDensity1D(self.lo, self.hi, v.copy(), float(t))
-                for t, v in zip(self.times, self.snapshots)]
 
 
 def _box_from_spec(spec, radius_std: float):

@@ -509,9 +509,6 @@ class LangevinSpec:
         kinetic = 0.5 * np.einsum("...i,ij,...j->...", p, self.mass_inv, p)
         return self.potential.v(q, s) + kinetic
 
-    def dh_ds(self, q, p, s):
-        return self.potential.dv_ds(q, s)
-
 
 # ---------------------------------------------------------------------------
 # partition function and Gibbs snapshots

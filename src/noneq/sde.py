@@ -91,10 +91,10 @@ class TrajectoryEnsemble:
                              f"{self.log_weight[it, ip]:.12g}\n")
 
 
-def _time_grid(horizon: float, dt: float):
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise SpecError("dt must divide the horizon")
+def _time_grid(span: float, dt: float):
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise SpecError("dt must divide the simulated interval into whole steps")
     return n_steps
 
 
@@ -162,109 +162,131 @@ def _rejection_sampler_1d(potential, beta: float, s: float):
     return sample
 
 
-def _resolve_init(spec, init, s0: float = 0.0, n_paths: int | None = None):
+def _resolve_init(spec, init, s0: float = 0.0):
+    """A sampler ``(gen, size) -> states`` of the initial law, or an array of states."""
     if init is None:
         return gibbs_sampler(spec, s0)
     if isinstance(init, GaussianLaw):
         return lambda gen, size: init.sample(gen, size)
     if callable(init):
         return init
-    arr = np.asarray(init, dtype=float)
-    if n_paths is not None and len(arr) != n_paths:
-        raise SpecError("explicit initial state array must match n_paths")
-    # Path blocks consume the array in order, so a cursor hands each block
-    # its own slice.
-    cursor = [0]
-
-    def from_array(gen, size, _arr=arr, _cur=cursor):
-        lo = _cur[0]
-        hi = lo + size
-        if hi > len(_arr):
-            raise SpecError("explicit initial state array must match n_paths")
-        _cur[0] = hi
-        return _arr[lo:hi].copy()
-
-    return from_array
+    return np.asarray(init, dtype=float)
 
 
-def _finalize(stored, times, seed, dt, kind, blowup_fraction):
+def _finalize(stored, times, seed, dt, kind):
     states = np.concatenate([b[0] for b in stored], axis=1)
     work = np.concatenate([b[1] for b in stored], axis=1)
     logw = np.concatenate([b[2] for b in stored], axis=1)
     flagged = ~np.all(np.isfinite(states), axis=(0, 2))
     flagged |= ~np.isfinite(work[-1]) | ~np.isfinite(logw[-1])
     frac = flagged.mean()
-    if frac > blowup_fraction:
+    if frac > BLOWUP_FRACTION:
         raise BlowUpError(
             f"{flagged.sum()} of {flagged.size} paths blew up "
-            f"({100 * frac:.3f}% > {100 * blowup_fraction:.3f}%)")
+            f"({100 * frac:.3f}% > {100 * BLOWUP_FRACTION:.3f}%)")
     return TrajectoryEnsemble(times=times, states=states, work=work, log_weight=logw,
                               flagged=flagged, seed=seed, dt=dt, kind=kind)
+
+
+def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
+                store_times=None, noise=None, s0=0.0) -> TrajectoryEnsemble:
+    """Step every path block over ``span`` from time ``s0``.
+
+    ``init`` is a sampler ``(gen, size) -> states`` or an ``(n_paths, width)``
+    array whose rows ``init[start:stop]`` start the block [start, stop).  The
+    step is built by ``make_step()`` only after the arguments are checked, so
+    a bad ``dt`` raises ``SpecError`` before any arithmetic uses it.  It takes
+    ``(x, z, s, w, g)`` at ``s = s0 + k dt`` with the block's ``(nb, m)``
+    noise ``z``, adds the step's work to ``w`` and its change-of-measure
+    exponent to ``g`` in place, and returns the next state.  Noise is
+    ``noise[k, start:stop]`` when injected, else drawn from the block's own
+    stream.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise SpecError(f"dt must be finite and positive, got {dt}")
+    if n_paths < 1:
+        raise SpecError(f"n_paths must be at least 1, got {n_paths}")
+    if seed < 0:
+        raise SpecError(f"seed must be non-negative, got {seed}")
+    n_steps = _time_grid(span, dt)
+    idx, times = _store_indices(store_times, dt, n_steps)
+    slot = {k: i for i, k in enumerate(idx)}
+    from_array = isinstance(init, np.ndarray)
+    if from_array and init.shape != (n_paths, width):
+        raise SpecError(f"initial state array has shape {init.shape}, "
+                        f"expected ({n_paths}, {width})")
+    step = make_step()
+
+    stored = []
+    for block, start, stop in rngmod.block_layout(n_paths):
+        nb = stop - start
+        gen = rngmod.block_generator(seed, block)
+        if from_array:
+            x = init[start:stop]
+        else:
+            x = np.asarray(init(gen, nb), dtype=float).reshape(nb, width)
+        w = np.zeros(nb)
+        g = np.zeros(nb)
+        keep_s = np.empty((len(idx), nb, width))
+        keep_w = np.empty((len(idx), nb))
+        keep_g = np.empty((len(idx), nb))
+        for k in range(n_steps + 1):
+            if k in slot:
+                keep_s[slot[k]], keep_w[slot[k]], keep_g[slot[k]] = x, w, g
+            if k == n_steps:
+                break
+            z = noise[k, start:stop] if noise is not None else gen.standard_normal((nb, m))
+            x = step(x, z, s0 + k * dt, w, g)
+        stored.append((keep_s, keep_w, keep_g))
+    return _finalize(stored, times, seed, dt, kind)
+
+
+def _girsanov(g, u, z, beta, dt):
+    """Add one step's change-of-measure exponent of the control ``u`` to ``g``."""
+    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
+    g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # overdamped dynamics
 # ---------------------------------------------------------------------------
 
+def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[ControlField] = None):
+    """The Euler-Maruyama step of the overdamped dynamics, optionally controlled."""
+    m = spec.diffusion.shape[1]
+    amp = math.sqrt(2.0 * dt / spec.beta)
+
+    def step(x, z, s, w, g):
+        sig = spec.diffusion.sigma(s)
+        drift = spec.drift(x, s)
+        if control is not None:
+            u = np.asarray(control(x, s), dtype=float).reshape(len(x), m)
+            drift = drift + u @ sig.T
+            _girsanov(g, u, z, spec.beta, dt)
+        x_new = x + dt * drift + amp * (z @ sig.T)
+        w += dt * spec.potential.dv_ds(0.5 * (x + x_new), s + 0.5 * dt)
+        return x_new
+
+    return step
+
+
 def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
                      init=None, store_times=None, control: Optional[ControlField] = None,
-                     noise: Optional[np.ndarray] = None,
-                     blowup_fraction: float = BLOWUP_FRACTION) -> TrajectoryEnsemble:
+                     noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble of the overdamped SDE on [0, T].
 
     ``noise`` may inject standard-normal increments of shape (K, N, m) for
     reproducibility experiments; otherwise each path block draws its own
     counter-based stream.
     """
-    n_steps = _time_grid(spec.horizon, dt)
-    idx, times = _store_indices(store_times, dt, n_steps)
-    sampler = _resolve_init(spec, init, n_paths=n_paths)
-    d = spec.dimension
-    m = spec.diffusion.shape[1]
-    amp = math.sqrt(2.0 * dt / spec.beta)
-
-    stored = []
-    for block, start, stop in rngmod.block_layout(n_paths):
-        nb = stop - start
-        gen = rngmod.block_generator(seed, block)
-        x = np.asarray(sampler(gen, nb), dtype=float).reshape(nb, d)
-        w = np.zeros(nb)
-        g = np.zeros(nb)
-        keep_s = np.empty((len(idx), nb, d))
-        keep_w = np.empty((len(idx), nb))
-        keep_g = np.empty((len(idx), nb))
-        pos = 0
-        if idx and idx[0] == 0:
-            keep_s[0], keep_w[0], keep_g[0] = x, w, g
-            pos = 1
-        for k in range(n_steps):
-            s = k * dt
-            if noise is not None:
-                z = noise[k, start:stop]
-            else:
-                z = gen.standard_normal((nb, m))
-            sig = spec.diffusion.sigma(s)
-            drift = spec.drift(x, s)
-            if control is not None:
-                u = np.asarray(control(x, s), dtype=float).reshape(nb, m)
-                drift = drift + u @ sig.T
-                g -= math.sqrt(spec.beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
-                g -= 0.25 * spec.beta * dt * np.sum(u * u, axis=1)
-            x_new = x + dt * drift + amp * (z @ sig.T)
-            s_mid = s + 0.5 * dt
-            w += dt * spec.potential.dv_ds(0.5 * (x + x_new), s_mid)
-            x = x_new
-            if pos < len(idx) and idx[pos] == k + 1:
-                keep_s[pos], keep_w[pos], keep_g[pos] = x, w, g
-                pos += 1
-        stored.append((keep_s, keep_w, keep_g))
-    return _finalize(stored, times, seed, dt, "brownian", blowup_fraction)
+    return _run_blocks(lambda: _overdamped_step(spec, dt, control), spec.horizon,
+                       n_paths, dt, seed, _resolve_init(spec, init), spec.dimension,
+                       spec.diffusion.shape[1], "brownian", store_times, noise)
 
 
 def simulate_reverse(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
                      init=None, store_times=None,
-                     noise: Optional[np.ndarray] = None,
-                     blowup_fraction: float = BLOWUP_FRACTION) -> TrajectoryEnsemble:
+                     noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
     """Ensemble of the reverse process.
 
     The reverse dynamics is itself an overdamped spec (time-mirrored
@@ -272,20 +294,68 @@ def simulate_reverse(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
     law of the original potential at the horizon.
     """
     return simulate_forward(spec.reversed(), n_paths, dt, seed=seed, init=init,
-                            store_times=store_times, noise=noise,
-                            blowup_fraction=blowup_fraction)
+                            store_times=store_times, noise=noise)
 
 
 # ---------------------------------------------------------------------------
 # kinetic dynamics
 # ---------------------------------------------------------------------------
 
+def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField],
+                  reverse: bool, method: str):
+    """The euler or BAOAB step of the kinetic dynamics, forward or reversed."""
+    n = spec.dimension
+    minv = spec.mass_inv
+    xi, beta, T = spec.xi, spec.beta, spec.horizon
+    sign = -1.0 if reverse else 1.0
+
+    def pot_time(s):
+        return T - s if reverse else s
+
+    if method == "euler":
+        amp = math.sqrt(2.0 * xi * dt / beta)
+        sqxi = math.sqrt(xi)
+
+        def move(x, q, p, z, s, t, g):
+            gradv = spec.potential.grad(q, t)
+            q_new = q + dt * sign * (p @ minv.T)
+            p_drift = -sign * gradv - xi * (p @ minv.T)
+            if control is not None:
+                u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
+                p_drift = p_drift + sqxi * u
+                _girsanov(g, u, z, beta, dt)
+            return q_new, p + dt * p_drift + amp * z
+    else:  # BAOAB, forward only in spirit but sign-aware
+        evals, evecs = np.linalg.eigh(spec.mass)
+        decay = evecs @ np.diag(np.exp(-xi * dt / evals)) @ evecs.T
+        mb = spec.mass / beta
+        ou_cov = mb - decay @ mb @ decay.T
+        ou_chol = np.linalg.cholesky(ou_cov + 1e-300 * np.eye(n))
+        half = 0.5 * dt
+
+        def move(x, q, p, z, s, t, g):
+            p1 = p - half * sign * spec.potential.grad(q, t)
+            q_half = q + half * sign * (p1 @ minv.T)
+            p2 = p1 @ decay.T + z @ ou_chol.T
+            q_new = q_half + half * sign * (p2 @ minv.T)
+            return q_new, p2 - half * sign * spec.potential.grad(q_new, pot_time(s + dt))
+
+    def step(x, z, s, w, g):
+        q, p = x[:, :n], x[:, n:]
+        q_new, p_new = move(x, q, p, z, s, pot_time(s), g)
+        # work along the process: time derivative of its own Hamiltonian
+        dv = spec.potential.dv_ds(0.5 * (q + q_new), pot_time(s + 0.5 * dt))
+        w += dt * (-dv if reverse else dv)
+        return np.concatenate([q_new, p_new], axis=1)
+
+    return step
+
+
 def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,
                       init=None, store_times=None,
                       control: Optional[ControlField] = None,
                       noise: Optional[np.ndarray] = None, reverse: bool = False,
-                      method: str = "euler",
-                      blowup_fraction: float = BLOWUP_FRACTION) -> TrajectoryEnsemble:
+                      method: str = "euler") -> TrajectoryEnsemble:
     """Ensemble of the kinetic dynamics (or its reverse) on [0, T].
 
     States are stacked (q, p).  For ``reverse=True`` the Hamiltonian part of
@@ -297,75 +367,7 @@ def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0
         raise SpecError(f"unknown integrator {method!r}")
     if method == "baoab" and control is not None:
         raise SpecError("the change-of-measure bookkeeping requires the euler integrator")
-    n_steps = _time_grid(spec.horizon, dt)
-    idx, times = _store_indices(store_times, dt, n_steps)
-    n = spec.dimension
-    sampler = _resolve_init(spec, init, s0=spec.horizon if reverse else 0.0,
-                            n_paths=n_paths)
-    minv = spec.mass_inv
-    xi, beta, T = spec.xi, spec.beta, spec.horizon
-    sign = -1.0 if reverse else 1.0
-    amp = math.sqrt(2.0 * xi * dt / beta)
-    sqxi = math.sqrt(xi)
-
-    if method == "baoab":
-        evals, evecs = np.linalg.eigh(spec.mass)
-        decay = evecs @ np.diag(np.exp(-xi * dt / evals)) @ evecs.T
-        mb = spec.mass / beta
-        ou_cov = mb - decay @ mb @ decay.T
-        ou_chol = np.linalg.cholesky(ou_cov + 1e-300 * np.eye(n))
-
-    def pot_time(s):
-        return T - s if reverse else s
-
-    stored = []
-    for block, start, stop in rngmod.block_layout(n_paths):
-        nb = stop - start
-        gen = rngmod.block_generator(seed, block)
-        x = np.asarray(sampler(gen, nb), dtype=float).reshape(nb, 2 * n)
-        w = np.zeros(nb)
-        g = np.zeros(nb)
-        keep_s = np.empty((len(idx), nb, 2 * n))
-        keep_w = np.empty((len(idx), nb))
-        keep_g = np.empty((len(idx), nb))
-        pos = 0
-        if idx and idx[0] == 0:
-            keep_s[0], keep_w[0], keep_g[0] = x, w, g
-            pos = 1
-        for k in range(n_steps):
-            s = k * dt
-            t = pot_time(s)
-            q, p = x[:, :n], x[:, n:]
-            if noise is not None:
-                z = noise[k, start:stop]
-            else:
-                z = gen.standard_normal((nb, n))
-            if method == "euler":
-                gradv = spec.potential.grad(q, t)
-                q_new = q + dt * sign * (p @ minv.T)
-                p_drift = -sign * gradv - xi * (p @ minv.T)
-                if control is not None:
-                    u = np.asarray(control(x, s), dtype=float).reshape(nb, n)
-                    p_drift = p_drift + sqxi * u
-                    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
-                    g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
-                p_new = p + dt * p_drift + amp * z
-            else:  # BAOAB, forward only in spirit but sign-aware
-                half = 0.5 * dt
-                p1 = p - half * sign * spec.potential.grad(q, t)
-                q_half = q + half * sign * (p1 @ minv.T)
-                p2 = p1 @ decay.T + z @ ou_chol.T
-                t_end = pot_time(s + dt)
-                q_new = q_half + half * sign * (p2 @ minv.T)
-                p_new = p2 - half * sign * spec.potential.grad(q_new, t_end)
-            x_new = np.concatenate([q_new, p_new], axis=1)
-            # work along the process: time derivative of its own Hamiltonian
-            t_mid = pot_time(s + 0.5 * dt)
-            dv = spec.potential.dv_ds(0.5 * (q + q_new), t_mid)
-            w += dt * (-dv if reverse else dv)
-            x = x_new
-            if pos < len(idx) and idx[pos] == k + 1:
-                keep_s[pos], keep_w[pos], keep_g[pos] = x, w, g
-                pos += 1
-        stored.append((keep_s, keep_w, keep_g))
-    return _finalize(stored, times, seed, dt, "langevin", blowup_fraction)
+    init = _resolve_init(spec, init, s0=spec.horizon if reverse else 0.0)
+    return _run_blocks(lambda: _kinetic_step(spec, dt, control, reverse, method),
+                       spec.horizon, n_paths, dt, seed, init, 2 * spec.dimension,
+                       spec.dimension, "langevin", store_times, noise)

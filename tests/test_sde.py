@@ -1,4 +1,9 @@
-"""Trajectory simulation: moments, work bookkeeping, change-of-measure weights."""
+"""Trajectory simulation: moments, work bookkeeping, change-of-measure weights.
+
+Every ensemble is stepped by one block runner.  ``TestBlockRunnerBitIdentity``
+keeps the per-kind block loops the runner replaced as condensed references,
+and the runner must match them bit for bit.
+"""
 
 import math
 
@@ -17,6 +22,8 @@ from noneq import (
     QuadraticPotential,
     RotationCirculation,
     SpecError,
+    feynman_kac_g,
+    gibbs_sampler,
     langevin_gibbs_gaussian,
     langevin_propagator,
     ou_moments,
@@ -26,7 +33,7 @@ from noneq import (
     zero_control,
 )
 from noneq.model import Potential
-from noneq.rng import BLOCK_SIZE
+from noneq.rng import BLOCK_SIZE, block_generator, block_layout
 
 
 class FlatPotential(Potential):
@@ -309,3 +316,198 @@ def test_ou_moments_api_agreement():
     law = ou_moments(spec, GaussianLaw(np.array([2.0]), np.array([[1.0]])), 1.0)
     assert_allclose(law.mean[0], 2.0 * math.exp(-1.0), rtol=1e-9)
     assert_allclose(law.cov[0, 0], 1.0, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# argument checks at the block runner
+# ---------------------------------------------------------------------------
+
+def kinetic_spec():
+    return LangevinSpec(QuadraticPotential(Constant(1.0), dimension=1), beta=1.0,
+                        horizon=1.0, xi=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_forward(ou_spec(), 0, 1e-2),
+    lambda: simulate_forward(ou_spec(), 4, 1e-2, seed=-1),
+    lambda: simulate_forward(ou_spec(), 4, 0.0),
+    lambda: simulate_forward(ou_spec(), 4, float("nan")),
+    lambda: simulate_forward(ou_spec(), 4, 1e-2, init=np.zeros((4, 2))),
+    lambda: simulate_langevin(kinetic_spec(), 4, 0.0),
+    lambda: simulate_langevin(kinetic_spec(), 4, 1e-2, init=np.zeros((4, 3))),
+    lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 4, 0.0),
+    lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 0, 1e-2),
+], ids=["forward-no-paths", "forward-negative-seed", "forward-zero-dt", "forward-nan-dt",
+        "forward-init-width", "langevin-zero-dt", "langevin-init-width", "fk-zero-dt",
+        "fk-no-paths"])
+def test_bad_run_arguments_raise_spec_error(call):
+    with pytest.raises(SpecError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# the block runner against the per-kind loops it replaced
+# ---------------------------------------------------------------------------
+
+def stack_blocks(blocks):
+    """(states, work, log_weight, flagged) from per-block lists of stored rows."""
+    states, work, logw = (np.concatenate([np.stack([row[i] for row in rows]) for rows in blocks],
+                                         axis=1) for i in range(3))
+    flagged = ~np.all(np.isfinite(states), axis=(0, 2))
+    flagged |= ~np.isfinite(work[-1]) | ~np.isfinite(logw[-1])
+    return states, work, logw, flagged
+
+
+def ref_overdamped(spec, n_paths, dt, seed, init, store, control=None, noise=None, s0=0.0):
+    """Reference: the block loop of simulate_forward and of feynman_kac_g."""
+    n_steps = int(round((spec.horizon - s0) / dt))
+    m = spec.diffusion.shape[1]
+    amp = math.sqrt(2.0 * dt / spec.beta)
+    blocks = []
+    for block, start, stop in block_layout(n_paths):
+        nb = stop - start
+        gen = block_generator(seed, block)
+        x = init(gen, nb) if callable(init) else init[start:stop]
+        w, g = np.zeros(nb), np.zeros(nb)
+        rows = [(x, w.copy(), g.copy())] if 0 in store else []
+        for k in range(n_steps):
+            s = s0 + k * dt
+            z = gen.standard_normal((nb, m)) if noise is None else noise[k, start:stop]
+            sig = spec.diffusion.sigma(s)
+            drift = spec.drift(x, s)
+            if control is not None:
+                u = control(x, s).reshape(nb, m)
+                drift = drift + u @ sig.T
+                g -= math.sqrt(spec.beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
+                g -= 0.25 * spec.beta * dt * np.sum(u * u, axis=1)
+            x_new = x + dt * drift + amp * (z @ sig.T)
+            w += dt * spec.potential.dv_ds(0.5 * (x + x_new), s + 0.5 * dt)
+            x = x_new
+            if k + 1 in store:
+                rows.append((x, w.copy(), g.copy()))
+        blocks.append(rows)
+    return stack_blocks(blocks)
+
+
+def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False, method="euler"):
+    """Reference: the euler and BAOAB block loop of simulate_langevin, Gibbs start."""
+    n_steps = int(round(spec.horizon / dt))
+    n, minv = spec.dimension, spec.mass_inv
+    xi, beta, T = spec.xi, spec.beta, spec.horizon
+    sign = -1.0 if reverse else 1.0
+    amp, sqxi = math.sqrt(2.0 * xi * dt / beta), math.sqrt(xi)
+    evals, evecs = np.linalg.eigh(spec.mass)
+    decay = evecs @ np.diag(np.exp(-xi * dt / evals)) @ evecs.T
+    mb = spec.mass / beta
+    ou_chol = np.linalg.cholesky(mb - decay @ mb @ decay.T + 1e-300 * np.eye(n))
+    init = gibbs_sampler(spec, T if reverse else 0.0)
+
+    def pot_time(s):
+        return T - s if reverse else s
+
+    blocks = []
+    for block, start, stop in block_layout(n_paths):
+        nb = stop - start
+        gen = block_generator(seed, block)
+        x = init(gen, nb)
+        w, g = np.zeros(nb), np.zeros(nb)
+        rows = [(x, w.copy(), g.copy())] if 0 in store else []
+        for k in range(n_steps):
+            s = k * dt
+            t = pot_time(s)
+            q, p = x[:, :n], x[:, n:]
+            z = gen.standard_normal((nb, n))
+            if method == "euler":
+                gradv = spec.potential.grad(q, t)
+                q_new = q + dt * sign * (p @ minv.T)
+                p_drift = -sign * gradv - xi * (p @ minv.T)
+                if control is not None:
+                    u = control(x, s).reshape(nb, n)
+                    p_drift = p_drift + sqxi * u
+                    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
+                    g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
+                p_new = p + dt * p_drift + amp * z
+            else:
+                half = 0.5 * dt
+                p1 = p - half * sign * spec.potential.grad(q, t)
+                q_half = q + half * sign * (p1 @ minv.T)
+                p2 = p1 @ decay.T + z @ ou_chol.T
+                q_new = q_half + half * sign * (p2 @ minv.T)
+                p_new = p2 - half * sign * spec.potential.grad(q_new, pot_time(s + dt))
+            dv = spec.potential.dv_ds(0.5 * (q + q_new), pot_time(s + 0.5 * dt))
+            w += dt * (-dv if reverse else dv)
+            x = np.concatenate([q_new, p_new], axis=1)
+            if k + 1 in store:
+                rows.append((x, w.copy(), g.copy()))
+        blocks.append(rows)
+    return stack_blocks(blocks)
+
+
+def assert_same_ensemble(ens, ref):
+    for got, want in zip((ens.states, ens.work, ens.log_weight, ens.flagged), ref):
+        assert_array_equal(got, want)
+
+
+class TestBlockRunnerBitIdentity:
+    dt = 0.02
+
+    def spec(self):
+        return ou_spec(k0=1.0, k1=2.0, beta=1.3, horizon=0.1)
+
+    def kinetic(self):
+        return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 0.1), dimension=1),
+                            beta=1.0, horizon=0.1, xi=0.8)
+
+    def test_array_init_spanning_two_blocks(self):
+        n = BLOCK_SIZE + 37
+        init = np.linspace(-2.0, 2.0, n)[:, None]
+        ens = simulate_forward(self.spec(), n, self.dt, seed=4, init=init,
+                               store_times=[0.0, 0.04, 0.1])
+        assert_same_ensemble(ens, ref_overdamped(self.spec(), n, self.dt, 4, init, {0, 2, 5}))
+
+    def test_controlled(self):
+        field = ControlField(lambda x, s: 0.7 * np.tanh(x) * (1.0 + s))
+        ens = simulate_forward(self.spec(), 300, self.dt, seed=5, control=field)
+        ref = ref_overdamped(self.spec(), 300, self.dt, 5, gibbs_sampler(self.spec()), {0, 5},
+                             control=field)
+        assert_same_ensemble(ens, ref)
+
+    def test_injected_noise(self):
+        noise = np.random.default_rng(1).standard_normal((5, 50, 1))
+        init = np.random.default_rng(2).standard_normal((50, 1))
+        ens = simulate_forward(self.spec(), 50, self.dt, init=init, noise=noise)
+        assert_same_ensemble(ens, ref_overdamped(self.spec(), 50, self.dt, 0, init, {0, 5},
+                                                 noise=noise))
+
+    def test_reverse(self):
+        rev = self.spec().reversed()
+        ens = simulate_reverse(self.spec(), 300, self.dt, seed=6, store_times=[0.0, 0.06, 0.1])
+        assert_same_ensemble(ens, ref_overdamped(rev, 300, self.dt, 6, gibbs_sampler(rev),
+                                                 {0, 3, 5}))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_langevin_euler(self, reverse):
+        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=7, reverse=reverse,
+                                store_times=[0.0, 0.04, 0.1])
+        assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 2, 5},
+                                              reverse=reverse))
+
+    def test_langevin_controlled(self):
+        field = ControlField(lambda x, s: 0.6 * np.tanh(x[:, :1]))
+        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=7, control=field)
+        assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 5},
+                                              control=field))
+
+    def test_baoab(self):
+        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=8, method="baoab")
+        assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 8, {0, 5},
+                                              method="baoab"))
+
+    def test_feynman_kac_from_a_later_start(self):
+        spec = ou_spec(k0=1.0, k1=2.0, beta=1.3, horizon=1.0)
+        x0, s0, n, dt = np.array([0.3]), 0.25, 500, 0.05
+        _, work, _, _ = ref_overdamped(spec, n, dt, 3, lambda gen, nb: np.tile(x0, (nb, 1)),
+                                       {15}, s0=s0)
+        vals = np.exp(-spec.beta * work[-1])
+        want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+        assert feynman_kac_g(spec, x0, s0, n, dt, seed=3) == want
