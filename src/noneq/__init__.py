@@ -24,9 +24,7 @@ from .entropy import (DecayBound, EntropyTrace, HypocoercivityCertificate, Inequ
                       hypocoercivity_certificate, kinetic_decay_bound,
                       kinetic_decay_bound_time_dependent, modified_functional_trace,
                       optimize_omega, pinsker_talagrand_report,
-                      production_rate_check_brownian, production_rate_check_gaussian,
-                      production_rate_check_grid, production_rate_check_kinetic_grid,
-                      production_rate_check_langevin, production_rate_check_langevin_gaussian)
+                      production_rate_check_brownian, production_rate_check_langevin)
 from .control import (GridControl1D, LangevinRiccati, feynman_kac_g,
                       langevin_control_solution, solve_g_pde_1d)
 from .reversal import (DriftIdentityReport, LawEquivalenceReport, ReverseDensityReport,

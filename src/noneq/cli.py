@@ -24,8 +24,8 @@ from .control import langevin_control_solution, solve_g_pde_1d
 from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supremum,
                       hypocoercivity_certificate, kinetic_decay_bound,
                       kinetic_decay_bound_time_dependent, modified_functional_trace,
-                      optimize_omega, production_rate_check_gaussian,
-                      production_rate_check_grid, production_rate_check_langevin_gaussian)
+                      optimize_omega, production_rate_check_brownian,
+                      production_rate_check_langevin)
 from .errors import CertificateInfeasible, ConfigError
 from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid_1d, solve_fp_1d
 from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
@@ -198,7 +198,7 @@ def run_entropy_brownian(p, out, seed, meta):
     times = np.linspace(0.0, spec.horizon, p["n_times"])
     init = GaussianLaw(np.array([2.0]), np.array([[0.5]]))
     laws = ou_moments_path(spec, init, times, substeps=8)
-    trace = production_rate_check_gaussian(spec, laws, times)
+    trace = production_rate_check_brownian(spec, laws, times)
     _write_csv(out / "analytic_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs", "residual"],
                zip(trace.times, trace.r, trace.dr_ds, trace.rhs, trace.residual))
@@ -214,7 +214,7 @@ def run_entropy_brownian(p, out, seed, meta):
     sol = solve_fp_1d(grid_spec, GaussianLaw(np.array([1.5]), np.array([[0.3]])),
                       p["grid_dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=1.0)
-    gtrace = production_rate_check_grid(grid_spec, sol)
+    gtrace = production_rate_check_brownian(grid_spec, sol)
     _write_csv(out / "grid_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs"],
                zip(gtrace.times, gtrace.r, gtrace.dr_ds, gtrace.rhs))
@@ -229,7 +229,7 @@ def run_entropy_langevin(p, out, seed, meta):
     prop = langevin_propagator(spec, times, substeps=32)
     init = GaussianLaw(np.array([1.2, -0.6]), np.array([[0.6, 0.1], [0.1, 1.4]]))
     laws = prop.push(init)
-    trace = production_rate_check_langevin_gaussian(spec, laws, times)
+    trace = production_rate_check_langevin(spec, laws, times)
     _write_csv(out / "kinetic_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs", "residual"],
                zip(trace.times, trace.r, trace.dr_ds, trace.rhs, trace.residual))
@@ -253,7 +253,7 @@ def run_bound_overdamped(p, out, seed, meta):
     n_steps = int(round(spec.horizon / p["dt"]))
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)
-    trace = production_rate_check_grid(spec, sol)
+    trace = production_rate_check_brownian(spec, sol)
     amp = p["amplitude"]
     coeff = 4.0 / (3.0 * math.sqrt(3.0))
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, PositivityError, SpecError
-from .fokker_planck import GridDensity1D, _box_from_spec, _fitted_rates, _theta_step
+from .fokker_planck import (GridDensity1D, _box_from_spec, _fitted_rates, _grid_steps,
+                            _theta_step)
 from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard
 from .model import BrownianSpec, LangevinSpec, langevin_partition_function, partition_function
 from .odes import rk4_path
@@ -45,7 +46,8 @@ def feynman_kac_g(spec: BrownianSpec, x0, s0: float, n_paths: int, dt: float,
 
     Runs the overdamped block runner, uncontrolled, from the fixed point x0
     at time s0 to the horizon and averages exp(-beta W) of the accumulated
-    schedule work over the paths that stay finite.
+    schedule work over the paths that stay finite; the standard error needs
+    at least two of them.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = spec.dimension
@@ -55,6 +57,8 @@ def feynman_kac_g(spec: BrownianSpec, x0, s0: float, n_paths: int, dt: float,
                       seed, lambda gen, size: np.tile(x0, (size, 1)), d,
                       spec.diffusion.shape[1], "brownian", s0=s0)
     vals = np.exp(-spec.beta * ens.terminal_work[ens.finite()])
+    if len(vals) < 2:
+        raise SpecError("need at least two finite paths")
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, stderr
@@ -184,9 +188,7 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     """
     if spec.dimension != 1:
         raise SpecError("solve_g_pde_1d is one-dimensional")
-    n_steps = int(round(spec.horizon / dt))
-    if abs(n_steps * dt - spec.horizon) > 1e-9:
-        raise SpecError("dt must divide the horizon")
+    n_steps = _grid_steps(spec.horizon, dt, cells, theta)
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
     x = GridDensity1D.centers(lo, hi, cells)

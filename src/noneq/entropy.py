@@ -22,12 +22,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateInfeasible, SpecError
-from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, GridDensity2D,
-                            fisher_and_rate_terms, gibbs_grid_1d, kinetic_fisher_and_rate_terms,
-                            kinetic_gibbs_grid, relative_entropy_grid)
+from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, fisher_and_rate_terms,
+                            gibbs_grid_1d, kinetic_fisher_and_rate_terms, kinetic_gibbs_grid,
+                            relative_entropy_grid)
 from .gaussian_oracle import (GaussianLaw, gaussian_kl, gaussian_modified_functional,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher)
-from .model import BrownianSpec, LangevinSpec
+from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian
 from .odes import cumulative_simpson
 
 
@@ -84,109 +84,73 @@ def _uniform_spacing(times: np.ndarray) -> float:
 # production-rate checks
 # ---------------------------------------------------------------------------
 
-def _quadratic_rate_terms(spec, law: GaussianLaw, s: float, n: int):
-    """E[dV/ds] under ``law`` (first n coordinates) and under the Gibbs law."""
-    pot = spec.potential
-    k = float(pot.k.value(s))
-    kd = float(pot.k.derivative(s))
-    mu = float(pot.mu.value(s))
-    mud = float(pot.mu.derivative(s))
-    mean = law.mean[:n]
-    cov = law.cov[:n, :n]
-    dev = mean - mu
-    state = 0.5 * kd * (np.trace(cov) + dev @ dev) - k * mud * np.sum(dev)
-    gibbs = 0.5 * kd * (n / (spec.beta * k))
-    return state, gibbs
-
-
-def production_rate_check_gaussian(spec: BrownianSpec, laws: Sequence[GaussianLaw],
-                                   times: np.ndarray) -> EntropyTrace:
-    """All-analytic identity check for quadratic overdamped dynamics."""
-    from .model import gibbs_gaussian
-
-    if not spec.potential.is_quadratic:
-        raise SpecError("gaussian production-rate check needs a quadratic potential")
+def _trace(times, states, point: Callable) -> EntropyTrace:
+    """R and the production-identity right side from ``point(s, state)`` at
+    each time, with the numerical derivative of R."""
     times = np.asarray(times, dtype=float)
     h = _uniform_spacing(times)
-    n = spec.dimension
     r = np.empty(len(times))
     rhs = np.empty(len(times))
-    for i, (s, law) in enumerate(zip(times, laws)):
-        ref = gibbs_gaussian(spec, s)
-        r[i] = gaussian_kl(law, ref)
-        state, gibbs = _quadratic_rate_terms(spec, law, s, n)
-        fisher = gaussian_weighted_fisher(law, ref, spec.diffusion.gamma(s))
-        rhs[i] = spec.beta * (state - gibbs) - fisher / spec.beta
+    for i, (s, state) in enumerate(zip(times, states)):
+        r[i], rhs[i] = point(float(s), state)
     return EntropyTrace(times=times, r=r, dr_ds=derivative_uniform(r, h), rhs=rhs)
 
 
-def production_rate_check_langevin_gaussian(spec: LangevinSpec,
-                                            laws: Sequence[GaussianLaw],
-                                            times: np.ndarray) -> EntropyTrace:
-    """Identity check for quadratic kinetic dynamics via exact moments."""
-    from .model import langevin_gibbs_gaussian
-
+def _gaussian_trace(spec, laws: Sequence[GaussianLaw], times, gibbs_law: Callable,
+                    weight: Callable) -> EntropyTrace:
+    """All-analytic trace for quadratic dynamics.  ``gibbs_law(spec, s)`` is
+    the instantaneous Gibbs law and ``weight(s)`` the matrix of the Fisher
+    form; dV/ds reads the first n coordinates of each law."""
     if not spec.potential.is_quadratic:
         raise SpecError("gaussian production-rate check needs a quadratic potential")
-    times = np.asarray(times, dtype=float)
-    h = _uniform_spacing(times)
-    n = spec.dimension
-    weight = np.zeros((2 * n, 2 * n))
-    weight[n:, n:] = spec.xi * np.eye(n)
-    r = np.empty(len(times))
-    rhs = np.empty(len(times))
-    for i, (s, law) in enumerate(zip(times, laws)):
-        ref = langevin_gibbs_gaussian(spec, s)
-        r[i] = gaussian_kl(law, ref)
-        state, gibbs = _quadratic_rate_terms(spec, law, s, n)
-        fisher = gaussian_weighted_fisher(law, ref, weight)
-        rhs[i] = spec.beta * (state - gibbs) - fisher / spec.beta
-    return EntropyTrace(times=times, r=r, dr_ds=derivative_uniform(r, h), rhs=rhs)
+    if times is None or len(laws) != len(times):
+        raise SpecError("gaussian production-rate check needs one time per law")
+    pot, n, beta = spec.potential, spec.dimension, spec.beta
+
+    def point(s, law):
+        ref = gibbs_law(spec, s)
+        k = float(pot.k.value(s))
+        kd = float(pot.k.derivative(s))
+        mu = float(pot.mu.value(s))
+        mud = float(pot.mu.derivative(s))
+        dev = law.mean[:n] - mu
+        state = 0.5 * kd * (np.trace(law.cov[:n, :n]) + dev @ dev) - k * mud * np.sum(dev)
+        gibbs = 0.5 * kd * (n / (beta * k))
+        fisher = gaussian_weighted_fisher(law, ref, weight(s))
+        return gaussian_kl(law, ref), beta * (state - gibbs) - fisher / beta
+
+    return _trace(times, laws, point)
 
 
-def production_rate_check_grid(spec: BrownianSpec, solution: FPSolution1D) -> EntropyTrace:
-    """Identity check on a finite-volume solution (overdamped, 1D)."""
-    times = solution.times
-    h = _uniform_spacing(times)
-    r = np.empty(len(times))
-    rhs = np.empty(len(times))
-    for i, t in enumerate(times):
-        dens = GridDensity1D(solution.lo, solution.hi, solution.snapshots[i], float(t))
-        ref = gibbs_grid_1d(spec, float(t), dens)
-        r[i] = relative_entropy_grid(dens, ref)
-        terms = fisher_and_rate_terms(spec, dens, float(t))
-        rhs[i] = terms.rhs(spec.beta)
-    return EntropyTrace(times=times, r=r, dr_ds=derivative_uniform(r, h), rhs=rhs)
+def _grid_trace(spec, solution, gibbs_grid: Callable, rate_terms: Callable) -> EntropyTrace:
+    """Trace on the recorded slices of a grid solution, against the Gibbs
+    density ``gibbs_grid(spec, s, like)`` on the same grid."""
 
+    def point(s, dens):
+        ref = gibbs_grid(spec, s, dens)
+        return relative_entropy_grid(dens, ref), rate_terms(spec, dens, s).rhs(spec.beta)
 
-def production_rate_check_kinetic_grid(spec: LangevinSpec,
-                                       solution: FPSolution2D) -> EntropyTrace:
-    times = solution.times
-    h = _uniform_spacing(times)
-    r = np.empty(len(times))
-    rhs = np.empty(len(times))
-    for i, t in enumerate(times):
-        dens = GridDensity2D(solution.qlo, solution.qhi, solution.plo, solution.phi,
-                             solution.snapshots[i], float(t))
-        ref = kinetic_gibbs_grid(spec, float(t), dens)
-        r[i] = relative_entropy_grid(dens, ref)
-        terms = kinetic_fisher_and_rate_terms(spec, dens, float(t))
-        rhs[i] = terms.rhs(spec.beta)
-    return EntropyTrace(times=times, r=r, dr_ds=derivative_uniform(r, h), rhs=rhs)
+    return _trace(solution.times, (solution.density(t) for t in solution.times), point)
 
 
 def production_rate_check_brownian(spec: BrownianSpec, states, times=None) -> EntropyTrace:
-    """Dispatch on the state representation: Gaussian laws or a grid run."""
+    """Overdamped identity check on Gaussian laws at ``times`` (quadratic
+    potentials) or on a 1D grid solution."""
     if isinstance(states, FPSolution1D):
-        return production_rate_check_grid(spec, states)
-    return production_rate_check_gaussian(spec, states, times)
+        return _grid_trace(spec, states, gibbs_grid_1d, fisher_and_rate_terms)
+    return _gaussian_trace(spec, states, times, gibbs_gaussian, spec.diffusion.gamma)
 
 
 def production_rate_check_langevin(spec: LangevinSpec, states, times=None) -> EntropyTrace:
-    """Kinetic counterpart of :func:`production_rate_check_brownian`."""
+    """Kinetic identity check on Gaussian phase-space laws at ``times``
+    (quadratic potentials) or on a 2D grid solution; the Fisher form only
+    sees the momentum block, weighted by xi."""
     if isinstance(states, FPSolution2D):
-        return production_rate_check_kinetic_grid(spec, states)
-    return production_rate_check_langevin_gaussian(spec, states, times)
+        return _grid_trace(spec, states, kinetic_gibbs_grid, kinetic_fisher_and_rate_terms)
+    n = spec.dimension
+    weight = np.zeros((2 * n, 2 * n))
+    weight[n:, n:] = spec.xi * np.eye(n)
+    return _gaussian_trace(spec, states, times, langevin_gibbs_gaussian, lambda s: weight)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +407,6 @@ def modified_functional_trace(spec: LangevinSpec, laws: Sequence[GaussianLaw],
                               times, a: float, b: float, c: float) -> np.ndarray:
     """E(s) along a Gaussian path: KL + anisotropic gradient form, against the
     instantaneous Gibbs law."""
-    from .model import langevin_gibbs_gaussian
-
     out = np.empty(len(laws))
     for i, (s, law) in enumerate(zip(np.asarray(times, dtype=float), laws)):
         ref = langevin_gibbs_gaussian(spec, float(s))

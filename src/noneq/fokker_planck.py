@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import PositivityError, QuadratureError, SpecError
 from .model import BrownianSpec, LangevinSpec
+from .odes import _step_count
 
 TINY = 1e-300
 
@@ -128,20 +129,28 @@ class GridDensity2D:
 # entropy functionals on grids
 # ---------------------------------------------------------------------------
 
+def _axes(density) -> list:
+    """Cell-centre axes of a 1D or 2D grid density."""
+    return [density.x] if isinstance(density, GridDensity1D) else [density.q, density.p]
+
+
+def _same_grid(axes: list, other: list) -> bool:
+    """Whether two lists of cell-centre axes agree, to a billionth of a cell."""
+    return len(axes) == len(other) and all(
+        len(a) == len(b) and np.allclose(a, b, rtol=0.0, atol=1e-9 * (b[-1] - b[0]) / len(b))
+        for a, b in zip(axes, other))
+
+
 def relative_entropy_grid(density, reference) -> float:
     """KL(density || reference) by cell quadrature; empty cells contribute 0.
 
     Both inputs are renormalized internally, so the result only depends on
     the probability measures the grids represent.
     """
-    if isinstance(density, GridDensity1D):
-        vol = density.h
-        rho = density.values
-        ref = reference.values
-    else:
-        vol = density.hq * density.hp
-        rho = density.values
-        ref = reference.values
+    if not _same_grid(_axes(density), _axes(reference)):
+        raise SpecError("the two densities are not on the same grid")
+    vol = density.h if isinstance(density, GridDensity1D) else density.hq * density.hp
+    rho, ref = density.values, reference.values
     mask = rho > TINY
     if np.any(mask & (ref <= 0)):
         return math.inf
@@ -164,15 +173,16 @@ class RateTerms:
         return beta * (self.state_term - self.gibbs_term) - self.fisher / beta
 
 
-def _log_ratio_gradient_1d(rho: np.ndarray, ref: np.ndarray, h: float) -> np.ndarray:
+def _log_ratio_gradient(rho: np.ndarray, ref: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Centred difference of ln(rho / ref) along ``axis``, zero on the two end
+    layers and wherever a cell or its neighbours along the axis are empty."""
     u = np.zeros_like(rho)
     mask = (rho > TINY) & (ref > TINY)
     u[mask] = np.log(rho[mask]) - np.log(ref[mask])
-    grad = np.zeros_like(rho)
-    interior = np.zeros(len(rho), dtype=bool)
-    interior[1:-1] = mask[2:] & mask[:-2] & mask[1:-1]
-    grad[interior] = (np.roll(u, -1) - np.roll(u, 1))[interior] / (2 * h)
-    return grad
+    interior = mask & np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis)
+    np.moveaxis(interior, axis, 0)[[0, -1]] = False
+    centred = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2 * h)
+    return np.where(interior, centred, 0.0)
 
 
 def fisher_and_rate_terms(spec: BrownianSpec, density: GridDensity1D, s: float) -> RateTerms:
@@ -182,7 +192,7 @@ def fisher_and_rate_terms(spec: BrownianSpec, density: GridDensity1D, s: float) 
     dv = spec.potential.dv_ds(density.x[:, None], s)
     gamma = float(spec.diffusion.gamma(s)[0, 0])
     rho = density.values
-    grad = _log_ratio_gradient_1d(rho, gibbs, h)
+    grad = _log_ratio_gradient(rho, gibbs, h)
     fisher = gamma * float(np.sum(grad * grad * rho) * h)
     return RateTerms(
         gibbs_term=float(np.sum(dv * gibbs) * h),
@@ -198,14 +208,7 @@ def kinetic_fisher_and_rate_terms(spec: LangevinSpec, density: GridDensity2D,
     hq, hp = density.hq, density.hp
     gibbs = kinetic_gibbs_grid(spec, s, density).values
     rho = density.values
-    mask = (rho > TINY) & (gibbs > TINY)
-    u = np.zeros_like(rho)
-    u[mask] = np.log(rho[mask]) - np.log(gibbs[mask])
-    grad_p = np.zeros_like(rho)
-    interior = np.zeros_like(mask)
-    interior[:, 1:-1] = mask[:, 2:] & mask[:, :-2] & mask[:, 1:-1]
-    shifted = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * hp)
-    grad_p[interior] = shifted[interior]
+    grad_p = _log_ratio_gradient(rho, gibbs, hp, axis=1)
     fisher = spec.xi * float(np.sum(grad_p * grad_p * rho) * hq * hp)
     dv = spec.potential.dv_ds(density.q[:, None], s)[:, None]
     return RateTerms(
@@ -259,6 +262,16 @@ def _theta_step(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, r: np.ndarra
     return solve_banded((1, 1), ab, explicit)
 
 
+def _grid_steps(horizon: float, dt: float, cells, theta: float = 1.0) -> int:
+    """Step count of a grid march over ``horizon``; SpecError for a bad dt,
+    fewer than 3 cells on an axis, or theta outside [0.5, 1]."""
+    if np.min(cells) < 3:
+        raise SpecError(f"a grid needs at least 3 cells per axis, got {cells}")
+    if not 0.5 <= theta <= 1.0:
+        raise SpecError(f"theta must lie in [0.5, 1], got {theta}")
+    return _step_count(horizon, dt)
+
+
 # ---------------------------------------------------------------------------
 # overdamped solver
 # ---------------------------------------------------------------------------
@@ -292,8 +305,8 @@ def _init_values_1d(init, x: np.ndarray, h: float) -> np.ndarray:
     from .gaussian_oracle import GaussianLaw
 
     if isinstance(init, GridDensity1D):
-        if len(init.values) != len(x):
-            raise SpecError("initial grid density does not match the solver grid")
+        if not _same_grid(_axes(init), [x]):
+            raise SpecError("initial grid density is not on the solver grid")
         vals = init.values.copy()
     elif isinstance(init, GaussianLaw):
         vals = init.pdf(x[:, None])
@@ -301,9 +314,7 @@ def _init_values_1d(init, x: np.ndarray, h: float) -> np.ndarray:
         vals = np.asarray(init(x), dtype=float)
     else:
         vals = np.asarray(init, dtype=float)
-    if vals.min() < 0:
-        raise PositivityError("initial density has negative cells")
-    return vals / (np.sum(vals) * h)
+    return _normalized_init(vals, x.shape, h)
 
 
 def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
@@ -317,11 +328,11 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     """
     if spec.dimension != 1:
         raise SpecError("solve_fp_1d is one-dimensional")
-    n_steps = int(round(spec.horizon / dt))
-    if abs(n_steps * dt - spec.horizon) > 1e-9:
-        raise SpecError("dt must divide the horizon")
+    n_steps = _grid_steps(spec.horizon, dt, cells, theta)
     if record_every is None:
         record_every = max(1, n_steps // 800)
+    elif record_every < 1:
+        raise SpecError(f"record_every must be at least 1, got {record_every}")
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
     x = GridDensity1D.centers(lo, hi, cells)
@@ -418,6 +429,8 @@ def _init_values_2d(init, qs, ps, vol) -> np.ndarray:
     from .gaussian_oracle import GaussianLaw
 
     if isinstance(init, GridDensity2D):
+        if not _same_grid(_axes(init), [qs, ps]):
+            raise SpecError("initial grid density is not on the solver grid")
         vals = init.values.copy()
     elif isinstance(init, GaussianLaw):
         qq, pp = np.meshgrid(qs, ps, indexing="ij")
@@ -427,9 +440,22 @@ def _init_values_2d(init, qs, ps, vol) -> np.ndarray:
         vals = np.asarray(init(qs, ps), dtype=float)
     else:
         vals = np.asarray(init, dtype=float)
+    return _normalized_init(vals, (len(qs), len(ps)), vol)
+
+
+def _normalized_init(vals: np.ndarray, shape: tuple, vol: float) -> np.ndarray:
+    """Initial cell values scaled to unit mass; SpecError for a wrong shape,
+    non-finite values or zero mass, PositivityError for negative cells."""
+    if vals.shape != shape:
+        raise SpecError(f"initial density has shape {vals.shape}, the grid {shape}")
+    if not np.all(np.isfinite(vals)):
+        raise SpecError("initial density has non-finite cells")
     if vals.min() < 0:
-        raise PositivityError("initial phase-space density has negative cells")
-    return vals / (np.sum(vals) * vol)
+        raise PositivityError("initial density has negative cells")
+    mass = np.sum(vals) * vol
+    if not mass > 0:
+        raise SpecError("initial density has zero mass")
+    return vals / mass
 
 
 def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
@@ -445,11 +471,11 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     """
     if spec.dimension != 1:
         raise SpecError("solve_kinetic_fp_2d expects one position dimension")
-    n_steps = int(round(spec.horizon / dt))
-    if abs(n_steps * dt - spec.horizon) > 1e-9:
-        raise SpecError("dt must divide the horizon")
+    n_steps = _grid_steps(spec.horizon, dt, cells)
     if record_every is None:
         record_every = max(1, n_steps // 400)
+    elif record_every < 1:
+        raise SpecError(f"record_every must be at least 1, got {record_every}")
     nq, npp = cells
     qlo, qhi = _box_from_spec(spec, radius_std)
     m_scalar = float(spec.mass[0, 0])

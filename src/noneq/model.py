@@ -154,10 +154,6 @@ class Potential:
     def hess(self, x, s):
         raise NotImplementedError
 
-    def dgrad_ds(self, x, s):
-        """Time derivative of the gradient (needed by Lipschitz-rate bounds)."""
-        raise NotImplementedError
-
     def envelope(self, s, beta):
         """(center, std) of a Gaussian that dominates the Gibbs tail at time s."""
         raise NotImplementedError
@@ -193,10 +189,6 @@ class QuadraticPotential(Potential):
         eye = np.eye(self.dimension)
         return self.k.value(s) * np.broadcast_to(eye, x.shape + (self.dimension,)).copy()
 
-    def dgrad_ds(self, x, s):
-        d = self._dev(x, s)
-        return self.k.derivative(s) * d - self.k.value(s) * self.mu.derivative(s) * np.ones_like(d)
-
     def envelope(self, s, beta):
         k = float(self.k.value(s))
         if k <= 0:
@@ -230,11 +222,6 @@ class TanhPerturbedPotential(Potential):
         t = np.tanh(x0)
         sech2 = 1.0 - t * t
         return (1.0 - 2.0 * self.a.value(s) * t * sech2)[..., None, None]
-
-    def dgrad_ds(self, x, s):
-        x0 = np.asarray(x, dtype=float)[..., 0]
-        sech2 = 1.0 / np.cosh(x0) ** 2
-        return (self.a.derivative(s) * sech2)[..., None]
 
     def envelope(self, s, beta):
         # e^{-beta V} <= e^{beta |a|} e^{-beta x^2 / 2}: a unit-stiffness tail.
@@ -428,9 +415,6 @@ class _TimeMirroredPotential(Potential):
 
     def hess(self, x, s):
         return self.inner.hess(x, self.T - s)
-
-    def dgrad_ds(self, x, s):
-        return -self.inner.dgrad_ds(x, self.T - s)
 
     def envelope(self, s, beta):
         return self.inner.envelope(self.T - s, beta)

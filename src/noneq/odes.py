@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+from .errors import SpecError
+
+
+def _step_count(span: float, dt: float) -> int:
+    """Number of steps of size ``dt`` across ``span``.
+
+    Raises SpecError unless dt is finite and positive and divides the span
+    into at least one whole step.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise SpecError(f"dt must be finite and positive, got {dt}")
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise SpecError("dt must divide the simulated interval into whole steps")
+    return n_steps
 
 
 def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,

@@ -73,6 +73,21 @@ def steered_drift(spec: BrownianSpec, control_fn, x, s: float) -> np.ndarray:
     return spec.drift(x, s) + u @ spec.diffusion.sigma(s).T
 
 
+def _drift_residuals(spec, times, reverse_laws, gap) -> DriftIdentityReport:
+    """Per forward time s, the max over a probe cloud of |re-reversed - steered|
+    drift given by ``gap(law, s)``, where ``law`` is the reverse-process law
+    (Gaussian or grid) at reverse time T - s, one of ``reverse_laws(rev_times)``
+    on the sorted reverse times 0 and every T - s."""
+    times = np.asarray(times, dtype=float)
+    rev_times = np.sort(np.unique(np.concatenate([[0.0], spec.horizon - times])))
+    law_at = {float(t): law for t, law in zip(rev_times, reverse_laws(rev_times))}
+    resid = np.empty(len(times))
+    for i, s in enumerate(times):
+        s = float(s)
+        resid[i] = float(np.max(np.abs(gap(law_at[spec.horizon - s], s))))
+    return DriftIdentityReport(times=times, residuals=resid)
+
+
 def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati, times,
                          probe_std: float = 6.0, n_probe: int = 41,
                          substeps: int = 64) -> DriftIdentityReport:
@@ -82,28 +97,18 @@ def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati, times,
     score is closed-form, and the steering field comes from the quadratic
     value flow.
     """
-    times = np.asarray(times, dtype=float)
-    rspec = spec.reversed()
-    rev_times = np.sort(np.unique(np.concatenate([[0.0], spec.horizon - times])))
-    laws = ou_moments_path(rspec, gibbs_gaussian(spec, spec.horizon), rev_times,
-                           substeps=substeps)
-    law_at = {float(t): law for t, law in zip(rev_times, laws)}
 
-    resid = np.empty(len(times))
-    for i, s in enumerate(times):
-        u = spec.horizon - float(s)
-        law = law_at[float(u)]
-        center, std = spec.potential.envelope(float(s), spec.beta)
-        pts = np.linspace(center - probe_std * std, center + probe_std * std,
-                          n_probe)[:, None]
+    def reverse_laws(rev_times):
+        return ou_moments_path(spec.reversed(), gibbs_gaussian(spec, spec.horizon), rev_times,
+                               substeps=substeps)
 
-        def score(x, _u, _law=law):
-            return _law.score(x)
+    def gap(law, s):
+        center, std = spec.potential.envelope(s, spec.beta)
+        pts = np.linspace(center - probe_std * std, center + probe_std * std, n_probe)[:, None]
+        return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
+                - steered_drift(spec, riccati.control, pts, s))
 
-        lhs = rereversed_drift(spec, score, pts, float(s))
-        rhs = steered_drift(spec, riccati.control, pts, float(s))
-        resid[i] = float(np.max(np.abs(lhs - rhs)))
-    return DriftIdentityReport(times=times, residuals=resid)
+    return _drift_residuals(spec, times, reverse_laws, gap)
 
 
 def kinetic_rereversed_drift(spec: LangevinSpec, score_p_fn, x, s: float) -> np.ndarray:
@@ -133,31 +138,24 @@ def kinetic_steered_drift(spec: LangevinSpec, control_fn, x, s: float) -> np.nda
 def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati, times,
                                  probe_std: float = 5.0, n_probe: int = 13,
                                  substeps: int = 64) -> DriftIdentityReport:
-    times = np.asarray(times, dtype=float)
-    rev_times = np.sort(np.unique(np.concatenate([[0.0], spec.horizon - times])))
-    prop = langevin_propagator(spec, rev_times, reverse=True, substeps=substeps)
-    laws = prop.push(langevin_gibbs_gaussian(spec, spec.horizon))
-    law_at = {float(t): law for t, law in zip(rev_times, laws)}
+    """Kinetic analogue of :func:`drift_identity_check` on a fixed (q, p)
+    probe grid; the score correction only enters the momentum block."""
     n = spec.dimension
     if n != 1:
         raise SpecError("the kinetic drift check probes a 1D position grid")
+    axis = np.linspace(-probe_std, probe_std, n_probe)
+    qq, pp = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
 
-    resid = np.empty(len(times))
-    for i, s in enumerate(times):
-        u = spec.horizon - float(s)
-        law = law_at[float(u)]
-        qc = np.linspace(-probe_std, probe_std, n_probe)
-        pc = np.linspace(-probe_std, probe_std, n_probe)
-        qq, pp = np.meshgrid(qc, pc, indexing="ij")
-        pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
+    def reverse_laws(rev_times):
+        prop = langevin_propagator(spec, rev_times, reverse=True, substeps=substeps)
+        return prop.push(langevin_gibbs_gaussian(spec, spec.horizon))
 
-        def score_p(x, _u, _law=law):
-            return _law.score(x)[:, n:]
+    def gap(law, s):
+        return (kinetic_rereversed_drift(spec, lambda x, _u: law.score(x)[:, n:], pts, s)
+                - kinetic_steered_drift(spec, riccati.control, pts, s))
 
-        lhs = kinetic_rereversed_drift(spec, score_p, pts, float(s))
-        rhs = kinetic_steered_drift(spec, riccati.control, pts, float(s))
-        resid[i] = float(np.max(np.abs(lhs - rhs)))
-    return DriftIdentityReport(times=times, residuals=resid)
+    return _drift_residuals(spec, times, reverse_laws, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +230,24 @@ def _compare_samples(rows, t, fwd: np.ndarray, rev: np.ndarray):
                                        ks_stat=ks, ks_crit=ks_crit))
 
 
+def _matched_marginals(spec, times, seed: int, forward, reverse) -> LawEquivalenceReport:
+    """Match the finite paths of ``forward(store_times, seed)`` at each forward
+    time s against those of ``reverse(store_times, seed + 104729)`` at T - s."""
+    T = spec.horizon
+    if times is None:
+        times = np.linspace(0.0, T, 6)[1:]
+    times = np.asarray(times, dtype=float)
+    fwd = forward(list(times), seed)
+    rev = reverse([T - t for t in times], seed + 104729)
+    report = LawEquivalenceReport(n_forward=int(fwd.finite().sum()),
+                                  n_reverse=int(rev.finite().sum()))
+    for t in times:
+        a = fwd.states_at(float(t))[fwd.finite()]
+        b = rev.states_at(float(T - t))[rev.finite()]
+        _compare_samples(report.rows, t, a, b)
+    return report
+
+
 def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
                          n_paths: int, dt: float, seed: int = 0,
                          times=None) -> LawEquivalenceReport:
@@ -242,46 +258,25 @@ def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
     is uncontrolled.  Marginals at forward time s are matched against reverse
     marginals at T - s.
     """
-    T = spec.horizon
-    if times is None:
-        times = np.linspace(0.0, T, 6)[1:]
-    times = np.asarray(times, dtype=float)
-    fwd = simulate_forward(spec, n_paths, dt, seed=seed,
-                           init=riccati.tilted_initial_law(),
-                           store_times=list(times),
-                           control=ControlField(riccati.control, tag="riccati"))
-    rev = simulate_reverse(spec, n_paths, dt, seed=seed + 104729,
-                           store_times=[T - t for t in times])
-    report = LawEquivalenceReport(n_forward=int(fwd.finite().sum()),
-                                  n_reverse=int(rev.finite().sum()))
-    for t in times:
-        a = fwd.states_at(float(t))[fwd.finite()]
-        b = rev.states_at(float(T - t))[rev.finite()]
-        _compare_samples(report.rows, t, a, b)
-    return report
+    return _matched_marginals(
+        spec, times, seed,
+        lambda store, sd: simulate_forward(spec, n_paths, dt, seed=sd,
+                                           init=riccati.tilted_initial_law(), store_times=store,
+                                           control=ControlField(riccati.control, tag="riccati")),
+        lambda store, sd: simulate_reverse(spec, n_paths, dt, seed=sd, store_times=store))
 
 
 def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: LangevinRiccati,
                                  n_paths: int, dt: float, seed: int = 0,
                                  times=None) -> LawEquivalenceReport:
     """Kinetic version of the matched-marginal test on stacked (q, p) states."""
-    T = spec.horizon
-    if times is None:
-        times = np.linspace(0.0, T, 6)[1:]
-    times = np.asarray(times, dtype=float)
-    fwd = simulate_langevin(spec, n_paths, dt, seed=seed,
-                            init=riccati.tilted_initial_law(),
-                            store_times=list(times),
-                            control=riccati.control_field())
-    rev = simulate_langevin(spec, n_paths, dt, seed=seed + 104729,
-                            store_times=[T - t for t in times], reverse=True)
-    report = LawEquivalenceReport(n_forward=int(fwd.finite().sum()),
-                                  n_reverse=int(rev.finite().sum()))
-    for t in times:
-        a = fwd.states_at(float(t))[fwd.finite()]
-        b = rev.states_at(float(T - t))[rev.finite()]
-        _compare_samples(report.rows, t, a, b)
-    return report
+    return _matched_marginals(
+        spec, times, seed,
+        lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd,
+                                            init=riccati.tilted_initial_law(), store_times=store,
+                                            control=riccati.control_field()),
+        lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd, store_times=store,
+                                            reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +349,20 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
     limited by the spatial resolution (second-order differences), which sets
     the tolerance callers should use.
     """
-    sol, _, check_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    sol, _, _, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
     x = GridDensity1D.centers(sol.lo, sol.hi, cells)
     h = (sol.hi - sol.lo) / cells
     steer = control.control_field()
-    resid = np.empty(len(check_times))
-    fwd_times = np.empty(len(check_times))
-    for i, (s, rho) in enumerate(slices):
-        log_rho = np.log(np.maximum(rho, 1e-300))
-        score = np.gradient(log_rho, h)
+    rho_at = {spec.horizon - s: rho for s, rho in slices}
+
+    def gap(rho, s):
+        score = np.gradient(np.log(np.maximum(rho, 1e-300)), h)
         center, std = spec.potential.envelope(s, spec.beta)
         core = np.abs(x - center) <= core_std * std
         pts = x[core][:, None]
+        return (rereversed_drift(spec, lambda _x, _u: score[core][:, None], pts, s)
+                - steered_drift(spec, steer, pts, s))
 
-        def score_fn(_x, _u, vals=score[core]):
-            return vals[:, None]
-
-        lhs = rereversed_drift(spec, score_fn, pts, s)
-        rhs = steered_drift(spec, steer, pts, s)
-        resid[i] = float(np.max(np.abs(lhs - rhs)))
-        fwd_times[i] = s
-    return DriftIdentityReport(times=fwd_times, residuals=resid)
+    # the reverse-time table holds the recorded slices; reverse time 0 has none
+    return _drift_residuals(spec, [s for s, _ in slices],
+                            lambda rev_times: [rho_at.get(float(u)) for u in rev_times], gap)

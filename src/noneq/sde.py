@@ -22,6 +22,7 @@ import numpy as np
 from .errors import BlowUpError, SpecError
 from .gaussian_oracle import GaussianLaw
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian
+from .odes import _step_count
 from . import rng as rngmod
 
 BLOWUP_FRACTION = 1e-3
@@ -89,13 +90,6 @@ class TrajectoryEnsemble:
                     xs = ",".join(f"{v:.12g}" for v in self.states[it, ip])
                     fh.write(f"{ip},{t:.12g},{xs},{self.work[it, ip]:.12g},"
                              f"{self.log_weight[it, ip]:.12g}\n")
-
-
-def _time_grid(span: float, dt: float):
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-        raise SpecError("dt must divide the simulated interval into whole steps")
-    return n_steps
 
 
 def _store_indices(store_times, dt, n_steps):
@@ -195,20 +189,21 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     ``init`` is a sampler ``(gen, size) -> states`` or an ``(n_paths, width)``
     array whose rows ``init[start:stop]`` start the block [start, stop).  The
     step is built by ``make_step()`` only after the arguments are checked, so
-    a bad ``dt`` raises ``SpecError`` before any arithmetic uses it.  It takes
-    ``(x, z, s, w, g)`` at ``s = s0 + k dt`` with the block's ``(nb, m)``
-    noise ``z``, adds the step's work to ``w`` and its change-of-measure
-    exponent to ``g`` in place, and returns the next state.  Noise is
-    ``noise[k, start:stop]`` when injected, else drawn from the block's own
-    stream.
+    a bad ``dt`` or ``noise`` shape raises ``SpecError`` before any arithmetic
+    uses it.  It takes ``(x, z, s, w, g)`` at ``s = s0 + k dt`` with the
+    block's ``(nb, m)`` noise ``z``, adds the step's work to ``w`` and its
+    change-of-measure exponent to ``g`` in place, and returns the next state.
+    Noise is ``noise[k, start:stop]`` when injected, else drawn from the
+    block's own stream.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise SpecError(f"dt must be finite and positive, got {dt}")
     if n_paths < 1:
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
     if seed < 0:
         raise SpecError(f"seed must be non-negative, got {seed}")
-    n_steps = _time_grid(span, dt)
+    n_steps = _step_count(span, dt)
+    if noise is not None and np.shape(noise) != (n_steps, n_paths, m):
+        raise SpecError(f"noise array has shape {np.shape(noise)}, "
+                        f"expected ({n_steps}, {n_paths}, {m})")
     idx, times = _store_indices(store_times, dt, n_steps)
     slot = {k: i for i, k in enumerate(idx)}
     from_array = isinstance(init, np.ndarray)

@@ -11,6 +11,7 @@ from noneq import (
     CertificateInfeasible,
     Constant,
     GaussianLaw,
+    GridDensity1D,
     LangevinSpec,
     Linear,
     QuadraticPotential,
@@ -21,6 +22,8 @@ from noneq import (
     decay_bound_supremum,
     gaussian_kl,
     gaussian_modified_functional,
+    gaussian_tv_1d,
+    gaussian_w2,
     gibbs_gaussian,
     hypocoercivity_certificate,
     kinetic_decay_bound,
@@ -68,6 +71,14 @@ class TestProductionRateBrownian:
         assert np.max(np.abs(trace.r)) <= 1e-12
         assert np.max(np.abs(trace.dr_ds)) <= 1e-10
         assert np.max(np.abs(trace.rhs)) <= 1e-10
+
+    def test_laws_need_one_time_each(self):
+        spec = ou_spec()
+        times = np.linspace(0.0, 1.0, 11)
+        laws = ou_moments_path(spec, gibbs_gaussian(spec, 0.0), times)
+        for args in ((laws[:-1], times), (laws, None)):
+            with pytest.raises(SpecError):
+                production_rate_check_brownian(spec, *args)
 
     def test_grid_identity_with_moving_schedule(self):
         spec = ou_spec(k0=1.0, k1=1.5)  # stiffness 1 + s/2
@@ -190,9 +201,6 @@ class QuarticDoubleWell(Potential):
     def hess(self, x, s):
         x0 = np.asarray(x, dtype=float)[..., 0]
         return (12.0 * x0 ** 2 - 2.0)[..., None, None]
-
-    def dgrad_ds(self, x, s):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def envelope(self, s, beta):
         return 0.0, 1.0
@@ -353,3 +361,16 @@ class TestInequalityToolkit:
             q = GaussianLaw(m[1:], np.array([[s[1] ** 2]]))
             rep = pinsker_talagrand_report(p, q, kappa=1.0 / s[1] ** 2)
             assert rep.pinsker_ok and rep.talagrand_ok
+
+    def test_grid_branch_matches_gaussian_branch(self):
+        """N(0.3, 0.8) against N(0, 1), as Gaussian laws and as 2000-cell grids."""
+        p = GaussianLaw(np.array([0.3]), np.array([[0.8]]))
+        q = GaussianLaw(np.array([0.0]), np.array([[1.0]]))
+        x = GridDensity1D.centers(-10.0, 10.0, 2000)[:, None]
+        grid = pinsker_talagrand_report(GridDensity1D(-10.0, 10.0, p.pdf(x)),
+                                        GridDensity1D(-10.0, 10.0, q.pdf(x)), kappa=1.0)
+        exact = pinsker_talagrand_report(p, q, kappa=1.0)
+        assert abs(grid.tv - gaussian_tv_1d(p, q)) <= 1e-5
+        assert abs(grid.w2 - gaussian_w2(p, q)) <= 1e-5
+        assert abs(grid.sqrt_two_kl - exact.sqrt_two_kl) <= 1e-5
+        assert grid.pinsker_ok and grid.talagrand_ok

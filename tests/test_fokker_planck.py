@@ -11,10 +11,12 @@ from noneq import (
     Constant,
     GaussianLaw,
     GridDensity1D,
+    GridDensity2D,
     LangevinSpec,
     Linear,
     QuadratureError,
     QuadraticPotential,
+    SpecError,
     TanhPerturbedPotential,
     fisher_and_rate_terms,
     gaussian_kl,
@@ -283,3 +285,48 @@ class TestKineticSolver:
         vol = sol.density(1.0).hq * sol.density(1.0).hp
         for snap in sol.snapshots:
             assert abs(np.sum(snap) * vol - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# argument checks at the grid solvers
+# ---------------------------------------------------------------------------
+
+def kinetic_spec():
+    return LangevinSpec(QuadraticPotential(Constant(1.0), dimension=1), beta=1.0,
+                        horizon=1.0, xi=1.0)
+
+
+STD_LAW = GaussianLaw(np.zeros(1), np.eye(1))
+STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=0),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 0.0, cells=50),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, float("nan"), cells=50),
+    lambda: solve_fp_1d(ou_spec(), lambda x: np.zeros_like(x), 1e-2, cells=50),
+    lambda: solve_fp_1d(ou_spec(), lambda x: np.full_like(x, np.nan), 1e-2, cells=50),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50, theta=2.0),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50, record_every=0),
+    lambda: solve_fp_1d(ou_spec(), gaussian_grid(-40.0, 40.0, 50, 0.0, 1.0), 1e-2, cells=50),
+    lambda: solve_g_pde_1d(ou_spec(), 1e-2, cells=50, theta=2.0),
+    lambda: solve_g_pde_1d(ou_spec(), 0.0, cells=50),
+    lambda: solve_g_pde_1d(ou_spec(), 1e-2, cells=0),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 0.0, cells=(20, 20)),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(2, 2)),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20, 20),
+                                record_every=0),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(),
+                                GridDensity2D(-40.0, 40.0, -40.0, 40.0, np.ones((20, 20))),
+                                1e-2, cells=(20, 20)),
+    lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
+                                  gaussian_grid(-5.0, 5.0, 12, 0.0, 1.0)),
+    lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
+                                  gaussian_grid(-6.0, 6.0, 10, 0.0, 1.0)),
+], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
+        "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
+        "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
+        "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box"])
+def test_bad_grid_arguments_raise_spec_error(call):
+    with pytest.raises(SpecError):
+        call()

@@ -55,9 +55,6 @@ class FlatPotential(Potential):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (1,))
 
-    def dgrad_ds(self, x, s):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     def envelope(self, s, beta):
         return 0.0, 1.0
 
@@ -337,9 +334,14 @@ def kinetic_spec():
     lambda: simulate_langevin(kinetic_spec(), 4, 1e-2, init=np.zeros((4, 3))),
     lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 4, 0.0),
     lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 0, 1e-2),
+    lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 1, 0.1),
+    lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((1, 4, 1))),
+    lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((2, 2, 1))),
+    lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((5, 9, 1))),
 ], ids=["forward-no-paths", "forward-negative-seed", "forward-zero-dt", "forward-nan-dt",
         "forward-init-width", "langevin-zero-dt", "langevin-init-width", "fk-zero-dt",
-        "fk-no-paths"])
+        "fk-no-paths", "fk-one-path", "forward-noise-short", "forward-noise-narrow",
+        "forward-noise-oversized"])
 def test_bad_run_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
