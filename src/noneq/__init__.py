@@ -15,7 +15,7 @@ from .gaussian_oracle import (BrownianRiccati, FundamentalMatrix, GaussianLaw,
                               langevin_propagator, ou_moments, ou_moments_path,
                               riccati_value_function)
 from .sde import (ControlField, TrajectoryEnsemble, gibbs_sampler, simulate_forward,
-                  simulate_langevin, simulate_reverse, zero_control)
+                  simulate_langevin, zero_control)
 from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, GridDensity2D,
                             fisher_and_rate_terms, gibbs_grid_1d, kinetic_gibbs_grid,
                             relative_entropy_grid, solve_fp_1d, solve_kinetic_fp_2d)

@@ -26,7 +26,7 @@ from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supr
                       kinetic_decay_bound_time_dependent, modified_functional_trace,
                       optimize_omega, production_rate_check_brownian,
                       production_rate_check_langevin)
-from .errors import CertificateInfeasible, ConfigError
+from .errors import CertificateInfeasible, ConfigError, SpecError
 from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid_1d, solve_fp_1d
 from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
     riccati_value_function
@@ -36,6 +36,7 @@ from .model import (BrownianSpec, Constant, DiffusionFactor, LangevinSpec, Linea
                     QuadraticPotential, RadialLinearCirculation, RotationCirculation,
                     Sine, TanhPerturbedPotential, free_energy_difference, spec_from_config,
                     validate_spec)
+from .odes import _step_count
 from .reversal import (drift_identity_check, grid_drift_identity_check,
                        kinetic_drift_identity_check, kinetic_law_equivalence_test,
                        law_equivalence_test, reverse_density_check)
@@ -210,7 +211,7 @@ def run_entropy_brownian(p, out, seed, meta):
         beta=p["beta"], horizon=p["horizon"],
         diffusion=DiffusionFactor.isotropic(1, 1.0, Sine(0.5, 1.0, 1.25)),
         gamma_minus=0.5)
-    n_steps = int(round(grid_spec.horizon / p["grid_dt"]))
+    n_steps = _step_count(grid_spec.horizon, p["grid_dt"])
     sol = solve_fp_1d(grid_spec, GaussianLaw(np.array([1.5]), np.array([[0.3]])),
                       p["grid_dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=1.0)
@@ -250,7 +251,7 @@ def run_bound_overdamped(p, out, seed, meta):
     spec = _tanh_spec(amplitude=p["amplitude"], horizon=p["horizon"], beta=p["beta"])
     lo, hi = _box_from_spec(spec, 10.0)
     init = gibbs_grid_1d(spec, 0.0, GridDensity1D(lo, hi, np.zeros(p["cells"])))
-    n_steps = int(round(spec.horizon / p["dt"]))
+    n_steps = _step_count(spec.horizon, p["dt"])
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)
     trace = production_rate_check_brownian(spec, sol)
@@ -619,7 +620,7 @@ def main(argv=None) -> int:
         else:
             for name in names:
                 results[name] = _run_one(name, cfg, seed, args.quick, out_root)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PositivityError, QuadratureError, SpecError
 from .model import BrownianSpec, LangevinSpec
-from .odes import _step_count
+from .odes import _step_count, _time_index
 
 TINY = 1e-300
 
@@ -285,9 +285,7 @@ class FPSolution1D:
     mass_drift: float       # max |mass - 1| observed before renormalisation
 
     def density(self, t: float) -> GridDensity1D:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise KeyError(f"time {t} was not recorded")
+        idx = _time_index(self.times, t)
         return GridDensity1D(self.lo, self.hi, self.snapshots[idx].copy(), float(self.times[idx]))
 
 
@@ -382,9 +380,7 @@ class FPSolution2D:
     mass_drift: float
 
     def density(self, t: float) -> GridDensity2D:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise KeyError(f"time {t} was not recorded")
+        idx = _time_index(self.times, t)
         return GridDensity2D(self.qlo, self.qhi, self.plo, self.phi,
                              self.snapshots[idx].copy(), float(self.times[idx]))
 

@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, SpecError
-from .model import BrownianSpec, LangevinSpec, NoCirculation, RotationCirculation, \
-    RadialLinearCirculation
+from .model import BrownianSpec, LangevinSpec, NoCirculation
 from .odes import rk4_path
 
 RICCATI_BLOWUP = 1e8
@@ -176,30 +175,12 @@ def gaussian_tv_1d(p: GaussianLaw, q: GaussianLaw) -> float:
 # moment propagation: overdamped linear SDEs
 # ---------------------------------------------------------------------------
 
-def _circulation_matrix(circ, n: int) -> np.ndarray:
-    from .model import _NegatedMirroredCirculation
-
-    if isinstance(circ, NoCirculation):
-        return np.zeros((n, n))
-    if isinstance(circ, RotationCirculation):
-        if n != 2:
-            raise SpecError("rotation circulation is two-dimensional")
-        return circ.rate * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if isinstance(circ, RadialLinearCirculation):
-        return circ.rate * np.eye(n)
-    if isinstance(circ, _NegatedMirroredCirculation):
-        # built-in linear circulations carry no time dependence, so the
-        # mirrored field is just the negation
-        return -_circulation_matrix(circ.inner, n)
-    raise SpecError("circulation field is not linear; no Gaussian oracle available")
-
-
 def _ou_system(spec: BrownianSpec):
     """Stage coefficients (A, force, noise rate) of the linear moment ODE."""
     if not spec.potential.is_quadratic:
         raise SpecError("ou_moments requires a quadratic potential")
     n = spec.dimension
-    jmat = _circulation_matrix(spec.circulation, n)
+    jmat = spec.circulation.matrix(n)
     pot = spec.potential
     ones = np.ones(n)
 
@@ -253,28 +234,25 @@ def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 
 # kinetic (Langevin) propagation and the fundamental matrix
 # ---------------------------------------------------------------------------
 
-def _langevin_system(spec: LangevinSpec, reverse: bool = False):
+def _langevin_system(spec: LangevinSpec):
     """Stage coefficients (A, force, noise rate) of the linear kinetic dynamics.
 
-    Forward:  d(q,p) = A (q,p) ds + noise on p,
-              A = [[0, M^-1], [-eta(s) I, -xi M^-1]].
-    Reverse:  the Hamiltonian part flips sign and time mirrors:
-              A_R(s) = [[0, -M^-1], [eta(T-s) I, -xi M^-1]].
+    d(q,p) = A (q,p) ds + force ds + noise on p, with
+    A = [[0, t M^-1], [-t eta(s) I, -xi M^-1]] and t = ``spec.transport``,
+    so a reversed spec flips the Hamiltonian part and reads eta at T - s.
     """
     if not spec.potential.is_quadratic:
         raise SpecError("langevin propagation requires a quadratic potential")
     n = spec.dimension
     pot = spec.potential
     minv = spec.mass_inv
-    T = spec.horizon
-    sign = -1.0 if reverse else 1.0
+    sign = spec.transport
     noise_rate = np.zeros((2 * n, 2 * n))
     noise_rate[n:, n:] = (2.0 * spec.xi / spec.beta) * np.eye(n)
 
     def coef(s):
-        t = T - s if reverse else s
-        eta = pot.k.value(t)
-        mu = pot.mu.value(t)
+        eta = pot.k.value(s)
+        mu = pot.mu.value(s)
         amat = np.zeros(s.shape + (2 * n, 2 * n))
         amat[..., :n, n:] = sign * minv
         amat[..., n:, :n] = (-sign * eta)[..., None, None] * np.eye(n)
@@ -318,12 +296,11 @@ class LangevinPropagator:
     The flow map ``fundamental`` is integrated on first access.
     """
 
-    def __init__(self, spec: LangevinSpec, times, reverse: bool = False, substeps: int = 16):
+    def __init__(self, spec: LangevinSpec, times, substeps: int = 16):
         self.spec = spec
-        self.reverse = reverse
         self.times = np.asarray(times, dtype=float)
         self.substeps = substeps
-        self._coef = _langevin_system(spec, reverse)
+        self._coef = _langevin_system(spec)
 
     @cached_property
     def fundamental(self) -> FundamentalMatrix:
@@ -337,9 +314,8 @@ class LangevinPropagator:
         return _moment_path(self._coef, init, self.times, self.substeps)
 
 
-def langevin_propagator(spec: LangevinSpec, times, reverse: bool = False,
-                        substeps: int = 16) -> LangevinPropagator:
-    return LangevinPropagator(spec, times, reverse, substeps)
+def langevin_propagator(spec: LangevinSpec, times, substeps: int = 16) -> LangevinPropagator:
+    return LangevinPropagator(spec, times, substeps)
 
 
 # ---------------------------------------------------------------------------

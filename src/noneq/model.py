@@ -241,6 +241,10 @@ class Circulation:
     def div_j(self, x, s):
         raise NotImplementedError
 
+    def matrix(self, n: int) -> np.ndarray:
+        """The constant n x n matrix C with J(x) = C x, for the Gaussian oracles."""
+        raise SpecError("circulation field is not linear; no Gaussian oracle available")
+
 
 class NoCirculation(Circulation):
     def j(self, x, s):
@@ -249,6 +253,9 @@ class NoCirculation(Circulation):
     def div_j(self, x, s):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
+
+    def matrix(self, n: int) -> np.ndarray:
+        return np.zeros((n, n))
 
 
 class RotationCirculation(Circulation):
@@ -268,6 +275,11 @@ class RotationCirculation(Circulation):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
+    def matrix(self, n: int) -> np.ndarray:
+        if n != 2:
+            raise SpecError("rotation circulation is two-dimensional")
+        return self.rate * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
 
 class RadialLinearCirculation(Circulation):
     """J(x) = rate * x.  Generally *not* Gibbs-compatible; used to exercise
@@ -282,6 +294,9 @@ class RadialLinearCirculation(Circulation):
     def div_j(self, x, s):
         x = np.asarray(x, dtype=float)
         return self.rate * x.shape[-1] * np.ones(x.shape[:-1])
+
+    def matrix(self, n: int) -> np.ndarray:
+        return self.rate * np.eye(n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +381,10 @@ class BrownianSpec:
         return (self.circulation.j(x, s) - gv @ g.T
                 + self.diffusion.div_gamma(x, s) / self.beta)
 
+    def noise_factor(self, s) -> np.ndarray:
+        """B(s) = sigma(s): the noise term is sqrt(2/beta) B dw."""
+        return self.diffusion.sigma(s)
+
     def reversed(self) -> "BrownianSpec":
         """The reverse process, as a Brownian spec in its own right.
 
@@ -431,6 +450,11 @@ class _NegatedMirroredCirculation(Circulation):
     def div_j(self, x, s):
         return -self.inner.div_j(x, self.T - s)
 
+    def matrix(self, n: int) -> np.ndarray:
+        # built-in linear circulations carry no time dependence, so the
+        # mirrored field is just the negation
+        return -self.inner.matrix(n)
+
 
 class _TimeMirroredDiffusion(DiffusionFactor):
     def __init__(self, inner: DiffusionFactor, horizon: float):
@@ -464,6 +488,9 @@ class LangevinSpec:
     xi: float = 1.0
     mass: np.ndarray | None = None
 
+    #: +1 runs the Hamiltonian transport forwards; only reversed() flips it.
+    transport = 1.0
+
     def __post_init__(self):
         if self.beta <= 0:
             raise SpecError("beta must be positive")
@@ -492,6 +519,32 @@ class LangevinSpec:
         p = np.asarray(p, dtype=float)
         kinetic = 0.5 * np.einsum("...i,ij,...j->...", p, self.mass_inv, p)
         return self.potential.v(q, s) + kinetic
+
+    def drift(self, x, s):
+        """(t M^-1 p, -t grad V(q, s) - xi M^-1 p) on stacked states x = (q, p),
+        batched over x, with t = ``transport``."""
+        n = self.dimension
+        x = np.asarray(x, dtype=float)
+        velocity = x[..., n:] @ self.mass_inv.T
+        force = -self.transport * self.potential.grad(x[..., :n], s)
+        return np.concatenate([self.transport * velocity, force - self.xi * velocity],
+                              axis=-1)
+
+    def noise_factor(self, s) -> np.ndarray:
+        """B = [0; sqrt(xi) I_n]: the noise term is sqrt(2/beta) B dw."""
+        n = self.dimension
+        return np.vstack([np.zeros((n, n)), math.sqrt(self.xi) * np.eye(n)])
+
+    def reversed(self) -> "LangevinSpec":
+        """The reverse process, as a Langevin spec in its own right.
+
+        The potential is read at mirrored time T - s and the Hamiltonian
+        transport flips sign; friction and noise are unchanged.
+        """
+        rev = LangevinSpec(potential=_TimeMirroredPotential(self.potential, self.horizon),
+                           beta=self.beta, horizon=self.horizon, xi=self.xi, mass=self.mass)
+        rev.transport = -self.transport
+        return rev
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration and cumulative Simpson quadrature helpers."""
+"""Fixed-step RK4 integration, cumulative Simpson quadrature and time-grid helpers."""
 
 from __future__ import annotations
 
@@ -22,6 +22,14 @@ def _step_count(span: float, dt: float) -> int:
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
         raise SpecError("dt must divide the simulated interval into whole steps")
     return n_steps
+
+
+def _time_index(times: np.ndarray, t: float) -> int:
+    """Index of the entry of ``times`` within 1e-9 of ``t``; SpecError if none is."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9:
+        raise SpecError(f"time {t} was not recorded")
+    return idx
 
 
 def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,

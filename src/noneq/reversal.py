@@ -24,7 +24,8 @@ from .fokker_planck import GridDensity1D, _box_from_spec, solve_fp_1d
 from .gaussian_oracle import BrownianRiccati, langevin_propagator, ou_moments_path
 from .model import (BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian,
                     partition_function)
-from .sde import ControlField, simulate_forward, simulate_langevin, simulate_reverse
+from .odes import _step_count
+from .sde import ControlField, simulate_forward, simulate_langevin
 
 
 def _sidak_ks_coefficient(level: float, rows: int) -> float:
@@ -54,23 +55,26 @@ class DriftIdentityReport:
         return float(np.max(self.residuals))
 
 
-def rereversed_drift(spec: BrownianSpec, score_fn, x, s: float) -> np.ndarray:
+def rereversed_drift(spec, score_fn, x, s: float) -> np.ndarray:
     """Drift of the time-flipped reverse process at forward time s.
 
     ``score_fn(x, u)`` must return grad ln of the reverse-process law at
-    reverse time u.  The formula is -b_R(x, T-s) + (2/beta) gamma(s) score.
+    reverse time u.  The formula is -b_R(x, T-s) + (2/beta) B B^T score with
+    B = B(s) the noise factor, so for a Langevin spec only the momentum block
+    receives the score correction.
     """
-    rspec = spec.reversed()
     u = spec.horizon - s
+    b = spec.noise_factor(s)
     score = np.asarray(score_fn(x, u), dtype=float)
-    return -rspec.drift(x, u) + (2.0 / spec.beta) * score @ spec.diffusion.gamma(s).T
+    return -spec.reversed().drift(x, u) + (2.0 / spec.beta) * score @ (b @ b.T).T
 
 
-def steered_drift(spec: BrownianSpec, control_fn, x, s: float) -> np.ndarray:
+def steered_drift(spec, control_fn, x, s: float) -> np.ndarray:
+    """Drift b + B u of the forward process steered by the control u."""
     u = np.asarray(control_fn(x, s), dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    return spec.drift(x, s) + u @ spec.diffusion.sigma(s).T
+    return spec.drift(x, s) + u @ spec.noise_factor(s).T
 
 
 def _drift_residuals(spec, times, reverse_laws, gap) -> DriftIdentityReport:
@@ -111,49 +115,24 @@ def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati, times,
     return _drift_residuals(spec, times, reverse_laws, gap)
 
 
-def kinetic_rereversed_drift(spec: LangevinSpec, score_p_fn, x, s: float) -> np.ndarray:
-    """Kinetic analogue: only the momentum block receives the score correction."""
-    n = spec.dimension
-    u = spec.horizon - s
-    q, p = x[:, :n], x[:, n:]
-    eta_grad = spec.potential.grad(q, s)
-    # reverse drift at reverse time u reads the potential at s and flips the
-    # Hamiltonian transport
-    drift_q = -(-(p @ spec.mass_inv.T))
-    drift_p = -(eta_grad - spec.xi * (p @ spec.mass_inv.T))
-    score_p = np.asarray(score_p_fn(x, u), dtype=float)
-    drift_p = drift_p + (2.0 * spec.xi / spec.beta) * score_p
-    return np.concatenate([drift_q, drift_p], axis=1)
-
-
-def kinetic_steered_drift(spec: LangevinSpec, control_fn, x, s: float) -> np.ndarray:
-    n = spec.dimension
-    q, p = x[:, :n], x[:, n:]
-    drift_q = p @ spec.mass_inv.T
-    drift_p = -spec.potential.grad(q, s) - spec.xi * (p @ spec.mass_inv.T)
-    u = np.asarray(control_fn(x, s), dtype=float)
-    return np.concatenate([drift_q, drift_p + math.sqrt(spec.xi) * u], axis=1)
-
-
 def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati, times,
                                  probe_std: float = 5.0, n_probe: int = 13,
                                  substeps: int = 64) -> DriftIdentityReport:
     """Kinetic analogue of :func:`drift_identity_check` on a fixed (q, p)
     probe grid; the score correction only enters the momentum block."""
-    n = spec.dimension
-    if n != 1:
+    if spec.dimension != 1:
         raise SpecError("the kinetic drift check probes a 1D position grid")
     axis = np.linspace(-probe_std, probe_std, n_probe)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
 
     def reverse_laws(rev_times):
-        prop = langevin_propagator(spec, rev_times, reverse=True, substeps=substeps)
+        prop = langevin_propagator(spec.reversed(), rev_times, substeps=substeps)
         return prop.push(langevin_gibbs_gaussian(spec, spec.horizon))
 
     def gap(law, s):
-        return (kinetic_rereversed_drift(spec, lambda x, _u: law.score(x)[:, n:], pts, s)
-                - kinetic_steered_drift(spec, riccati.control, pts, s))
+        return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
+                - steered_drift(spec, riccati.control, pts, s))
 
     return _drift_residuals(spec, times, reverse_laws, gap)
 
@@ -263,7 +242,8 @@ def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
         lambda store, sd: simulate_forward(spec, n_paths, dt, seed=sd,
                                            init=riccati.tilted_initial_law(), store_times=store,
                                            control=ControlField(riccati.control, tag="riccati")),
-        lambda store, sd: simulate_reverse(spec, n_paths, dt, seed=sd, store_times=store))
+        lambda store, sd: simulate_forward(spec.reversed(), n_paths, dt, seed=sd,
+                                           store_times=store))
 
 
 def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: LangevinRiccati,
@@ -275,8 +255,8 @@ def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: LangevinRiccati,
         lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd,
                                             init=riccati.tilted_initial_law(), store_times=store,
                                             control=riccati.control_field()),
-        lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd, store_times=store,
-                                            reverse=True))
+        lambda store, sd: simulate_langevin(spec.reversed(), n_paths, dt, seed=sd,
+                                            store_times=store))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +288,7 @@ def _reverse_march(spec: BrownianSpec, dt: float, cells: int, radius_std: float,
     z_t = partition_function(spec, spec.horizon).z
     init = np.exp(-spec.beta * spec.potential.v(x[:, None], spec.horizon)) / z_t
 
-    n_steps = int(round(spec.horizon / dt))
-    record = max(1, n_steps // (4 * n_check))
+    record = max(1, _step_count(spec.horizon, dt) // (4 * n_check))
     sol = solve_fp_1d(rspec, init, dt, cells=cells, radius_std=radius_std,
                       record_every=record)
     check_times = np.linspace(0.0, spec.horizon, n_check + 1)[1:]

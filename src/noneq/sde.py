@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BlowUpError, SpecError
 from .gaussian_oracle import GaussianLaw
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian
-from .odes import _step_count
+from .odes import _step_count, _time_index
 from . import rng as rngmod
 
 BLOWUP_FRACTION = 1e-3
@@ -69,10 +69,7 @@ class TrajectoryEnsemble:
         return self.log_weight[-1]
 
     def states_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise KeyError(f"time {t} was not stored")
-        return self.states[idx]
+        return self.states[_time_index(self.times, t)]
 
     def finite(self) -> np.ndarray:
         return ~self.flagged
@@ -156,10 +153,14 @@ def _rejection_sampler_1d(potential, beta: float, s: float):
     return sample
 
 
-def _resolve_init(spec, init, s0: float = 0.0):
-    """A sampler ``(gen, size) -> states`` of the initial law, or an array of states."""
+def _resolve_init(spec, init):
+    """A sampler ``(gen, size) -> states`` of the initial law, or an array of states.
+
+    The default is the Gibbs law at time 0; for a reversed spec that is the
+    Gibbs law of the original potential at the horizon.
+    """
     if init is None:
-        return gibbs_sampler(spec, s0)
+        return gibbs_sampler(spec)
     if isinstance(init, GaussianLaw):
         return lambda gen, size: init.sample(gen, size)
     if callable(init):
@@ -272,24 +273,11 @@ def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
 
     ``noise`` may inject standard-normal increments of shape (K, N, m) for
     reproducibility experiments; otherwise each path block draws its own
-    counter-based stream.
+    counter-based stream.  The reverse process is ``spec.reversed()``.
     """
     return _run_blocks(lambda: _overdamped_step(spec, dt, control), spec.horizon,
                        n_paths, dt, seed, _resolve_init(spec, init), spec.dimension,
                        spec.diffusion.shape[1], "brownian", store_times, noise)
-
-
-def simulate_reverse(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
-                     init=None, store_times=None,
-                     noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
-    """Ensemble of the reverse process.
-
-    The reverse dynamics is itself an overdamped spec (time-mirrored
-    coefficients, negated circulation); by default it starts from the Gibbs
-    law of the original potential at the horizon.
-    """
-    return simulate_forward(spec.reversed(), n_paths, dt, seed=seed, init=init,
-                            store_times=store_times, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -297,51 +285,47 @@ def simulate_reverse(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField],
-                  reverse: bool, method: str):
-    """The euler or BAOAB step of the kinetic dynamics, forward or reversed."""
+                  method: str):
+    """The euler or BAOAB step of the kinetic dynamics."""
     n = spec.dimension
-    minv = spec.mass_inv
-    xi, beta, T = spec.xi, spec.beta, spec.horizon
-    sign = -1.0 if reverse else 1.0
-
-    def pot_time(s):
-        return T - s if reverse else s
 
     if method == "euler":
-        amp = math.sqrt(2.0 * xi * dt / beta)
-        sqxi = math.sqrt(xi)
+        amp = math.sqrt(2.0 * spec.xi * dt / spec.beta)
+        sqxi = math.sqrt(spec.xi)
 
-        def move(x, q, p, z, s, t, g):
-            gradv = spec.potential.grad(q, t)
-            q_new = q + dt * sign * (p @ minv.T)
-            p_drift = -sign * gradv - xi * (p @ minv.T)
+        def move(x, z, s, g):
+            drift = spec.drift(x, s)
             if control is not None:
                 u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
-                p_drift = p_drift + sqxi * u
-                _girsanov(g, u, z, beta, dt)
-            return q_new, p + dt * p_drift + amp * z
-    else:  # BAOAB, forward only in spirit but sign-aware
+                drift[:, n:] += sqxi * u
+                _girsanov(g, u, z, spec.beta, dt)
+            x_new = x + dt * drift
+            x_new[:, n:] += amp * z
+            return x_new
+    else:
+        minv = spec.mass_inv
+        sign = spec.transport
         evals, evecs = np.linalg.eigh(spec.mass)
-        decay = evecs @ np.diag(np.exp(-xi * dt / evals)) @ evecs.T
-        mb = spec.mass / beta
+        decay = evecs @ np.diag(np.exp(-spec.xi * dt / evals)) @ evecs.T
+        mb = spec.mass / spec.beta
         ou_cov = mb - decay @ mb @ decay.T
         ou_chol = np.linalg.cholesky(ou_cov + 1e-300 * np.eye(n))
         half = 0.5 * dt
 
-        def move(x, q, p, z, s, t, g):
-            p1 = p - half * sign * spec.potential.grad(q, t)
+        def move(x, z, s, g):
+            q, p = x[:, :n], x[:, n:]
+            p1 = p - half * sign * spec.potential.grad(q, s)
             q_half = q + half * sign * (p1 @ minv.T)
             p2 = p1 @ decay.T + z @ ou_chol.T
             q_new = q_half + half * sign * (p2 @ minv.T)
-            return q_new, p2 - half * sign * spec.potential.grad(q_new, pot_time(s + dt))
+            p_new = p2 - half * sign * spec.potential.grad(q_new, s + dt)
+            return np.concatenate([q_new, p_new], axis=1)
 
     def step(x, z, s, w, g):
-        q, p = x[:, :n], x[:, n:]
-        q_new, p_new = move(x, q, p, z, s, pot_time(s), g)
+        x_new = move(x, z, s, g)
         # work along the process: time derivative of its own Hamiltonian
-        dv = spec.potential.dv_ds(0.5 * (q + q_new), pot_time(s + 0.5 * dt))
-        w += dt * (-dv if reverse else dv)
-        return np.concatenate([q_new, p_new], axis=1)
+        w += dt * spec.potential.dv_ds(0.5 * (x[:, :n] + x_new[:, :n]), s + 0.5 * dt)
+        return x_new
 
     return step
 
@@ -349,20 +333,18 @@ def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField]
 def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,
                       init=None, store_times=None,
                       control: Optional[ControlField] = None,
-                      noise: Optional[np.ndarray] = None, reverse: bool = False,
+                      noise: Optional[np.ndarray] = None,
                       method: str = "euler") -> TrajectoryEnsemble:
-    """Ensemble of the kinetic dynamics (or its reverse) on [0, T].
+    """Ensemble of the kinetic dynamics on [0, T].
 
-    States are stacked (q, p).  For ``reverse=True`` the Hamiltonian part of
-    the drift flips sign and the potential is read at mirrored time T - s;
-    the default initial law is then the Gibbs law at the horizon.  The
-    optional ``baoab`` splitting is available for uncontrolled runs.
+    States are stacked (q, p).  The reverse process is ``spec.reversed()``;
+    its default initial law is the Gibbs law at the horizon.  The optional
+    ``baoab`` splitting is available for uncontrolled runs.
     """
     if method not in ("euler", "baoab"):
         raise SpecError(f"unknown integrator {method!r}")
     if method == "baoab" and control is not None:
         raise SpecError("the change-of-measure bookkeeping requires the euler integrator")
-    init = _resolve_init(spec, init, s0=spec.horizon if reverse else 0.0)
-    return _run_blocks(lambda: _kinetic_step(spec, dt, control, reverse, method),
-                       spec.horizon, n_paths, dt, seed, init, 2 * spec.dimension,
-                       spec.dimension, "langevin", store_times, noise)
+    return _run_blocks(lambda: _kinetic_step(spec, dt, control, method),
+                       spec.horizon, n_paths, dt, seed, _resolve_init(spec, init),
+                       2 * spec.dimension, spec.dimension, "langevin", store_times, noise)

@@ -58,6 +58,18 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("entropy-brownian", "grid_dt: 0"),
+        ("entropy-brownian", "grid_dt: 0.0003"),
+        ("bound-overdamped", "dt: 0"),
+    ], ids=["grid-dt-zero", "grid-dt-not-dividing", "dt-zero"])
+    def test_bad_step_in_config_is_a_config_error(self, tmp_path, capsys, experiment,
+                                                  overrides):
+        cfg = write_config(tmp_path, f"experiments:\n  {experiment}:\n    {overrides}\n")
+        code = main([experiment, "--quick", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "config error: dt" in capsys.readouterr().err
+
     def test_unattainable_tolerance_fails_cleanly(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -323,10 +323,12 @@ STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
                                   gaussian_grid(-5.0, 5.0, 12, 0.0, 1.0)),
     lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
                                   gaussian_grid(-6.0, 6.0, 10, 0.0, 1.0)),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 0.1, cells=50).density(0.05),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
-        "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box"])
+        "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box",
+        "fp-density-unrecorded-time"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from noneq import (
     BrownianSpec,
@@ -25,11 +25,15 @@ from noneq import (
     gaussian_kl,
     gibbs_gaussian,
     gibbs_grid_1d,
+    langevin_gibbs_gaussian,
     partition_function,
     relative_entropy_grid,
+    simulate_langevin,
     spec_from_config,
     validate_spec,
 )
+from noneq.gaussian_oracle import _langevin_system
+from noneq.rng import block_generator
 
 
 def quadratic_spec(k0=1.0, k1=None, beta=1.0, horizon=1.0, dimension=1, **kw):
@@ -204,6 +208,48 @@ def test_reversed_spec_mirrors_schedules():
                         spec.potential.v(np.array([[0.8]]), 1.0 - s), rtol=1e-14)
     x = np.array([[0.3], [-1.2]])
     assert_allclose(rev.drift(x, 0.25), spec.reversed().drift(x, 0.25))
+
+
+def kinetic_ramp(dimension=1, mass=None):
+    """A moving, stiffening well, so that time mirroring changes every coefficient."""
+    return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), Linear(0.2, -0.4, 1.0),
+                                           dimension),
+                        beta=0.9, horizon=1.0, xi=0.7, mass=mass)
+
+
+@pytest.mark.parametrize("spec", [
+    BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), Sine(0.4), 2), beta=1.2,
+                 horizon=1.0, circulation=RotationCirculation(0.6)),
+    kinetic_ramp(2, np.diag([2.0, 0.5])),
+], ids=["brownian-rotation", "langevin-mass"])
+def test_reversing_twice_restores_the_drift(spec):
+    twice = spec.reversed().reversed()
+    width = spec.noise_factor(0.0).shape[0]
+    x = np.random.default_rng(3).normal(size=(20, width))
+    for s in (0.0, 0.3, 0.8, 1.0):
+        assert_allclose(twice.drift(x, s), spec.drift(x, s), rtol=1e-13, atol=1e-13)
+        assert_array_equal(twice.noise_factor(s), spec.noise_factor(s))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_langevin_drift_is_the_linear_system(reverse):
+    """The drift equals A(s) x + force(s) of the moment ODE's coefficients."""
+    spec = kinetic_ramp(2, np.diag([2.0, 0.5]))
+    spec = spec.reversed() if reverse else spec
+    x = np.random.default_rng(4).normal(size=(20, 4))
+    coef = _langevin_system(spec)
+    for s in (0.0, 0.3, 0.8, 1.0):
+        amat, force, _ = coef(np.array([s]))
+        assert_allclose(spec.drift(x, s), x @ amat[0].T + force[0], rtol=1e-14, atol=1e-14)
+
+
+def test_reversed_langevin_starts_from_the_horizon_gibbs_law():
+    spec = kinetic_ramp()
+    ens = simulate_langevin(spec.reversed(), 64, 0.5, seed=3, store_times=[0.0])
+    start = ens.states_at(0.0)
+    for s, same in ((spec.horizon, True), (0.0, False)):
+        draw = langevin_gibbs_gaussian(spec, s).sample(block_generator(3, 0), 64)
+        assert np.array_equal(start, draw) is same
 
 
 def test_diffusion_schedule_enters_gamma():

@@ -24,7 +24,6 @@ from noneq import (
     ou_moments_path,
     riccati_value_function,
 )
-from noneq.gaussian_oracle import _circulation_matrix
 from noneq.odes import cumulative_simpson, rk4_path
 
 
@@ -120,7 +119,7 @@ def langevin_riccati_stagewise(spec, times, substeps=32):
 
 def ou_system_stagewise(spec):
     n = spec.dimension
-    jmat = _circulation_matrix(spec.circulation, n)
+    jmat = spec.circulation.matrix(n)
     pot = spec.potential
 
     def amat(s):
@@ -240,7 +239,7 @@ def test_langevin_push_matches_stagewise(dimension, mass, reverse):
     mean = rng.standard_normal(2 * dimension)
     half = rng.standard_normal((2 * dimension, 2 * dimension))
     init = GaussianLaw(mean, half @ half.T + np.eye(2 * dimension))
-    laws = langevin_propagator(spec, times, reverse=reverse).push(init)
+    laws = langevin_propagator(spec.reversed() if reverse else spec, times).push(init)
     ref = moments_stagewise(langevin_system_stagewise(spec, reverse), init, times)
     assert_laws_equal(laws, ref)
 

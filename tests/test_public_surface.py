@@ -1,10 +1,15 @@
-"""Every public module-level function and class of the package is used.
+"""Static rules on the package source.
 
-A name is used when it is loaded somewhere in ``src/``, ``tests/`` or
-``perfbench/`` outside its own definition: called, subclassed, named in an
-annotation or read as an attribute.  Imports are not uses, and neither are
-the re-exports of ``noneq/__init__.py``.  The check reads the source with
-``ast`` and runs nothing.
+Every public module-level function and class of the package is used.  A name
+is used when it is loaded somewhere in ``src/``, ``tests/`` or ``perfbench/``
+outside its own definition: called, subclassed, named in an annotation or
+read as an attribute.  Imports are not uses, and neither are the re-exports
+of ``noneq/__init__.py``.
+
+No package module other than ``model`` imports a ``_``-prefixed name from
+``model``, so only ``model`` knows how a process is reversed.
+
+The checks read the source with ``ast`` and run nothing.
 """
 
 import ast
@@ -38,3 +43,20 @@ def unused_public_definitions() -> list[str]:
 
 def test_every_public_definition_is_used():
     assert unused_public_definitions() == []
+
+
+def private_model_imports() -> list[str]:
+    """``module: name`` for each ``_``-prefixed name a package module imports from ``model``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("model", "noneq.model"):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
+def test_only_model_uses_its_private_names():
+    assert private_model_imports() == []

@@ -29,7 +29,6 @@ from noneq import (
     ou_moments,
     simulate_forward,
     simulate_langevin,
-    simulate_reverse,
     zero_control,
 )
 from noneq.model import Potential
@@ -169,7 +168,7 @@ class TestReverse:
     def test_frozen_potential_reverse_equals_forward(self):
         spec = ou_spec()
         fwd = simulate_forward(spec, 200, dt=1e-2, seed=17)
-        rev = simulate_reverse(spec, 200, dt=1e-2, seed=17)
+        rev = simulate_forward(spec.reversed(), 200, dt=1e-2, seed=17)
         assert_array_equal(fwd.states, rev.states)
 
     def test_circulation_sign_flip(self):
@@ -187,7 +186,7 @@ class TestReverse:
     def test_reverse_from_gibbs_is_stationary(self):
         spec = ou_spec(beta=2.0)
         n, dt = 30000, 2e-3
-        ens = simulate_reverse(spec, n, dt=dt, seed=23,
+        ens = simulate_forward(spec.reversed(), n, dt=dt, seed=23,
                                store_times=[0.0, 0.5, 1.0])
         sigma2 = 1.0 / 2.0
         for t in (0.0, 0.5, 1.0):
@@ -273,8 +272,8 @@ class TestLangevin:
         short = LangevinSpec(spec.potential, beta=1.0, horizon=dt, xi=1.0)
         f = simulate_langevin(short, 1, dt=dt, seed=0, init=x0,
                               noise=np.zeros((1, 1, 1)))
-        r = simulate_langevin(short, 1, dt=dt, seed=0, init=x0,
-                              noise=np.zeros((1, 1, 1)), reverse=True)
+        r = simulate_langevin(short.reversed(), 1, dt=dt, seed=0, init=x0,
+                              noise=np.zeros((1, 1, 1)))
         df = f.states_at(dt)[0] - x0[0]
         dr = r.states_at(dt)[0] - x0[0]
         assert_allclose(df + dr, [0.0, -2.0 * dt * x0[0, 1]], atol=1e-14)
@@ -338,10 +337,11 @@ def kinetic_spec():
     lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((1, 4, 1))),
     lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((2, 2, 1))),
     lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((5, 9, 1))),
+    lambda: simulate_forward(ou_spec(), 4, 0.5).states_at(0.25),
 ], ids=["forward-no-paths", "forward-negative-seed", "forward-zero-dt", "forward-nan-dt",
         "forward-init-width", "langevin-zero-dt", "langevin-init-width", "fk-zero-dt",
         "fk-no-paths", "fk-one-path", "forward-noise-short", "forward-noise-narrow",
-        "forward-noise-oversized"])
+        "forward-noise-oversized", "states-at-unstored-time"])
 def test_bad_run_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
@@ -483,14 +483,14 @@ class TestBlockRunnerBitIdentity:
 
     def test_reverse(self):
         rev = self.spec().reversed()
-        ens = simulate_reverse(self.spec(), 300, self.dt, seed=6, store_times=[0.0, 0.06, 0.1])
+        ens = simulate_forward(rev, 300, self.dt, seed=6, store_times=[0.0, 0.06, 0.1])
         assert_same_ensemble(ens, ref_overdamped(rev, 300, self.dt, 6, gibbs_sampler(rev),
                                                  {0, 3, 5}))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_langevin_euler(self, reverse):
-        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=7, reverse=reverse,
-                                store_times=[0.0, 0.04, 0.1])
+        spec = self.kinetic().reversed() if reverse else self.kinetic()
+        ens = simulate_langevin(spec, 300, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 2, 5},
                                               reverse=reverse))
 
