@@ -7,18 +7,18 @@ from .model import (BrownianSpec, Constant, DiffusionFactor, GibbsSnapshot, Lang
                     Linear, NoCirculation, PiecewiseFrozen, QuadraticPotential,
                     RadialLinearCirculation, RotationCirculation, Schedule, Sine,
                     TanhPerturbedPotential, ValidationReport, free_energy_difference,
-                    gibbs_gaussian, langevin_gibbs_gaussian, langevin_partition_function,
-                    partition_function, spec_from_config, validate_spec)
+                    gibbs_gaussian, gibbs_logpdf, gibbs_sampler, partition_function,
+                    spec_from_config, validate_spec)
 from .gaussian_oracle import (BrownianRiccati, FundamentalMatrix, GaussianLaw,
                               LangevinPropagator, gaussian_kl, gaussian_modified_functional,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher,
                               langevin_propagator, ou_moments, ou_moments_path,
                               riccati_value_function)
-from .sde import (ControlField, TrajectoryEnsemble, gibbs_sampler, simulate_forward,
-                  simulate_langevin, zero_control)
+from .sde import (ControlField, TrajectoryEnsemble, simulate_forward, simulate_langevin,
+                  zero_control)
 from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, GridDensity2D,
-                            fisher_and_rate_terms, gibbs_grid_1d, kinetic_gibbs_grid,
-                            relative_entropy_grid, solve_fp_1d, solve_kinetic_fp_2d)
+                            fisher_and_rate_terms, gibbs_grid, relative_entropy_grid,
+                            solve_fp_1d, solve_kinetic_fp_2d)
 from .entropy import (DecayBound, EntropyTrace, HypocoercivityCertificate, InequalityReport,
                       bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supremum,
                       hypocoercivity_certificate, kinetic_decay_bound,

@@ -27,7 +27,7 @@ from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supr
                       optimize_omega, production_rate_check_brownian,
                       production_rate_check_langevin)
 from .errors import CertificateInfeasible, ConfigError, SpecError
-from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid_1d, solve_fp_1d
+from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid, solve_fp_1d
 from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
     riccati_value_function
 from .jarzynski import estimate_free_energy_is, estimate_free_energy_vanilla, \
@@ -250,7 +250,7 @@ def run_entropy_langevin(p, out, seed, meta):
 def run_bound_overdamped(p, out, seed, meta):
     spec = _tanh_spec(amplitude=p["amplitude"], horizon=p["horizon"], beta=p["beta"])
     lo, hi = _box_from_spec(spec, 10.0)
-    init = gibbs_grid_1d(spec, 0.0, GridDensity1D(lo, hi, np.zeros(p["cells"])))
+    init = gibbs_grid(spec, 0.0, GridDensity1D(lo, hi, np.zeros(p["cells"])))
     n_steps = _step_count(spec.horizon, p["dt"])
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)

@@ -29,7 +29,7 @@ from .errors import BlowUpError, PositivityError, SpecError
 from .fokker_planck import (GridDensity1D, _box_from_spec, _fitted_rates, _grid_steps,
                             _theta_step)
 from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard
-from .model import BrownianSpec, LangevinSpec, langevin_partition_function, partition_function
+from .model import BrownianSpec, LangevinSpec, partition_function
 from .odes import rk4_path
 from .sde import ControlField, _overdamped_step, _run_blocks
 
@@ -53,6 +53,8 @@ def feynman_kac_g(spec: BrownianSpec, x0, s0: float, n_paths: int, dt: float,
     d = spec.dimension
     if x0.shape != (d,):
         raise SpecError(f"x0 must have shape ({d},)")
+    if not np.all(np.isfinite(x0)):
+        raise SpecError("x0 must be finite")
     ens = _run_blocks(lambda: _overdamped_step(spec, dt), spec.horizon - s0, n_paths, dt,
                       seed, lambda gen, size: np.tile(x0, (size, 1)), d,
                       spec.diffusion.shape[1], "brownian", s0=s0)
@@ -312,7 +314,7 @@ class LangevinRiccati:
     def tilted_initial_mass(self, z_horizon: float | None = None) -> float:
         """integral of exp(-beta(H(., 0) + U(., 0))) / Z(T); 1 when consistent."""
         if z_horizon is None:
-            z_horizon = langevin_partition_function(self.spec, self.spec.horizon).z
+            z_horizon = partition_function(self.spec, self.spec.horizon).z
         prec = self._initial_precision()
         n2 = prec.shape[0]
         sign, logdet = np.linalg.slogdet(prec)

@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import CertificateInfeasible, SpecError
 from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, fisher_and_rate_terms,
-                            gibbs_grid_1d, kinetic_fisher_and_rate_terms, kinetic_gibbs_grid,
-                            relative_entropy_grid)
+                            gibbs_grid, relative_entropy_grid)
 from .gaussian_oracle import (GaussianLaw, gaussian_kl, gaussian_modified_functional,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher)
-from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian
+from .model import BrownianSpec, LangevinSpec, gibbs_gaussian
 from .odes import cumulative_simpson
 
 
@@ -96,11 +95,10 @@ def _trace(times, states, point: Callable) -> EntropyTrace:
     return EntropyTrace(times=times, r=r, dr_ds=derivative_uniform(r, h), rhs=rhs)
 
 
-def _gaussian_trace(spec, laws: Sequence[GaussianLaw], times, gibbs_law: Callable,
-                    weight: Callable) -> EntropyTrace:
-    """All-analytic trace for quadratic dynamics.  ``gibbs_law(spec, s)`` is
-    the instantaneous Gibbs law and ``weight(s)`` the matrix of the Fisher
-    form; dV/ds reads the first n coordinates of each law."""
+def _gaussian_trace(spec, laws: Sequence[GaussianLaw], times) -> EntropyTrace:
+    """All-analytic trace for quadratic dynamics against the instantaneous
+    Gibbs law.  The Fisher form is weighted by B B^T, B = ``spec.noise_factor(s)``;
+    dV/ds reads the first n coordinates of each law."""
     if not spec.potential.is_quadratic:
         raise SpecError("gaussian production-rate check needs a quadratic potential")
     if times is None or len(laws) != len(times):
@@ -108,7 +106,8 @@ def _gaussian_trace(spec, laws: Sequence[GaussianLaw], times, gibbs_law: Callabl
     pot, n, beta = spec.potential, spec.dimension, spec.beta
 
     def point(s, law):
-        ref = gibbs_law(spec, s)
+        ref = gibbs_gaussian(spec, s)
+        b = spec.noise_factor(s)
         k = float(pot.k.value(s))
         kd = float(pot.k.derivative(s))
         mu = float(pot.mu.value(s))
@@ -116,19 +115,20 @@ def _gaussian_trace(spec, laws: Sequence[GaussianLaw], times, gibbs_law: Callabl
         dev = law.mean[:n] - mu
         state = 0.5 * kd * (np.trace(law.cov[:n, :n]) + dev @ dev) - k * mud * np.sum(dev)
         gibbs = 0.5 * kd * (n / (beta * k))
-        fisher = gaussian_weighted_fisher(law, ref, weight(s))
+        fisher = gaussian_weighted_fisher(law, ref, b @ b.T)
         return gaussian_kl(law, ref), beta * (state - gibbs) - fisher / beta
 
     return _trace(times, laws, point)
 
 
-def _grid_trace(spec, solution, gibbs_grid: Callable, rate_terms: Callable) -> EntropyTrace:
+def _grid_trace(spec, solution) -> EntropyTrace:
     """Trace on the recorded slices of a grid solution, against the Gibbs
-    density ``gibbs_grid(spec, s, like)`` on the same grid."""
+    density on the same grid."""
 
     def point(s, dens):
         ref = gibbs_grid(spec, s, dens)
-        return relative_entropy_grid(dens, ref), rate_terms(spec, dens, s).rhs(spec.beta)
+        rhs = fisher_and_rate_terms(spec, dens, s).rhs(spec.beta)
+        return relative_entropy_grid(dens, ref), rhs
 
     return _trace(solution.times, (solution.density(t) for t in solution.times), point)
 
@@ -137,8 +137,8 @@ def production_rate_check_brownian(spec: BrownianSpec, states, times=None) -> En
     """Overdamped identity check on Gaussian laws at ``times`` (quadratic
     potentials) or on a 1D grid solution."""
     if isinstance(states, FPSolution1D):
-        return _grid_trace(spec, states, gibbs_grid_1d, fisher_and_rate_terms)
-    return _gaussian_trace(spec, states, times, gibbs_gaussian, spec.diffusion.gamma)
+        return _grid_trace(spec, states)
+    return _gaussian_trace(spec, states, times)
 
 
 def production_rate_check_langevin(spec: LangevinSpec, states, times=None) -> EntropyTrace:
@@ -146,11 +146,8 @@ def production_rate_check_langevin(spec: LangevinSpec, states, times=None) -> En
     (quadratic potentials) or on a 2D grid solution; the Fisher form only
     sees the momentum block, weighted by xi."""
     if isinstance(states, FPSolution2D):
-        return _grid_trace(spec, states, kinetic_gibbs_grid, kinetic_fisher_and_rate_terms)
-    n = spec.dimension
-    weight = np.zeros((2 * n, 2 * n))
-    weight[n:, n:] = spec.xi * np.eye(n)
-    return _gaussian_trace(spec, states, times, langevin_gibbs_gaussian, lambda s: weight)
+        return _grid_trace(spec, states)
+    return _gaussian_trace(spec, states, times)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +406,7 @@ def modified_functional_trace(spec: LangevinSpec, laws: Sequence[GaussianLaw],
     instantaneous Gibbs law."""
     out = np.empty(len(laws))
     for i, (s, law) in enumerate(zip(np.asarray(times, dtype=float), laws)):
-        ref = langevin_gibbs_gaussian(spec, float(s))
+        ref = gibbs_gaussian(spec, float(s))
         out[i] = gaussian_modified_functional(law, ref, a, b, c)
     return out
 

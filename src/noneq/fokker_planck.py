@@ -17,7 +17,7 @@ banded solve for all position columns).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -134,6 +134,11 @@ def _axes(density) -> list:
     return [density.x] if isinstance(density, GridDensity1D) else [density.q, density.p]
 
 
+def _spacings(density) -> list:
+    """Cell widths along the axes of a 1D or 2D grid density."""
+    return [density.h] if isinstance(density, GridDensity1D) else [density.hq, density.hp]
+
+
 def _same_grid(axes: list, other: list) -> bool:
     """Whether two lists of cell-centre axes agree, to a billionth of a cell."""
     return len(axes) == len(other) and all(
@@ -149,7 +154,7 @@ def relative_entropy_grid(density, reference) -> float:
     """
     if not _same_grid(_axes(density), _axes(reference)):
         raise SpecError("the two densities are not on the same grid")
-    vol = density.h if isinstance(density, GridDensity1D) else density.hq * density.hp
+    vol = math.prod(_spacings(density))
     rho, ref = density.values, reference.values
     mask = rho > TINY
     if np.any(mask & (ref <= 0)):
@@ -185,35 +190,34 @@ def _log_ratio_gradient(rho: np.ndarray, ref: np.ndarray, h: float, axis: int = 
     return np.where(interior, centred, 0.0)
 
 
-def fisher_and_rate_terms(spec: BrownianSpec, density: GridDensity1D, s: float) -> RateTerms:
-    """Central-difference Fisher integral and the two potential-rate integrals."""
-    h = density.h
-    gibbs = gibbs_grid_1d(spec, s, density).values
-    dv = spec.potential.dv_ds(density.x[:, None], s)
-    gamma = float(spec.diffusion.gamma(s)[0, 0])
-    rho = density.values
-    grad = _log_ratio_gradient(rho, gibbs, h)
-    fisher = gamma * float(np.sum(grad * grad * rho) * h)
-    return RateTerms(
-        gibbs_term=float(np.sum(dv * gibbs) * h),
-        state_term=float(np.sum(dv * rho) * h),
-        fisher=fisher,
-    )
+def gibbs_grid(spec, s: float, like):
+    """Discrete Gibbs density exp(-beta E(., s)) / Z on the cell-centre mesh of
+    ``like``: a 1D grid for a Brownian spec, a (q, p) grid for a Langevin one."""
+    mesh = np.stack(np.meshgrid(*_axes(like), indexing="ij"), axis=-1)
+    vals = np.exp(-spec.beta * spec.energy(mesh, s))
+    vals /= np.sum(vals) * math.prod(_spacings(like))
+    return replace(like, values=vals, s=s)
 
 
-def kinetic_fisher_and_rate_terms(spec: LangevinSpec, density: GridDensity2D,
-                                  s: float) -> RateTerms:
-    """Same balance for the kinetic dynamics; the Fisher part only sees the
-    momentum gradient, weighted by xi."""
-    hq, hp = density.hq, density.hp
-    gibbs = kinetic_gibbs_grid(spec, s, density).values
+def fisher_and_rate_terms(spec, density, s: float) -> RateTerms:
+    """Central-difference Fisher integral and the two potential-rate integrals
+    on a 1D or (q, p) grid.  Each axis of the Fisher form is weighted by its
+    entry of diag(B B^T), B = ``spec.noise_factor(s)``, so on a phase-space
+    grid only the momentum gradient counts."""
+    vol = math.prod(_spacings(density))
+    gibbs = gibbs_grid(spec, s, density).values
     rho = density.values
-    grad_p = _log_ratio_gradient(rho, gibbs, hp, axis=1)
-    fisher = spec.xi * float(np.sum(grad_p * grad_p * rho) * hq * hp)
-    dv = spec.potential.dv_ds(density.q[:, None], s)[:, None]
+    b = spec.noise_factor(s)
+    fisher = 0.0
+    for axis, (h, weight) in enumerate(zip(_spacings(density), np.diag(b @ b.T).tolist())):
+        grad = _log_ratio_gradient(rho, gibbs, h, axis)
+        fisher += weight * float(np.sum(grad * grad * rho) * vol)
+    # dV/ds on the position axis (axis 0), constant along a momentum axis
+    dv = spec.potential.dv_ds(_axes(density)[0][:, None], s)
+    dv = dv.reshape(dv.shape + (1,) * (rho.ndim - 1))
     return RateTerms(
-        gibbs_term=float(np.sum(dv * gibbs) * hq * hp),
-        state_term=float(np.sum(dv * rho) * hq * hp),
+        gibbs_term=float(np.sum(dv * gibbs) * vol),
+        state_term=float(np.sum(dv * rho) * vol),
         fisher=fisher,
     )
 
@@ -539,19 +543,3 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
 
     return FPSolution2D(times=np.array(times), snapshots=np.array(snaps),
                         qlo=qlo, qhi=qhi, plo=plo, phi=phi, mass_drift=mass_drift)
-
-
-def kinetic_gibbs_grid(spec: LangevinSpec, s: float, like: GridDensity2D) -> GridDensity2D:
-    """Discrete phase-space Gibbs density on the same grid as ``like``."""
-    v_q = spec.potential.v(like.q[:, None], s)[:, None]
-    m_scalar = float(spec.mass[0, 0])
-    ham = v_q + 0.5 * like.p[None, :] ** 2 / m_scalar
-    vals = np.exp(-spec.beta * ham)
-    vals /= np.sum(vals) * like.hq * like.hp
-    return GridDensity2D(like.qlo, like.qhi, like.plo, like.phi, vals, s)
-
-
-def gibbs_grid_1d(spec: BrownianSpec, s: float, like: GridDensity1D) -> GridDensity1D:
-    vals = np.exp(-spec.beta * spec.potential.v(like.x[:, None], s))
-    vals /= np.sum(vals) * like.h
-    return GridDensity1D(like.lo, like.hi, vals, s)

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import SpecError
 from .fokker_planck import GridDensity1D
 from .gaussian_oracle import GaussianLaw
-from .model import (LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian,
-                    langevin_partition_function, partition_function)
+from .model import gibbs_logpdf
 from .sde import TrajectoryEnsemble
 
 
@@ -69,21 +68,6 @@ def estimate_free_energy_vanilla(spec, ensemble: TrajectoryEnsemble) -> Estimato
     return _finalize_report(log_vals, spec.beta, "vanilla", ensemble.dt, ensemble.seed)
 
 
-def _gibbs_logpdf_initial(spec, x0: np.ndarray) -> np.ndarray:
-    """log density of the Gibbs law at time 0 evaluated at the start states."""
-    if isinstance(spec, LangevinSpec):
-        if spec.potential.is_quadratic:
-            return langevin_gibbs_gaussian(spec, 0.0).logpdf(x0)
-        n = spec.dimension
-        z = langevin_partition_function(spec, 0.0).z
-        q, p = x0[:, :n], x0[:, n:]
-        return -spec.beta * spec.hamiltonian(q, p, 0.0) - math.log(z)
-    if spec.potential.is_quadratic:
-        return gibbs_gaussian(spec, 0.0).logpdf(x0)
-    z = partition_function(spec, 0.0).z
-    return -spec.beta * spec.potential.v(x0, 0.0) - math.log(z)
-
-
 def _initial_logpdf(initial_law, x0: np.ndarray) -> np.ndarray:
     if isinstance(initial_law, GaussianLaw):
         return initial_law.logpdf(x0)
@@ -114,7 +98,7 @@ def estimate_free_energy_is(spec, ensemble: TrajectoryEnsemble,
         start_log = _initial_logpdf(initial_law, x0)
         if np.any(~np.isfinite(start_log)):
             raise SpecError("start density vanishes at a sampled initial state")
-        log_vals = log_vals + _gibbs_logpdf_initial(spec, x0) - start_log
+        log_vals = log_vals + gibbs_logpdf(spec, x0, 0.0) - start_log
     return _finalize_report(log_vals, spec.beta, "importance-sampled",
                             ensemble.dt, ensemble.seed)
 

@@ -2,17 +2,19 @@
 
 A Brownian specification describes the overdamped SDE
 
-    dx = (J - gamma grad V + beta^-1 div gamma) ds + sqrt(2/beta) sigma dw,
+    dx = (J - gamma grad V) ds + sqrt(2/beta) sigma dw,
 
-with gamma = sigma sigma^T, on a finite horizon [0, T].  A Langevin
-specification describes the kinetic dynamics
+with gamma = sigma sigma^T and sigma independent of the state, on a finite
+horizon [0, T].  A Langevin specification describes the kinetic dynamics
 
     dq = M^-1 p ds,
     dp = -grad V ds - xi M^-1 p ds + sqrt(2 xi / beta) dw.
 
-Both carry a transient equilibrium family: the Gibbs measure of the frozen
-potential at each time, with partition function Z(s) and free energy
-F(s) = -ln(Z(s)) / beta.
+Both carry a transient equilibrium family: the Gibbs measure
+exp(-beta E(., s)) / Z(s) of the frozen energy E = ``spec.energy`` (V for
+Brownian, H = V + p^T M^-1 p / 2 for Langevin), with free energy
+F(s) = -ln(Z(s)) / beta.  This module is the only one that knows how that
+family, and the reverse process, depend on the kind of spec.
 """
 
 from __future__ import annotations
@@ -304,10 +306,10 @@ class RadialLinearCirculation(Circulation):
 # ---------------------------------------------------------------------------
 
 class DiffusionFactor:
-    """sigma(x, s) as an (n, m) matrix; gamma = sigma sigma^T.
+    """sigma(s) as an (n, m) matrix; gamma = sigma sigma^T.
 
-    All built-in factors are state-independent, so div gamma = 0; the hook is
-    kept in the drift for fidelity to the model class.
+    The factor does not depend on the state, so div gamma = 0 and the drift
+    carries no beta^-1 div gamma term.
     """
 
     def __init__(self, base: np.ndarray, schedule: Schedule | None = None):
@@ -331,10 +333,6 @@ class DiffusionFactor:
     def gamma(self, s) -> np.ndarray:
         sig = self.sigma(s)
         return sig @ sig.swapaxes(-1, -2)
-
-    def div_gamma(self, x, s):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
 
     @classmethod
     def isotropic(cls, dimension: int, value: float = 1.0,
@@ -374,12 +372,15 @@ class BrownianSpec:
     def dimension(self) -> int:
         return self.potential.dimension
 
+    def energy(self, x, s):
+        """E = V(x, s); the Gibbs law at time s is exp(-beta E) / Z(s)."""
+        return self.potential.v(x, s)
+
     def drift(self, x, s):
-        """J - gamma grad V + beta^-1 div gamma, batched over x."""
+        """J - gamma grad V, batched over x."""
         g = self.diffusion.gamma(s)
         gv = np.asarray(self.potential.grad(x, s))
-        return (self.circulation.j(x, s) - gv @ g.T
-                + self.diffusion.div_gamma(x, s) / self.beta)
+        return self.circulation.j(x, s) - gv @ g.T
 
     def noise_factor(self, s) -> np.ndarray:
         """B(s) = sigma(s): the noise term is sqrt(2/beta) B dw."""
@@ -469,9 +470,6 @@ class _TimeMirroredDiffusion(DiffusionFactor):
     def sigma(self, s):
         return self.inner.sigma(self.T - s)
 
-    def div_gamma(self, x, s):
-        return self.inner.div_gamma(x, self.T - s)
-
 
 @dataclass
 class LangevinSpec:
@@ -515,10 +513,13 @@ class LangevinSpec:
     def dimension(self) -> int:
         return self.potential.dimension
 
-    def hamiltonian(self, q, p, s):
-        p = np.asarray(p, dtype=float)
+    def energy(self, x, s):
+        """H = V(q, s) + p^T M^-1 p / 2 on stacked states x = (q, p)."""
+        n = self.dimension
+        x = np.asarray(x, dtype=float)
+        p = x[..., n:]
         kinetic = 0.5 * np.einsum("...i,ij,...j->...", p, self.mass_inv, p)
-        return self.potential.v(q, s) + kinetic
+        return self.potential.v(x[..., :n], s) + kinetic
 
     def drift(self, x, s):
         """(t M^-1 p, -t grad V(q, s) - xi M^-1 p) on stacked states x = (q, p),
@@ -571,8 +572,7 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int):
     return x, w
 
 
-def _boltzmann_integral(spec: BrownianSpec, s: float, radius_std: float,
-                        panels: int, order: int) -> float:
+def _boltzmann_integral(spec, s: float, radius_std: float, panels: int, order: int) -> float:
     n = spec.dimension
     center, std = spec.potential.envelope(s, spec.beta)
     lo, hi = center - radius_std * std, center + radius_std * std
@@ -595,12 +595,14 @@ def _boltzmann_integral(spec: BrownianSpec, s: float, radius_std: float,
     return z
 
 
-def partition_function(spec: BrownianSpec, s: float, radius_std: float = 8.0) -> GibbsSnapshot:
+def partition_function(spec, s: float, radius_std: float = 8.0) -> GibbsSnapshot:
     """Z(s) and F(s) = -ln Z(s)/beta by composite Gauss-Legendre quadrature.
 
-    The error estimate is the difference between two refinement levels; the
-    box spans ``radius_std`` envelope standard deviations and the boundary
-    weight is checked to be negligible.
+    The position integral is the quadrature; the error estimate is the
+    difference between two refinement levels, the box spans ``radius_std``
+    envelope standard deviations and the boundary weight is checked to be
+    negligible.  A Langevin spec multiplies in the exact Gaussian momentum
+    integral (2 pi / beta)^{n/2} det(M)^{1/2}.
     """
     panels = max(8, int(2 * radius_std))
     z_coarse = _boltzmann_integral(spec, s, radius_std, panels, 24)
@@ -608,33 +610,25 @@ def partition_function(spec: BrownianSpec, s: float, radius_std: float = 8.0) ->
     err = abs(z - z_coarse)
     if not (z > 0) or not math.isfinite(z):
         raise QuadratureError("partition function quadrature returned a non-positive value")
+    if isinstance(spec, LangevinSpec):
+        n = spec.dimension
+        p_mass = (2.0 * math.pi / spec.beta) ** (n / 2.0) * math.sqrt(np.linalg.det(spec.mass))
+        z, err = z * p_mass, err * p_mass
     return GibbsSnapshot(s=float(s), z=z, free_energy=-math.log(z) / spec.beta, error=err)
 
 
-def langevin_partition_function(spec: LangevinSpec, s: float,
-                                radius_std: float = 8.0) -> GibbsSnapshot:
-    """Phase-space partition function: position quadrature times the exact
-    Gaussian momentum integral (2 pi / beta)^{n/2} det(M)^{1/2}."""
-    marginal = BrownianSpec(potential=spec.potential, beta=spec.beta, horizon=spec.horizon)
-    snap = partition_function(marginal, s, radius_std)
-    n = spec.dimension
-    p_mass = (2.0 * math.pi / spec.beta) ** (n / 2.0) * math.sqrt(np.linalg.det(spec.mass))
-    z = snap.z * p_mass
-    return GibbsSnapshot(s=float(s), z=z, free_energy=-math.log(z) / spec.beta,
-                         error=snap.error * p_mass)
-
-
-def free_energy_difference(spec: BrownianSpec) -> float:
+def free_energy_difference(spec) -> float:
     """F(T) - F(0) of the transient equilibrium family."""
     return partition_function(spec, spec.horizon).free_energy - partition_function(spec, 0.0).free_energy
 
 
 # ---------------------------------------------------------------------------
-# Gibbs densities
+# Gibbs laws
 # ---------------------------------------------------------------------------
 
-def gibbs_gaussian(spec: BrownianSpec, s: float):
-    """Exact Gaussian Gibbs law for a quadratic potential."""
+def gibbs_gaussian(spec, s: float):
+    """Exact Gaussian Gibbs law for a quadratic potential; on stacked (q, p)
+    with momenta N(0, M / beta) for a Langevin spec."""
     from .gaussian_oracle import GaussianLaw
 
     if not spec.potential.is_quadratic:
@@ -643,24 +637,71 @@ def gibbs_gaussian(spec: BrownianSpec, s: float):
     k = float(pot.k.value(s))
     mu = float(pot.mu.value(s))
     n = spec.dimension
-    return GaussianLaw(mean=np.full(n, mu), cov=np.eye(n) / (spec.beta * k))
-
-
-def langevin_gibbs_gaussian(spec: LangevinSpec, s: float):
-    """Exact phase-space Gaussian Gibbs law for a quadratic potential."""
-    from .gaussian_oracle import GaussianLaw
-
-    if not spec.potential.is_quadratic:
-        raise SpecError("langevin_gibbs_gaussian requires a quadratic potential")
-    pot = spec.potential
-    k = float(pot.k.value(s))
-    mu = float(pot.mu.value(s))
-    n = spec.dimension
+    if isinstance(spec, BrownianSpec):
+        return GaussianLaw(mean=np.full(n, mu), cov=np.eye(n) / (spec.beta * k))
     mean = np.concatenate([np.full(n, mu), np.zeros(n)])
     cov = np.zeros((2 * n, 2 * n))
     cov[:n, :n] = np.eye(n) / (spec.beta * k)
     cov[n:, n:] = spec.mass / spec.beta
     return GaussianLaw(mean=mean, cov=cov)
+
+
+def gibbs_logpdf(spec, x, s: float) -> np.ndarray:
+    """ln of the Gibbs density exp(-beta E(x, s)) / Z(s) at the states x."""
+    if spec.potential.is_quadratic:
+        return gibbs_gaussian(spec, s).logpdf(x)
+    return -spec.beta * spec.energy(x, s) - math.log(partition_function(spec, s).z)
+
+
+def gibbs_sampler(spec, s: float = 0.0):
+    """A sampler ``(gen, size) -> states`` of the Gibbs law at time s.
+
+    Exact for a quadratic potential; otherwise the 1D positions come from a
+    rejection sampler, and a Langevin spec then draws momenta N(0, M / beta).
+    """
+    if spec.potential.is_quadratic:
+        law = gibbs_gaussian(spec, s)
+        return lambda gen, size: law.sample(gen, size)
+    if spec.dimension != 1:
+        raise SpecError("no Gibbs sampler for this potential family")
+    positions = _rejection_sampler_1d(spec.potential, spec.beta, s)
+    if isinstance(spec, BrownianSpec):
+        return positions
+    p_chol = np.linalg.cholesky(spec.mass / spec.beta)
+
+    def sample(gen, size):
+        q = positions(gen, size)
+        p = gen.standard_normal((size, 1)) @ p_chol.T
+        return np.concatenate([q, p], axis=1)
+
+    return sample
+
+
+def _rejection_sampler_1d(potential, beta: float, s: float):
+    center, std = potential.envelope(s, beta)
+    # log bound of e^{-beta V} / proposal density ratio, estimated on a probe
+    # grid with a safety margin.
+    probe = np.linspace(center - 10 * std, center + 10 * std, 4001)[:, None]
+    log_target = -beta * potential.v(probe, s)
+    log_prop = -0.5 * ((probe[:, 0] - center) / std) ** 2
+    log_m = float(np.max(log_target - log_prop)) + 1e-6
+
+    def sample(gen, size):
+        out = np.empty((size, 1))
+        got = 0
+        while got < size:
+            n_try = max(64, int(1.3 * (size - got)))
+            x = center + std * gen.standard_normal(n_try)
+            lt = -beta * potential.v(x[:, None], s)
+            lp = -0.5 * ((x - center) / std) ** 2
+            accept = np.log(gen.random(n_try)) < lt - lp - log_m
+            x = x[accept]
+            take = min(len(x), size - got)
+            out[got:got + take, 0] = x[:take]
+            got += take
+        return out
+
+    return sample
 
 
 # ---------------------------------------------------------------------------

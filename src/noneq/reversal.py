@@ -22,8 +22,7 @@ from .control import GridControl1D, LangevinRiccati
 from .errors import SpecError
 from .fokker_planck import GridDensity1D, _box_from_spec, solve_fp_1d
 from .gaussian_oracle import BrownianRiccati, langevin_propagator, ou_moments_path
-from .model import (BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian,
-                    partition_function)
+from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
 from .sde import ControlField, simulate_forward, simulate_langevin
 
@@ -128,7 +127,7 @@ def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati, t
 
     def reverse_laws(rev_times):
         prop = langevin_propagator(spec.reversed(), rev_times, substeps=substeps)
-        return prop.push(langevin_gibbs_gaussian(spec, spec.horizon))
+        return prop.push(gibbs_gaussian(spec, spec.horizon))
 
     def gap(law, s):
         return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
@@ -277,8 +276,9 @@ def _reverse_march(spec: BrownianSpec, dt: float, cells: int, radius_std: float,
                    n_check: int):
     """March rho^R from exp(-beta V(., T)) / Z(T) on the reversed spec's box.
 
-    Returns the solution, Z(T), the reverse check times, and for each of them
-    the forward time s = T - u of the nearest recorded slice with that slice.
+    Returns the solution, Z(T), the recorded reverse times nearest to
+    ``n_check`` evenly spaced ones, and for each of them the forward time
+    s = T - u with the slice recorded there.
     """
     if spec.dimension != 1:
         raise SpecError("the reverse grid march is one-dimensional")
@@ -294,7 +294,7 @@ def _reverse_march(spec: BrownianSpec, dt: float, cells: int, radius_std: float,
     check_times = np.linspace(0.0, spec.horizon, n_check + 1)[1:]
     idx = [int(np.argmin(np.abs(sol.times - u))) for u in check_times]
     slices = [(spec.horizon - float(sol.times[i]), sol.snapshots[i]) for i in idx]
-    return sol, z_t, check_times, slices
+    return sol, z_t, sol.times[idx], slices
 
 
 def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
@@ -307,14 +307,14 @@ def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
     T) doubles as a check that the reverse process ends in the tilted
     initial law.
     """
-    sol, z_t, check_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    sol, z_t, rev_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
     x = GridDensity1D.centers(sol.lo, sol.hi, cells)
-    errs = np.empty(len(check_times))
+    errs = np.empty(len(rev_times))
     for i, (s, rho) in enumerate(slices):
         predicted = np.exp(-spec.beta * spec.potential.v(x[:, None], s)) \
             * control.g_at(x, s) / z_t
         errs[i] = float(np.sum(np.abs(rho - predicted)) * (sol.hi - sol.lo) / cells)
-    return ReverseDensityReport(times=check_times, l1_errors=errs)
+    return ReverseDensityReport(times=rev_times, l1_errors=errs)
 
 
 def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: float,

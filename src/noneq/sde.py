@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BlowUpError, SpecError
 from .gaussian_oracle import GaussianLaw
-from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, langevin_gibbs_gaussian
+from .model import BrownianSpec, LangevinSpec, gibbs_sampler
 from .odes import _step_count, _time_index
 from . import rng as rngmod
 
@@ -102,57 +102,6 @@ def _store_indices(store_times, dt, n_steps):
     return idx, np.array([k * dt for k in idx])
 
 
-def gibbs_sampler(spec, s: float = 0.0) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Exact (quadratic) or rejection (1D) sampler of the Gibbs law at time s."""
-    if isinstance(spec, LangevinSpec):
-        if spec.potential.is_quadratic:
-            law = langevin_gibbs_gaussian(spec, s)
-            return lambda gen, size: law.sample(gen, size)
-        qs = _rejection_sampler_1d(spec.potential, spec.beta, s)
-        n = spec.dimension
-        p_chol = np.linalg.cholesky(spec.mass / spec.beta)
-
-        def sample(gen, size):
-            q = qs(gen, size)
-            p = gen.standard_normal((size, n)) @ p_chol.T
-            return np.concatenate([q, p], axis=1)
-
-        return sample
-    if spec.potential.is_quadratic:
-        law = gibbs_gaussian(spec, s)
-        return lambda gen, size: law.sample(gen, size)
-    if spec.dimension == 1:
-        return _rejection_sampler_1d(spec.potential, spec.beta, s)
-    raise SpecError("no Gibbs sampler for this potential family")
-
-
-def _rejection_sampler_1d(potential, beta: float, s: float):
-    center, std = potential.envelope(s, beta)
-    # log bound of e^{-beta V} / proposal density ratio, estimated on a probe
-    # grid with a safety margin.
-    probe = np.linspace(center - 10 * std, center + 10 * std, 4001)[:, None]
-    log_target = -beta * potential.v(probe, s)
-    log_prop = -0.5 * ((probe[:, 0] - center) / std) ** 2
-    log_m = float(np.max(log_target - log_prop)) + 1e-6
-
-    def sample(gen, size):
-        out = np.empty((size, 1))
-        got = 0
-        while got < size:
-            n_try = max(64, int(1.3 * (size - got)))
-            x = center + std * gen.standard_normal(n_try)
-            lt = -beta * potential.v(x[:, None], s)
-            lp = -0.5 * ((x - center) / std) ** 2
-            accept = np.log(gen.random(n_try)) < lt - lp - log_m
-            x = x[accept]
-            take = min(len(x), size - got)
-            out[got:got + take, 0] = x[:take]
-            got += take
-        return out
-
-    return sample
-
-
 def _resolve_init(spec, init):
     """A sampler ``(gen, size) -> states`` of the initial law, or an array of states.
 
@@ -195,7 +144,7 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     block's ``(nb, m)`` noise ``z``, adds the step's work to ``w`` and its
     change-of-measure exponent to ``g`` in place, and returns the next state.
     Noise is ``noise[k, start:stop]`` when injected, else drawn from the
-    block's own stream.
+    block's own stream.  A non-finite initial-state array raises ``SpecError``.
     """
     if n_paths < 1:
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
@@ -211,6 +160,8 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     if from_array and init.shape != (n_paths, width):
         raise SpecError(f"initial state array has shape {init.shape}, "
                         f"expected ({n_paths}, {width})")
+    if from_array and not np.all(np.isfinite(init)):
+        raise SpecError("initial state array has non-finite entries")
     step = make_step()
 
     stored = []

@@ -29,7 +29,6 @@ from noneq import (
     kinetic_drift_identity_check,
     kinetic_law_equivalence_test,
     langevin_control_solution,
-    langevin_gibbs_gaussian,
     langevin_propagator,
     law_equivalence_test,
     modified_functional_trace,

@@ -14,9 +14,9 @@ from noneq import (
     QuadraticPotential,
     SpecError,
     feynman_kac_g,
-    gibbs_grid_1d,
+    gibbs_gaussian,
+    gibbs_grid,
     langevin_control_solution,
-    langevin_gibbs_gaussian,
     riccati_value_function,
     simulate_langevin,
     solve_g_pde_1d,
@@ -72,7 +72,7 @@ class TestGridSolution:
         assert np.max(np.abs(grid.control_grid())) <= 1e-12
         assert grid.tilted_initial_mass() == pytest.approx(1.0, abs=1e-10)
         dens = grid.tilted_initial_density()
-        ref = gibbs_grid_1d(spec, 0.0, dens)
+        ref = gibbs_grid(spec, 0.0, dens)
         h = GridDensity1D.centers(dens.lo, dens.hi, len(dens.values))
         l1 = float(np.sum(np.abs(dens.values - ref.values)) * (h[1] - h[0]))
         assert l1 <= 1e-10
@@ -145,7 +145,7 @@ class TestKineticSolution:
         sol = langevin_control_solution(spec, np.linspace(0.0, 1.0, 11))
         assert sol.value(0.4, -1.1, 0.3) == 0.0
         law = sol.tilted_initial_law()
-        ref = langevin_gibbs_gaussian(spec, 0.0)
+        ref = gibbs_gaussian(spec, 0.0)
         assert_allclose(law.mean, ref.mean, atol=1e-14)
         assert_allclose(law.cov, ref.cov, atol=1e-14)
 

@@ -28,7 +28,6 @@ from noneq import (
     hypocoercivity_certificate,
     kinetic_decay_bound,
     kinetic_decay_bound_time_dependent,
-    langevin_gibbs_gaussian,
     langevin_propagator,
     modified_functional_trace,
     optimize_omega,
@@ -121,7 +120,7 @@ class TestProductionRateLangevin:
         spec = kin_spec(eta0=1.5, beta=0.7)
         times = np.linspace(0.0, 1.0, 101)
         laws = langevin_propagator(spec, times).push(
-            langevin_gibbs_gaussian(spec, 0.0))
+            gibbs_gaussian(spec, 0.0))
         trace = production_rate_check_langevin(spec, laws, times)
         assert np.max(np.abs(trace.r)) <= 1e-10
         assert np.max(np.abs(trace.residual)) <= 1e-10
@@ -310,7 +309,7 @@ class TestKineticEnvelope:
                                            cert.c)
         envelope = kinetic_decay_bound(cert, energy[0], times)
         assert np.all(energy <= envelope * (1.0 + 1e-6))
-        assert energy[0] >= gaussian_kl(init, langevin_gibbs_gaussian(spec, 0.0))
+        assert energy[0] >= gaussian_kl(init, gibbs_gaussian(spec, 0.0))
 
 
 class TestOmegaOptimizer:

@@ -20,8 +20,7 @@ from noneq import (
     TanhPerturbedPotential,
     fisher_and_rate_terms,
     gaussian_kl,
-    gibbs_grid_1d,
-    kinetic_gibbs_grid,
+    gibbs_grid,
     langevin_propagator,
     ou_moments,
     relative_entropy_grid,
@@ -203,7 +202,7 @@ class TestRateTerms:
     def test_equilibrium_balances_to_zero(self):
         spec = ou_spec()
         like = gaussian_grid(-10, 10, 3000, 0.0, 1.0)
-        gibbs = gibbs_grid_1d(spec, 0.0, like)
+        gibbs = gibbs_grid(spec, 0.0, like)
         terms = fisher_and_rate_terms(spec, gibbs, 0.0)
         assert abs(terms.fisher) <= 1e-10
         assert abs(terms.rhs(spec.beta)) <= 1e-10
@@ -219,7 +218,7 @@ class TestRateTerms:
     def test_rate_terms_pick_up_schedule(self):
         spec = ou_spec(k0=1.0, k1=2.0)
         like = gaussian_grid(-10, 10, 4000, 0.0, 1.0)
-        state = gibbs_grid_1d(spec, 0.0, like)
+        state = gibbs_grid(spec, 0.0, like)
         terms = fisher_and_rate_terms(spec, state, 0.0)
         # dV/ds = x^2/2 against both measures; they coincide at s=0, and the
         # Fisher part vanishes, so the whole balance is zero.
@@ -266,7 +265,7 @@ class TestKineticSolver:
         like = solve_kinetic_fp_2d(
             spec, GaussianLaw(np.zeros(2), np.diag([1.0 / beta, 1.0 / beta])),
             dt=1e-3, cells=(96, 96), radius_std=9.0).density(0.5)
-        gibbs = kinetic_gibbs_grid(spec, 0.5, like)
+        gibbs = gibbs_grid(spec, 0.5, like)
         p_axis = gibbs.p
         marginal = np.sum(gibbs.values, axis=0) * gibbs.hq
         maxwell = np.exp(-0.5 * beta * p_axis ** 2)

@@ -21,7 +21,6 @@ from noneq import (
     gaussian_tv_1d,
     gaussian_w2,
     gibbs_gaussian,
-    langevin_gibbs_gaussian,
     langevin_propagator,
     ou_moments,
     ou_moments_path,
@@ -117,7 +116,7 @@ class TestLangevinPropagator:
 
     def test_stationary_pushforward(self):
         spec = kin_spec(eta0=1.3, beta=0.8)
-        init = langevin_gibbs_gaussian(spec, 0.0)
+        init = gibbs_gaussian(spec, 0.0)
         laws = langevin_propagator(spec, np.linspace(0.0, 1.0, 21)).push(init)
         for law in laws:
             assert_allclose(law.mean, init.mean, atol=1e-10)

@@ -24,8 +24,9 @@ from noneq import (
     free_energy_difference,
     gaussian_kl,
     gibbs_gaussian,
-    gibbs_grid_1d,
-    langevin_gibbs_gaussian,
+    gibbs_grid,
+    gibbs_logpdf,
+    gibbs_sampler,
     partition_function,
     relative_entropy_grid,
     simulate_langevin,
@@ -148,18 +149,87 @@ class TestGibbsDensities:
 
     def test_grid_density_normalized(self):
         like = GridDensity1D(-10.0, 10.0, np.ones(2000))
-        dens = gibbs_grid_1d(quadratic_spec(), 0.0, like)
+        dens = gibbs_grid(quadratic_spec(), 0.0, like)
         assert abs(np.sum(dens.values) * dens.h - 1.0) <= 1e-10
 
     def test_grid_and_gaussian_agree_in_kl(self):
         spec = quadratic_spec(k0=1.5, beta=1.0)
         like = GridDensity1D(-10.0, 10.0, np.ones(4000))
-        grid = gibbs_grid_1d(spec, 0.0, like)
+        grid = gibbs_grid(spec, 0.0, like)
         law = gibbs_gaussian(spec, 0.0)
         gauss_on_grid = GridDensity1D(like.lo, like.hi,
                                       law.pdf(grid.x[:, None]), 0.0)
         assert relative_entropy_grid(grid, gauss_on_grid) <= 1e-8
 
+
+def tanh_ramp(kind="brownian", mass=None, beta=1.0):
+    """The tanh-perturbed well with its amplitude ramped from 0 to 1.5."""
+    pot = TanhPerturbedPotential(Linear(0.0, 1.5, 1.0))
+    if kind == "brownian":
+        return BrownianSpec(potential=pot, beta=beta, horizon=1.0)
+    return LangevinSpec(potential=pot, beta=beta, horizon=1.0, mass=mass)
+
+
+def tanh_cdf(spec, s, x):
+    """CDF of the position Gibbs law exp(-beta V(., s)) / Z at x, by trapezoid quadrature."""
+    grid = np.linspace(-12.0, 12.0, 240001)
+    dens = np.exp(-spec.beta * spec.potential.v(grid[:, None], s))
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+    return np.interp(x, grid, cdf / cdf[-1])
+
+
+class TestGibbsFamilyBranches:
+    """The non-quadratic and kinetic branches of the Gibbs family."""
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_rejection_sampler_matches_quadrature_cdf(self, s):
+        spec = tanh_ramp()
+        n = 20000
+        x = np.sort(gibbs_sampler(spec, s)(block_generator(11, 0), n)[:, 0])
+        f = tanh_cdf(spec, s, x)
+        i = np.arange(1, n + 1)
+        d = max(np.max(i / n - f), np.max(f - (i - 1) / n))
+        # 1.63 is the one-sample Kolmogorov-Smirnov coefficient at the 1% level
+        assert math.sqrt(n) * d < 1.63
+
+    def test_kinetic_sampler_adds_maxwell_momenta(self):
+        spec = tanh_ramp("langevin", mass=[[2.0]], beta=0.8)
+        n = 20000
+        draw = gibbs_sampler(spec, 1.0)(block_generator(12, 0), n)
+        # positions come first from the block's stream, exactly as for the
+        # overdamped spec on the same potential
+        positions = gibbs_sampler(tanh_ramp(beta=0.8), 1.0)(block_generator(12, 0), n)
+        assert_array_equal(draw[:, :1], positions)
+        p, var = draw[:, 1], 2.0 / 0.8
+        assert abs(p.mean()) <= 4.0 * math.sqrt(var / n)
+        assert abs(p.var(ddof=1) - var) <= 4.0 * math.sqrt(2.0 * var * var / (n - 1))
+
+    @pytest.mark.parametrize("kind", ["brownian", "langevin"])
+    def test_gibbs_logpdf_integrates_to_one(self, kind):
+        spec = tanh_ramp(kind, beta=0.8)
+        axis = np.linspace(-14.0, 14.0, 1401)
+        h = axis[1] - axis[0]
+        if kind == "brownian":
+            pts = axis[:, None]
+        else:
+            pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        for s in (0.0, 1.0):
+            mass = np.sum(np.exp(gibbs_logpdf(spec, pts, s))) * h ** pts.shape[-1]
+            assert_allclose(mass, 1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("potential", [
+        TanhPerturbedPotential(Linear(0.0, 1.5, 1.0)),
+        QuadraticPotential(Constant(1.3), dimension=2),
+    ], ids=["tanh", "quadratic-2d"])
+    def test_kinetic_partition_function_adds_the_momentum_factor(self, potential):
+        n = potential.dimension
+        mass = np.diag([2.0, 0.5][:n])
+        z = partition_function(BrownianSpec(potential, beta=0.8, horizon=1.0), 1.0).z
+        kinetic = partition_function(LangevinSpec(potential, beta=0.8, horizon=1.0, mass=mass),
+                                     1.0)
+        factor = (2.0 * math.pi / 0.8) ** (n / 2.0) * math.sqrt(np.linalg.det(mass))
+        assert_allclose(kinetic.z, z * factor, rtol=1e-14)
+        assert_allclose(kinetic.free_energy, -math.log(z * factor) / 0.8, rtol=1e-14)
 
 class TestSpecFromConfig:
     BASE = {
@@ -248,7 +318,7 @@ def test_reversed_langevin_starts_from_the_horizon_gibbs_law():
     ens = simulate_langevin(spec.reversed(), 64, 0.5, seed=3, store_times=[0.0])
     start = ens.states_at(0.0)
     for s, same in ((spec.horizon, True), (0.0, False)):
-        draw = langevin_gibbs_gaussian(spec, s).sample(block_generator(3, 0), 64)
+        draw = gibbs_gaussian(spec, s).sample(block_generator(3, 0), 64)
         assert np.array_equal(start, draw) is same
 
 

@@ -4,8 +4,9 @@ Hypothesis draws time steps, path counts, seeds, initial-state arrays and
 injected noise for ``simulate_forward``, ``simulate_langevin`` (a kinetic spec
 and its reversal, euler and BAOAB) and ``feynman_kac_g``.  Every call must
 return or raise one of the six errors of ``noneq.errors``, never a bare numpy
-exception.  Valid arguments with a finite start must return; a bad step, path
-count, seed, initial-state shape or noise shape must raise ``SpecError``.
+exception.  Valid arguments with a finite start must return; a non-finite
+start, a bad step, path count, seed, initial-state shape or noise shape must
+raise ``SpecError``.
 Runs are derandomized and capped at 20 steps of at most 12 paths.
 """
 
@@ -104,8 +105,7 @@ def test_valid_run(runner, dt, n_paths, seed, init, fill, odd, inject):
              if inject else None)
     got = outcome(lambda: run(runner, n_paths, dt, seed, states, noise))
     finite = states is None or np.all(np.isfinite(states))
-    # a non-finite start flags its path, and one of at most 12 paths is too many
-    assert got is None if finite else got in (None, BlowUpError)
+    assert got is None if finite else got is SpecError
 
 
 @PROPERTY
@@ -132,8 +132,7 @@ def test_bad_run_raises_spec_error(runner, bad, data):
 def test_valid_feynman_kac(dt, s0, n_paths, seed, x0):
     x0 = 0.3 if x0 is None else x0
     got = outcome(lambda: feynman_kac_g(brownian_spec(), x0, s0, n_paths, dt, seed=seed))
-    # a non-finite start leaves no finite path
-    assert got is None if math.isfinite(x0) else got in (BlowUpError, SpecError)
+    assert got is None if math.isfinite(x0) else got is SpecError
 
 
 @PROPERTY

@@ -7,7 +7,10 @@ read as an attribute.  Imports are not uses, and neither are the re-exports
 of ``noneq/__init__.py``.
 
 No package module other than ``model`` imports a ``_``-prefixed name from
-``model``, so only ``model`` knows how a process is reversed.
+``model``, so only ``model`` knows how a process is reversed.  No package
+module other than ``model`` tests whether a spec is a ``BrownianSpec`` or a
+``LangevinSpec``, so only ``model`` knows how the Gibbs family and the
+dynamics depend on the kind of spec.
 
 The checks read the source with ``ast`` and run nothing.
 """
@@ -60,3 +63,24 @@ def private_model_imports() -> list[str]:
 
 def test_only_model_uses_its_private_names():
     assert private_model_imports() == []
+
+
+SPEC_CLASSES = {"BrownianSpec", "LangevinSpec"}
+
+
+def spec_kind_tests() -> list[str]:
+    """``module:line`` of each ``isinstance`` call outside ``model`` that names a spec class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and loaded_names(node.args[1]).keys() & SPEC_CLASSES):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_model_tests_the_kind_of_a_spec():
+    assert spec_kind_tests() == []

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
 from noneq import (
@@ -176,6 +177,16 @@ class TestReverseDensity:
         assert rep.max_l1 <= 5e-3
         # last comparison happens at the full flip, against the tilted start
         assert rep.times[-1] == pytest.approx(spec.horizon)
+
+    def test_reports_the_compared_times(self):
+        # the record stride 250 // 20 = 12 steps misses T/5, 2T/5, ...; the
+        # report gives the recorded times it compared, as the drift check does
+        spec = moving_spec()
+        ctl = solve_g_pde_1d(spec, dt=4e-3, cells=200)
+        rep = reverse_density_check(spec, ctl, dt=4e-3, cells=200)
+        drift = grid_drift_identity_check(spec, ctl, dt=4e-3, cells=200)
+        assert_allclose(rep.times, [0.192, 0.384, 0.624, 0.816, 1.0], rtol=0, atol=1e-12)
+        assert_allclose(rep.times, spec.horizon - drift.times, rtol=0, atol=1e-12)
 
     def test_error_shrinks_under_refinement(self):
         spec = moving_spec()

@@ -24,7 +24,6 @@ from noneq import (
     SpecError,
     feynman_kac_g,
     gibbs_sampler,
-    langevin_gibbs_gaussian,
     langevin_propagator,
     ou_moments,
     simulate_forward,
@@ -338,10 +337,14 @@ def kinetic_spec():
     lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((2, 2, 1))),
     lambda: simulate_forward(ou_spec(), 4, 0.5, noise=np.zeros((5, 9, 1))),
     lambda: simulate_forward(ou_spec(), 4, 0.5).states_at(0.25),
+    lambda: simulate_forward(ou_spec(), 2000, 0.5,
+                             init=np.where(np.arange(2000)[:, None] == 7, np.nan, 0.0)),
+    lambda: feynman_kac_g(ou_spec(), float("nan"), 0.0, 4, 0.5),
 ], ids=["forward-no-paths", "forward-negative-seed", "forward-zero-dt", "forward-nan-dt",
         "forward-init-width", "langevin-zero-dt", "langevin-init-width", "fk-zero-dt",
         "fk-no-paths", "fk-one-path", "forward-noise-short", "forward-noise-narrow",
-        "forward-noise-oversized", "states-at-unstored-time"])
+        "forward-noise-oversized", "states-at-unstored-time", "forward-nan-init-row",
+        "fk-nan-x0"])
 def test_bad_run_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
