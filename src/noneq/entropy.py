@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateInfeasible, SpecError
-from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, fisher_and_rate_terms,
-                            gibbs_grid, relative_entropy_grid)
+from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, _rate_terms, gibbs_grid,
+                            relative_entropy_grid)
 from .gaussian_oracle import (GaussianLaw, gaussian_kl, gaussian_modified_functional,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher)
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian
@@ -127,7 +127,7 @@ def _grid_trace(spec, solution) -> EntropyTrace:
 
     def point(s, dens):
         ref = gibbs_grid(spec, s, dens)
-        rhs = fisher_and_rate_terms(spec, dens, s).rhs(spec.beta)
+        rhs = _rate_terms(spec, dens, s, ref.values).rhs(spec.beta)
         return relative_entropy_grid(dens, ref), rhs
 
     return _trace(solution.times, (solution.density(t) for t in solution.times), point)
@@ -361,9 +361,14 @@ def optimize_omega(xi: float, beta: float, hessian_bound: float, lsi_kappa: floa
     """Best certified rate over admissible (a, b, c).
 
     Coarse log-grid scan over [1e-6, 1e2]^3 followed by Nelder-Mead descent in
-    log-parameters from the best grid points.
+    log-parameters from the best grid points.  Raises SpecError unless
+    ``grid_points`` and ``refine_starts`` are at least 1.
     """
     from scipy.optimize import minimize
+
+    if grid_points < 1 or refine_starts < 1:
+        raise SpecError(f"optimize_omega needs grid_points and refine_starts of at least 1, "
+                        f"got {grid_points} and {refine_starts}")
 
     a, b, c, omega, order = _omega_grid_search(xi, beta, hessian_bound, lsi_kappa,
                                                grid_points)

@@ -204,8 +204,12 @@ def fisher_and_rate_terms(spec, density, s: float) -> RateTerms:
     on a 1D or (q, p) grid.  Each axis of the Fisher form is weighted by its
     entry of diag(B B^T), B = ``spec.noise_factor(s)``, so on a phase-space
     grid only the momentum gradient counts."""
+    return _rate_terms(spec, density, s, gibbs_grid(spec, s, density).values)
+
+
+def _rate_terms(spec, density, s: float, gibbs: np.ndarray) -> RateTerms:
+    """``fisher_and_rate_terms`` against the grid Gibbs values ``gibbs`` at s."""
     vol = math.prod(_spacings(density))
-    gibbs = gibbs_grid(spec, s, density).values
     rho = density.values
     b = spec.noise_factor(s)
     fisher = 0.0

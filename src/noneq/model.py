@@ -237,6 +237,8 @@ class TanhPerturbedPotential(Potential):
 class Circulation:
     """Evaluator bundle for the circulation drift J(x, s) and its divergence."""
 
+    is_zero = False
+
     def j(self, x, s):
         raise NotImplementedError
 
@@ -249,6 +251,8 @@ class Circulation:
 
 
 class NoCirculation(Circulation):
+    is_zero = True
+
     def j(self, x, s):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -444,6 +448,7 @@ class _NegatedMirroredCirculation(Circulation):
     def __init__(self, inner: Circulation, horizon: float):
         self.inner = inner
         self.T = float(horizon)
+        self.is_zero = inner.is_zero
 
     def j(self, x, s):
         return -self.inner.j(x, self.T - s)

@@ -42,8 +42,10 @@ def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,
     substeps); it returns a tuple of float arrays whose leading axes are
     those two.  ``f`` receives one stage's slice of that tuple, with scalar
     coefficients as Python floats.  Returns an array of shape
-    (len(times),) + y0.shape.
+    (len(times),) + y0.shape.  Raises SpecError for ``substeps`` below 1.
     """
+    if substeps < 1:
+        raise SpecError(f"substeps must be at least 1, got {substeps}")
     times = np.asarray(times, dtype=float)
     y = np.array(y0, dtype=float, copy=True)
     out = np.empty((len(times),) + y.shape)

@@ -14,6 +14,8 @@ excluded from statistics; a run fails if more than a small fraction blow up.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +32,11 @@ BLOWUP_FRACTION = 1e-3
 
 @dataclass
 class ControlField:
-    """A feedback control u(x, s) valued in the noise space R^m."""
+    """A feedback control u(x, s) valued in the noise space R^m.
+
+    The blocks of a run may call ``evaluate`` concurrently from several
+    threads, so it must not mutate shared state.
+    """
 
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     tag: str = "custom"
@@ -137,14 +143,16 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     """Step every path block over ``span`` from time ``s0``.
 
     ``init`` is a sampler ``(gen, size) -> states`` or an ``(n_paths, width)``
-    array whose rows ``init[start:stop]`` start the block [start, stop).  The
-    step is built by ``make_step()`` only after the arguments are checked, so
-    a bad ``dt`` or ``noise`` shape raises ``SpecError`` before any arithmetic
-    uses it.  It takes ``(x, z, s, w, g)`` at ``s = s0 + k dt`` with the
-    block's ``(nb, m)`` noise ``z``, adds the step's work to ``w`` and its
-    change-of-measure exponent to ``g`` in place, and returns the next state.
-    Noise is ``noise[k, start:stop]`` when injected, else drawn from the
-    block's own stream.  A non-finite initial-state array raises ``SpecError``.
+    array whose rows ``init[start:stop]`` start the block [start, stop).
+    ``make_step()`` is called only after the arguments are checked, so a bad
+    ``dt`` or ``noise`` shape raises ``SpecError`` before any arithmetic uses
+    it; it returns a builder ``nb -> step`` (see ``_block_step``).  Noise is
+    ``noise[k, start:stop]`` when injected, else drawn from the block's own
+    stream.  A non-finite initial-state array raises ``SpecError``.
+
+    Each block's state, stream and step are made here, on the calling thread;
+    the blocks are then stepped on up to one thread per usable CPU, which
+    gives the same bits as stepping them in turn.
     """
     if n_paths < 1:
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
@@ -162,36 +170,109 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
                         f"expected ({n_paths}, {width})")
     if from_array and not np.all(np.isfinite(init)):
         raise SpecError("initial state array has non-finite entries")
-    step = make_step()
+    build = make_step()
 
-    stored = []
+    blocks = []
     for block, start, stop in rngmod.block_layout(n_paths):
         nb = stop - start
         gen = rngmod.block_generator(seed, block)
-        if from_array:
-            x = init[start:stop]
-        else:
-            x = np.asarray(init(gen, nb), dtype=float).reshape(nb, width)
-        w = np.zeros(nb)
-        g = np.zeros(nb)
-        keep_s = np.empty((len(idx), nb, width))
-        keep_w = np.empty((len(idx), nb))
-        keep_g = np.empty((len(idx), nb))
+        x = init[start:stop] if from_array else \
+            np.asarray(init(gen, nb), dtype=float).reshape(nb, width)
+        keep = (np.empty((len(idx), nb, width)), np.empty((len(idx), nb)),
+                np.empty((len(idx), nb)))
+        blocks.append((start, stop, gen, x, np.zeros(nb), np.zeros(nb),
+                       np.empty((nb, m)) if noise is None else None, keep, build(nb)))
+
+    def march(block):
+        start, stop, gen, x, w, g, z, keep, step = block
         for k in range(n_steps + 1):
             if k in slot:
-                keep_s[slot[k]], keep_w[slot[k]], keep_g[slot[k]] = x, w, g
+                keep[0][slot[k]], keep[1][slot[k]], keep[2][slot[k]] = x, w, g
             if k == n_steps:
-                break
-            z = noise[k, start:stop] if noise is not None else gen.standard_normal((nb, m))
+                return keep
+            z = gen.standard_normal(out=z) if noise is None else noise[k, start:stop]
             x = step(x, z, s0 + k * dt, w, g)
-        stored.append((keep_s, keep_w, keep_g))
-    return _finalize(stored, times, seed, dt, kind)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(blocks), cpus or 1)
+    if workers == 1:
+        return _finalize(list(map(march, blocks)), times, seed, dt, kind)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _finalize(list(pool.map(march, blocks)), times, seed, dt, kind)
+
+
+def _block_step(pot, dt, n, width, move):
+    """The builder ``nb -> step`` around ``move(x, z, s, g, out, f)``, which
+    writes the next state to ``out``, adds its change-of-measure exponent to
+    ``g`` and may use ``f`` as scratch.  The step adds the midpoint work of
+    the positions, the first ``n`` coordinates, to ``w``; it reuses the
+    buffers allocated by ``build``, two of them alternating as ``out``."""
+    def build(nb):
+        states = [np.empty((nb, width)), np.empty((nb, width))]
+        f, e = np.empty((nb, n)), np.empty(nb)
+
+        def step(x, z, s, w, g):
+            out = states[0]
+            states.reverse()
+            move(x, z, s, g, out, f)
+            mid = np.add(x[:, :n], out[:, :n], out=f)
+            mid *= 0.5
+            w += np.multiply(_power(pot, mid, s + 0.5 * dt, e), dt, out=e)
+            return out
+
+        return step
+
+    return build
+
+
+def _mul_t(a, mat, out=None):
+    """``a @ mat.T``; for a 1 x 1 ``mat`` the product with its entry, into ``out``
+    (the same bits, without a matmul)."""
+    if mat.shape == (1, 1):
+        return np.multiply(a, mat[0, 0], out=out)
+    return a @ mat.T
+
+
+def _rowsum(a):
+    """``a`` summed over its last axis; a single column is read, not summed."""
+    return a[:, 0] if a.shape[1] == 1 else np.sum(a, axis=1)
+
+
+# _force and _power read a quadratic V as floats at time s, in the operation
+# order of its methods: the bits are the same, and a step running on a worker
+# thread calls no method of V.
+
+def _force(pot, x, s, out, sign=1.0):
+    """``-sign * grad V(x, s)`` into ``out``, for ``sign`` = +1 or -1."""
+    if not pot.is_quadratic:
+        return np.multiply(pot.grad(x, s), -sign, out=out)
+    np.subtract(x, float(pot.mu.value(s)), out=out)
+    out *= -sign * float(pot.k.value(s))
+    return out
+
+
+def _power(pot, x, s, out):
+    """dV/ds at the points ``x``, which it may overwrite; for a quadratic V
+    with one coordinate, into ``out``."""
+    if not pot.is_quadratic:
+        return pot.dv_ds(x, s)
+    c1 = 0.5 * float(pot.k.derivative(s))
+    c2 = float(pot.k.value(s)) * float(pot.mu.derivative(s))
+    x -= float(pot.mu.value(s))
+    if x.shape[1] > 1:
+        return c1 * np.sum(x * x, axis=1) - c2 * np.sum(x, axis=1)
+    d = x[:, 0]
+    out = np.multiply(d, d, out=out)
+    out *= c1
+    d *= c2
+    out -= d
+    return out
 
 
 def _girsanov(g, u, z, beta, dt):
     """Add one step's change-of-measure exponent of the control ``u`` to ``g``."""
-    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
-    g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
+    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * _rowsum(u * z)
+    g -= 0.25 * beta * dt * _rowsum(u * u)
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +281,26 @@ def _girsanov(g, u, z, beta, dt):
 
 def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[ControlField] = None):
     """The Euler-Maruyama step of the overdamped dynamics, optionally controlled."""
-    m = spec.diffusion.shape[1]
+    n, m = spec.diffusion.shape
     amp = math.sqrt(2.0 * dt / spec.beta)
+    pot, circ = spec.potential, spec.circulation
 
-    def step(x, z, s, w, g):
+    def move(x, z, s, g, out, f):
         sig = spec.diffusion.sigma(s)
-        drift = spec.drift(x, s)
+        drift = _mul_t(_force(pot, x, s, out), sig @ sig.T, out=out)  # -gamma grad V
+        if not circ.is_zero:
+            drift = drift + circ.j(x, s)
         if control is not None:
             u = np.asarray(control(x, s), dtype=float).reshape(len(x), m)
-            drift = drift + u @ sig.T
+            drift = drift + _mul_t(u, sig)
             _girsanov(g, u, z, spec.beta, dt)
-        x_new = x + dt * drift + amp * (z @ sig.T)
-        w += dt * spec.potential.dv_ds(0.5 * (x + x_new), s + 0.5 * dt)
-        return x_new
+        drift *= dt
+        np.add(x, drift, out=out)
+        kick = _mul_t(z, sig, out=f)
+        kick *= amp
+        out += kick
 
-    return step
+    return _block_step(pot, dt, n, n, move)
 
 
 def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
@@ -238,24 +324,28 @@ def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
 def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField],
                   method: str):
     """The euler or BAOAB step of the kinetic dynamics."""
-    n = spec.dimension
+    n, pot, sign, minv = spec.dimension, spec.potential, spec.transport, spec.mass_inv
 
     if method == "euler":
         amp = math.sqrt(2.0 * spec.xi * dt / spec.beta)
         sqxi = math.sqrt(spec.xi)
 
-        def move(x, z, s, g):
-            drift = spec.drift(x, s)
+        def move(x, z, s, g, out, f):
+            q, p = x[:, :n], x[:, n:]
+            v = _mul_t(p, minv, out=f)                   # M^-1 p
+            np.multiply(v, sign * dt, out=out[:, :n])
+            out[:, :n] += q
+            force = _force(pot, q, s, out[:, n:], sign)
+            v *= spec.xi
+            force -= v
             if control is not None:
                 u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
-                drift[:, n:] += sqxi * u
+                force += sqxi * u
                 _girsanov(g, u, z, spec.beta, dt)
-            x_new = x + dt * drift
-            x_new[:, n:] += amp * z
-            return x_new
+            force *= dt
+            force += p
+            force += np.multiply(z, amp, out=f)
     else:
-        minv = spec.mass_inv
-        sign = spec.transport
         evals, evecs = np.linalg.eigh(spec.mass)
         decay = evecs @ np.diag(np.exp(-spec.xi * dt / evals)) @ evecs.T
         mb = spec.mass / spec.beta
@@ -263,22 +353,16 @@ def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField]
         ou_chol = np.linalg.cholesky(ou_cov + 1e-300 * np.eye(n))
         half = 0.5 * dt
 
-        def move(x, z, s, g):
+        def move(x, z, s, g, out, f):
             q, p = x[:, :n], x[:, n:]
-            p1 = p - half * sign * spec.potential.grad(q, s)
+            p1 = p - half * sign * pot.grad(q, s)
             q_half = q + half * sign * (p1 @ minv.T)
             p2 = p1 @ decay.T + z @ ou_chol.T
-            q_new = q_half + half * sign * (p2 @ minv.T)
-            p_new = p2 - half * sign * spec.potential.grad(q_new, s + dt)
-            return np.concatenate([q_new, p_new], axis=1)
+            out[:, :n] = q_half + half * sign * (p2 @ minv.T)
+            out[:, n:] = p2 - half * sign * pot.grad(out[:, :n], s + dt)
 
-    def step(x, z, s, w, g):
-        x_new = move(x, z, s, g)
-        # work along the process: time derivative of its own Hamiltonian
-        w += dt * spec.potential.dv_ds(0.5 * (x[:, :n] + x_new[:, :n]), s + 0.5 * dt)
-        return x_new
-
-    return step
+    # work along the process: time derivative of its own Hamiltonian
+    return _block_step(pot, dt, n, 2 * n, move)
 
 
 def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,

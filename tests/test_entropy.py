@@ -20,6 +20,7 @@ from noneq import (
     bakry_emery_kappa,
     decay_bound_lipschitz,
     decay_bound_supremum,
+    fisher_and_rate_terms,
     gaussian_kl,
     gaussian_modified_functional,
     gaussian_tv_1d,
@@ -98,6 +99,28 @@ class TestProductionRateBrownian:
                               record_every=every)
             res.append(production_rate_check_brownian(spec, sol).max_residual)
         assert 1.6 <= res[0] / res[1] <= 2.6
+
+    def test_grid_trace_builds_one_gibbs_density_per_slice(self, monkeypatch):
+        from noneq import entropy, fokker_planck
+
+        spec = ou_spec(k0=1.0, k1=1.5)
+        init = GaussianLaw(np.array([0.5]), np.array([[0.7]]))
+        sol = solve_fp_1d(spec, init, dt=1e-2, cells=200, theta=1.0, record_every=10)
+        assert len(sol.times) == 11
+        original, calls = fokker_planck.gibbs_grid, []
+
+        def counted(spec, s, like):
+            calls.append(s)
+            return original(spec, s, like)
+
+        for mod in (entropy, fokker_planck):
+            monkeypatch.setattr(mod, "gibbs_grid", counted)
+        trace = production_rate_check_brownian(spec, sol)
+        assert len(calls) == 11
+        monkeypatch.undo()
+        want = [fisher_and_rate_terms(spec, sol.density(t), float(t)).rhs(spec.beta)
+                for t in sol.times]
+        assert trace.rhs.tolist() == want
 
     def test_homogeneous_entropy_is_monotone(self):
         spec = ou_spec()

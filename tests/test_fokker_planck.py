@@ -22,6 +22,7 @@ from noneq import (
     gaussian_kl,
     gibbs_grid,
     langevin_propagator,
+    optimize_omega,
     ou_moments,
     relative_entropy_grid,
     solve_fp_1d,
@@ -323,11 +324,16 @@ STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
     lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
                                   gaussian_grid(-6.0, 6.0, 10, 0.0, 1.0)),
     lambda: solve_fp_1d(ou_spec(), STD_LAW, 0.1, cells=50).density(0.05),
+    lambda: ou_moments(ou_spec(), STD_LAW, 1.0, substeps=0),
+    lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0], substeps=0).push(STD_PHASE_LAW),
+    lambda: optimize_omega(1.0, 1.0, 0.0, 1.0, grid_points=0),
+    lambda: optimize_omega(1.0, 1.0, 0.0, 1.0, refine_starts=0),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
         "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box",
-        "fp-density-unrecorded-time"])
+        "fp-density-unrecorded-time", "ou-moments-no-substeps",
+        "propagator-no-substeps", "omega-no-grid-points", "omega-no-refine-starts"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()

@@ -6,6 +6,7 @@ and the runner must match them bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from noneq import (
     BrownianSpec,
     Constant,
     ControlField,
+    DiffusionFactor,
     GaussianLaw,
     LangevinSpec,
     Linear,
     QuadraticPotential,
     RotationCirculation,
+    Sine,
     SpecError,
     feynman_kac_g,
     gibbs_sampler,
@@ -30,6 +33,7 @@ from noneq import (
     simulate_langevin,
     zero_control,
 )
+from noneq import sde
 from noneq.model import Potential
 from noneq.rng import BLOCK_SIZE, block_generator, block_layout
 
@@ -507,6 +511,101 @@ class TestBlockRunnerBitIdentity:
         ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=8, method="baoab")
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 8, {0, 5},
                                               method="baoab"))
+
+    # Two blocks, stepped on one thread and on two, against the serial loops:
+    # the 1 x 1 factors are scalars in the step, so they are not all 1 here.
+
+    n_two = BLOCK_SIZE + 37
+
+    @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                            raising=False)
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: request.param)
+
+    def moving(self):
+        return BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 0.1), Sine(0.5, 4.0, 0.2), 1),
+                            beta=1.3, horizon=0.1,
+                            diffusion=DiffusionFactor.isotropic(1, 0.8, Linear(1.0, 1.5, 0.1)))
+
+    def heavy(self):
+        return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 0.1), Sine(0.4, 3.0), 1),
+                            beta=1.0, horizon=0.1, xi=0.8, mass=np.array([[2.0]]))
+
+    def test_two_blocks_controlled(self, cpus):
+        field = ControlField(lambda x, s: 0.7 * np.tanh(x) * (1.0 + s))
+        spec = self.moving()
+        ens = simulate_forward(spec, self.n_two, self.dt, seed=5, control=field,
+                               store_times=[0.0, 0.04, 0.1])
+        assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 5,
+                                                 gibbs_sampler(spec), {0, 2, 5}, control=field))
+
+    def test_two_blocks_reversed(self, cpus):
+        rev = self.moving().reversed()
+        ens = simulate_forward(rev, self.n_two, self.dt, seed=6, store_times=[0.0, 0.06, 0.1])
+        assert_same_ensemble(ens, ref_overdamped(rev, self.n_two, self.dt, 6, gibbs_sampler(rev),
+                                                 {0, 3, 5}))
+
+    @pytest.mark.parametrize("method, reverse", [("euler", False), ("euler", True),
+                                                 ("baoab", False)])
+    def test_two_blocks_kinetic(self, cpus, method, reverse):
+        spec = self.heavy().reversed() if reverse else self.heavy()
+        ens = simulate_langevin(spec, self.n_two, self.dt, seed=7, method=method,
+                                store_times=[0.0, 0.04, 0.1])
+        assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 2, 5},
+                                              reverse=reverse, method=method))
+
+    def test_two_blocks_kinetic_controlled(self, cpus):
+        field = ControlField(lambda x, s: 0.6 * np.tanh(x[:, :1]))
+        ens = simulate_langevin(self.heavy(), self.n_two, self.dt, seed=7, control=field)
+        assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 5},
+                                              control=field))
+
+    def test_two_blocks_rotating_plane(self, cpus):
+        """Rotation, a scheduled non-diagonal 2 x 3 factor and a control: every
+        factor is a matrix, so the step keeps its matmuls."""
+        spec = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 0.1), Sine(0.5, 4.0), 2),
+                            beta=1.3, horizon=0.1, circulation=RotationCirculation(0.7),
+                            diffusion=DiffusionFactor(np.array([[1.0, 0.3, 0.2],
+                                                                [0.0, 0.8, -0.4]]),
+                                                      Linear(1.0, 1.5, 0.1)))
+        field = ControlField(lambda x, s: 0.3 * np.tanh(x @ np.array([[1.0, 0.5, -0.2],
+                                                                     [0.0, 1.0, 0.7]])))
+        for control in (None, field):
+            ens = simulate_forward(spec, self.n_two, self.dt, seed=9, control=control)
+            assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 9,
+                                                     gibbs_sampler(spec), {0, 5}, control=control))
+
+    def test_caller_arrays_are_left_unmodified(self, cpus):
+        rng = np.random.default_rng(3)
+        init, noise = rng.standard_normal((self.n_two, 1)), rng.standard_normal((5, self.n_two, 1))
+        phase = rng.standard_normal((self.n_two, 2))
+        copies = init.copy(), noise.copy(), phase.copy()
+        ens = simulate_forward(self.moving(), self.n_two, self.dt, init=init, noise=noise)
+        assert_same_ensemble(ens, ref_overdamped(self.moving(), self.n_two, self.dt, 0, init,
+                                                 {0, 5}, noise=noise))
+        simulate_langevin(self.heavy(), self.n_two, self.dt, init=phase, noise=noise)
+        for got, want in zip((init, noise, phase), copies):
+            assert_array_equal(got, want)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        """Three blocks on three threads, switching every microsecond, give the
+        bits of the one-thread run; blocks that shared a buffer would not."""
+        spec, field = self.moving(), ControlField(lambda x, s: 0.7 * np.tanh(x))
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(sde.os, "cpu_count", lambda: cpus)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append([simulate_forward(spec, 2 * BLOCK_SIZE + 37, 0.005, seed=11,
+                                              control=control) for control in (None, field)])
+            finally:
+                sys.setswitchinterval(interval)
+        for one, three in zip(*runs):
+            assert_same_ensemble(three, (one.states, one.work, one.log_weight, one.flagged))
 
     def test_feynman_kac_from_a_later_start(self):
         spec = ou_spec(k0=1.0, k1=2.0, beta=1.3, horizon=1.0)
