@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,9 @@ from .model import (BrownianSpec, Constant, DiffusionFactor, LangevinSpec, Linea
                     Sine, TanhPerturbedPotential, free_energy_difference, spec_from_config,
                     validate_spec)
 from .odes import _step_count
-from .reversal import (drift_identity_check, grid_drift_identity_check,
+from .reversal import (_grid_reversal_reports, drift_identity_check,
                        kinetic_drift_identity_check, kinetic_law_equivalence_test,
-                       law_equivalence_test, reverse_density_check)
+                       law_equivalence_test)
 from .sde import ControlField, simulate_forward
 
 SCHEMA_VERSION = 1
@@ -381,9 +380,7 @@ def run_reversal_test(p, out, seed, meta):
                                             seed=seed + 1)
 
     gcontrol = solve_g_pde_1d(spec, p["grid_dt"], cells=p["cells"], theta=0.5)
-    gdrift_rep = grid_drift_identity_check(spec, gcontrol, p["grid_dt"],
-                                           cells=p["cells"])
-    dens_rep = reverse_density_check(spec, gcontrol, p["grid_dt"], cells=p["cells"])
+    gdrift_rep, dens_rep = _grid_reversal_reports(spec, gcontrol, p["grid_dt"], p["cells"])
 
     rows = [[r.time, r.coordinate, r.mean_gap, r.mean_tol, r.var_gap, r.var_tol,
              r.ks_stat, r.ks_crit, int(r.ok)] for r in law_rep.rows + klaw_rep.rows]
@@ -592,7 +589,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="YAML parameter overrides")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent experiments when running 'all'")
+                        help="worker processes when running 'all'")
     parser.add_argument("--quick", action="store_true",
                         help="reduced path counts / step counts / resolutions")
     parser.add_argument("--out", default="artifacts", help="artifact directory")
@@ -612,11 +609,17 @@ def main(argv=None) -> int:
     results: dict[str, tuple[bool, dict]] = {}
     try:
         if len(names) > 1 and args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            import multiprocessing  # the pool's modules stay off the start-up path
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.jobs,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
                 futures = {name: pool.submit(_run_one, name, cfg, seed, args.quick,
                                              out_root) for name in names}
-                for name in names:
-                    results[name] = futures[name].result()
+                try:
+                    for name in names:
+                        results[name] = futures[name].result()
+                finally:  # after a failure, start no further experiment
+                    pool.shutdown(cancel_futures=True)
         else:
             for name in names:
                 results[name] = _run_one(name, cfg, seed, args.quick, out_root)

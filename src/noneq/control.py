@@ -250,13 +250,13 @@ class LangevinRiccati:
 
         def rhs(c, y):
             s, eta, etad = c
-            lqq, lqp, lpp, c0 = y.tolist()
+            lqq, lqp, lpp, c0 = y
             _riccati_guard(s, lqq, lqp, lpp, c0)
             dqq = 2.0 * (eta * lqp + xi * lqp * lqp) - etad
             dqp = -lqq / m_scalar + eta * lpp + xi * lqp / m_scalar + 2.0 * xi * lqp * lpp
             dpp = 2.0 * (-lqp / m_scalar + xi * lpp / m_scalar + xi * lpp * lpp)
             dc0 = -(xi / beta) * n * lpp
-            return np.array([dqq, dqp, dpp, dc0])
+            return dqq, dqp, dpp, dc0
 
         back = rk4_path(rhs, coef, np.zeros(4), self.times[::-1], substeps)
         coeffs = back[::-1]

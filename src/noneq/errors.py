@@ -34,7 +34,11 @@ class CertificateInfeasible(RuntimeError):
 
     def __init__(self, constraint: str, detail: str = ""):
         self.constraint = constraint
+        self.detail = detail
         msg = f"certificate constraint violated: {constraint}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):  # pickled (by a worker process) from the constructor's arguments
+        return type(self), (self.constraint, self.detail)

@@ -252,8 +252,9 @@ def _fitted_rates(v_c: np.ndarray, v_f: np.ndarray, gamma: float, beta: float, h
 def _theta_step(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, r: np.ndarray,
                 dt: float, theta: float) -> np.ndarray:
     """Solve (I - theta dt A) r' = (I + (1 - theta) dt A) r along axis 0 of r,
-    with A = tridiag(sub, diag, sup)."""
-    from scipy.linalg import solve_banded
+    with A = tridiag(sub, diag, sup), by LAPACK ``dgtsv``, leaving r as it
+    was; QuadratureError if the solve fails or its result is not finite."""
+    from scipy.linalg.lapack import dgtsv
 
     if theta < 1.0:
         c = (1.0 - theta) * dt
@@ -263,11 +264,12 @@ def _theta_step(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, r: np.ndarra
         explicit[1:] += (c * sub)[col] * r[:-1]
     else:
         explicit = r
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = -theta * dt * sup
-    ab[1] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * sub
-    return solve_banded((1, 1), ab, explicit)
+    ci = theta * dt
+    *_, out, info = dgtsv(-ci * sub, 1.0 - ci * diag, -ci * sup, explicit, overwrite_dl=1,
+                          overwrite_d=1, overwrite_du=1, overwrite_b=explicit is not r)
+    if info != 0 or not np.isfinite(out).all():
+        raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
+    return out
 
 
 def _grid_steps(horizon: float, dt: float, cells, theta: float = 1.0) -> int:

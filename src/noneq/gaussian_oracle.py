@@ -120,6 +120,8 @@ def gaussian_modified_functional(p: GaussianLaw, q: GaussianLaw,
 
 def gaussian_w2(p: GaussianLaw, q: GaussianLaw) -> float:
     """Quadratic Wasserstein distance between Gaussians (Bures form)."""
+    if p.dim != q.dim:
+        raise SpecError("dimension mismatch")
     dm = p.mean - q.mean
     sq = _sym_sqrt(q.cov)
     cross = _sym_sqrt(sq @ p.cov @ sq)
@@ -204,13 +206,15 @@ def _unpack(y, n):
 
 def _moment_rhs(c, y):
     amat, force, noise = c
-    m, cov = _unpack(y, len(force))
-    dm = amat @ m + force
-    dc = amat @ cov + cov @ amat.T + noise
-    return _pack(dm, dc)
+    m, cov = _unpack(np.array(y), len(force))
+    dm = amat.dot(m) + force
+    dc = amat.dot(cov) + cov.dot(amat.T) + noise
+    return dm.tolist() + dc.ravel().tolist()
 
 
-def _moment_path(coef, init: GaussianLaw, times, substeps=16):
+def _moment_path(coef, dim: int, init: GaussianLaw, times, substeps=16):
+    if init.dim != dim:
+        raise SpecError(f"initial law has dimension {init.dim}, the dynamics {dim}")
     ys = rk4_path(_moment_rhs, coef, _pack(init.mean, init.cov), times, substeps)
     laws = []
     for y in ys:
@@ -221,7 +225,7 @@ def _moment_path(coef, init: GaussianLaw, times, substeps=16):
 
 def ou_moments_path(spec: BrownianSpec, init: GaussianLaw, times, substeps: int = 16):
     """Gaussian laws of the overdamped process at ``times`` (ODE-exact moments)."""
-    return _moment_path(_ou_system(spec), init, times, substeps)
+    return _moment_path(_ou_system(spec), spec.dimension, init, times, substeps)
 
 
 def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 32) -> GaussianLaw:
@@ -287,7 +291,8 @@ class FundamentalMatrix:
 
 
 def _flow_rhs(c, g):
-    return c[0] @ g
+    amat = c[0]
+    return amat.dot(np.array(g).reshape(amat.shape)).ravel().tolist()
 
 
 class LangevinPropagator:
@@ -311,7 +316,7 @@ class LangevinPropagator:
 
     def push(self, init: GaussianLaw):
         """Laws at every grid time, starting from ``init`` at times[0]."""
-        return _moment_path(self._coef, init, self.times, self.substeps)
+        return _moment_path(self._coef, 2 * self.spec.dimension, init, self.times, self.substeps)
 
 
 def langevin_propagator(spec: LangevinSpec, times, substeps: int = 16) -> LangevinPropagator:
@@ -363,14 +368,14 @@ class BrownianRiccati:
 
         def rhs(c, y):
             s, g, k, kd, mu, mud = c
-            alpha, delta, c0 = y.tolist()
+            alpha, delta, c0 = y
             _riccati_guard(s, alpha, delta, c0)
             da = 2.0 * g * k * alpha + 4.0 * g * alpha * alpha - 0.5 * kd
             dd = g * k * delta + 4.0 * g * alpha * delta - 2.0 * g * k * alpha * mu \
                 + kd * mu + k * mud
             dc = -g * k * mu * delta - 2.0 * g * alpha / spec.beta + g * delta * delta \
                 - 0.5 * kd * mu * mu - k * mud * mu
-            return np.array([da, dd, dc])
+            return da, dd, dc
 
         back = rk4_path(rhs, coef, np.zeros(3), self.times[::-1], substeps)
         coeffs = back[::-1]

@@ -41,14 +41,18 @@ def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,
     of stage times (step start, midpoint, step end), shaped (intervals,
     substeps); it returns a tuple of float arrays whose leading axes are
     those two.  ``f`` receives one stage's slice of that tuple, with scalar
-    coefficients as Python floats.  Returns an array of shape
-    (len(times),) + y0.shape.  Raises SpecError for ``substeps`` below 1.
+    coefficients as Python floats, and the state as a flat list of floats;
+    it returns the derivative as a flat sequence of floats.  The stages are
+    combined elementwise on floats, in the order numpy would use on arrays.
+    Returns an array of shape (len(times),) + y0.shape.  Raises SpecError
+    for ``substeps`` below 1.
     """
     if substeps < 1:
         raise SpecError(f"substeps must be at least 1, got {substeps}")
     times = np.asarray(times, dtype=float)
-    y = np.array(y0, dtype=float, copy=True)
-    out = np.empty((len(times),) + y.shape)
+    y0 = np.asarray(y0, dtype=float)
+    y = y0.ravel().tolist()
+    out = np.empty((len(times), len(y)))
     out[0] = y
     h = np.diff(times) / substeps
     # Stage times are anchored to the interval start so the last stage
@@ -58,14 +62,16 @@ def rk4_path(f: Callable, coef: Callable, y0: np.ndarray, times: np.ndarray,
     stages = [coef(start), coef(start + 0.5 * h[:, None]), coef(start + h[:, None])]
     for i, hi in enumerate(h.tolist()):
         c1, c2, c4 = (_interval_stages(c, i) for c in stages)
+        half, sixth = 0.5 * hi, hi / 6.0
         for j in range(substeps):
             k1 = f(c1[j], y)
-            k2 = f(c2[j], y + 0.5 * hi * k1)
-            k3 = f(c2[j], y + 0.5 * hi * k2)
-            k4 = f(c4[j], y + hi * k3)
-            y = y + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = f(c2[j], [a + half * b for a, b in zip(y, k1)])
+            k3 = f(c2[j], [a + half * b for a, b in zip(y, k2)])
+            k4 = f(c4[j], [a + hi * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
         out[i + 1] = y
-    return out
+    return out.reshape((len(times),) + y0.shape)
 
 
 def _interval_stages(coefs, i: int) -> list:

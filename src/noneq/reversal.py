@@ -307,7 +307,12 @@ def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
     T) doubles as a check that the reverse process ends in the tilted
     initial law.
     """
-    sol, z_t, rev_times, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    return _density_report(spec, control, _reverse_march(spec, dt, cells, radius_std, n_check))
+
+
+def _density_report(spec, control, march) -> ReverseDensityReport:
+    sol, z_t, rev_times, slices = march
+    cells = sol.snapshots.shape[1]
     x = GridDensity1D.centers(sol.lo, sol.hi, cells)
     errs = np.empty(len(rev_times))
     for i, (s, rho) in enumerate(slices):
@@ -328,7 +333,13 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
     limited by the spatial resolution (second-order differences), which sets
     the tolerance callers should use.
     """
-    sol, _, _, slices = _reverse_march(spec, dt, cells, radius_std, n_check)
+    return _grid_drift_report(spec, control, _reverse_march(spec, dt, cells, radius_std, n_check),
+                              core_std)
+
+
+def _grid_drift_report(spec, control, march, core_std: float) -> DriftIdentityReport:
+    sol, _, _, slices = march
+    cells = sol.snapshots.shape[1]
     x = GridDensity1D.centers(sol.lo, sol.hi, cells)
     h = (sol.hi - sol.lo) / cells
     steer = control.control_field()
@@ -345,3 +356,11 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
     # the reverse-time table holds the recorded slices; reverse time 0 has none
     return _drift_residuals(spec, [s for s, _ in slices],
                             lambda rev_times: [rho_at.get(float(u)) for u in rev_times], gap)
+
+
+def _grid_reversal_reports(spec: BrownianSpec, control: GridControl1D, dt: float,
+                           cells: int) -> tuple[DriftIdentityReport, ReverseDensityReport]:
+    """:func:`grid_drift_identity_check` and :func:`reverse_density_check` at
+    their defaults, from one reverse march."""
+    march = _reverse_march(spec, dt, cells, 10.0, 5)
+    return _grid_drift_report(spec, control, march, 4.0), _density_report(spec, control, march)

@@ -70,6 +70,13 @@ class TestExitCodes:
         assert code == 2
         assert "config error: dt" in capsys.readouterr().err
 
+    def test_config_error_in_a_worker_process_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiments:\n  entropy-brownian:\n    grid_dt: 0\n")
+        code = main(["all", "--quick", "--jobs", "2", "--config", cfg,
+                     "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "config error: dt" in capsys.readouterr().err
+
     def test_unattainable_tolerance_fails_cleanly(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -123,6 +130,22 @@ class TestArtifacts:
         assert files_a == files_b and files_a
         for rel in files_a:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+
+
+def test_reversal_test_marches_the_reverse_density_once(tmp_path, monkeypatch):
+    """Both grid reports of reversal-test come from one reverse march."""
+    from noneq import fokker_planck, reversal
+
+    original, calls = fokker_planck.solve_fp_1d, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in (fokker_planck, reversal):
+        monkeypatch.setattr(mod, "solve_fp_1d", counted)
+    assert main(["reversal-test", "--quick", "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 1
 
 
 class TestAggregateRun:

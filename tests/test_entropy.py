@@ -260,6 +260,15 @@ class TestCertificates:
                                        hessian_bound=0.0, lsi_kappa=1.0)
         assert "2b" in exc.value.constraint
 
+    def test_infeasible_certificate_survives_a_process_boundary(self):
+        """An experiment's error reaches `noneq all --jobs` pickled; its
+        message and constraint name arrive unchanged."""
+        import pickle
+
+        err = CertificateInfeasible("S >= 0", "min eig S = -1.000e-03")
+        back = pickle.loads(pickle.dumps(err))
+        assert (str(back), back.constraint) == (str(err), err.constraint)
+
     def test_hand_computed_certificate(self):
         cert = hypocoercivity_certificate(0.05, 0.04, 0.05, xi=1.0, beta=1.0,
                                           hessian_bound=0.0, lsi_kappa=1.0)

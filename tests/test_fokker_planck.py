@@ -20,10 +20,12 @@ from noneq import (
     TanhPerturbedPotential,
     fisher_and_rate_terms,
     gaussian_kl,
+    gaussian_w2,
     gibbs_grid,
     langevin_propagator,
     optimize_omega,
     ou_moments,
+    ou_moments_path,
     relative_entropy_grid,
     solve_fp_1d,
     solve_g_pde_1d,
@@ -165,6 +167,31 @@ class TestFittedFluxOperator:
 
         assert abs(killed_mass(False) - paired) <= cells * EPS * paired
         assert abs(killed_mass(True) - paired) >= 0.1 * paired
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    def test_step_matches_banded_solve(self, theta, columns):
+        """The direct tridiagonal solve gives scipy's banded solve bit for
+        bit, on one or several right-hand sides, and leaves r as it was."""
+        from scipy.linalg import solve_banded
+
+        _, (up, down, diag) = self.frozen_rates()
+        shape = (self.CELLS,) if columns is None else (columns, self.CELLS)
+        r = (np.random.default_rng(5).random(shape) + 0.1).T  # axis 0 is the grid
+        kept = r.copy()
+        dt = 0.05
+        c = (1.0 - theta) * dt
+        col = (slice(None),) + (None,) * (r.ndim - 1)
+        explicit = r * (1.0 + c * diag)[col]
+        explicit[:-1] += (c * up)[col] * r[1:]
+        explicit[1:] += (c * down)[col] * r[:-1]
+        ab = np.zeros((3, self.CELLS))
+        ab[0, 1:] = -theta * dt * up
+        ab[1] = 1.0 - theta * dt * diag
+        ab[2, :-1] = -theta * dt * down
+        step = _theta_step(up, down, diag, r, dt, theta)
+        np.testing.assert_array_equal(step, solve_banded((1, 1), ab, explicit))
+        np.testing.assert_array_equal(r, kept)
 
 
 class TestEntropyQuadrature:
@@ -328,12 +355,31 @@ STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
     lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0], substeps=0).push(STD_PHASE_LAW),
     lambda: optimize_omega(1.0, 1.0, 0.0, 1.0, grid_points=0),
     lambda: optimize_omega(1.0, 1.0, 0.0, 1.0, refine_starts=0),
+    lambda: ou_moments_path(ou_spec(), STD_PHASE_LAW, [0.0, 1.0]),
+    lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0]).push(STD_LAW),
+    lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0]).push(
+        GaussianLaw(np.zeros(3), np.eye(3))),
+    lambda: gaussian_w2(STD_LAW, STD_PHASE_LAW),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
         "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box",
         "fp-density-unrecorded-time", "ou-moments-no-substeps",
-        "propagator-no-substeps", "omega-no-grid-points", "omega-no-refine-starts"])
+        "propagator-no-substeps", "omega-no-grid-points", "omega-no-refine-starts",
+        "ou-moments-2d-init-on-1d-spec", "propagator-1d-init", "propagator-3d-init",
+        "w2-dimension-mismatch"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_fp_1d(ou_spec(k0=1.0, k1=2.0), STD_LAW, 0.1, cells=3, radius_std=100.0),
+    lambda: solve_g_pde_1d(ou_spec(k0=1.0, k1=2.0), 0.1, cells=3, radius_std=100.0),
+], ids=["fp-overflowed-rates", "g-overflowed-rates"])
+def test_failed_grid_step_raises_quadrature_error(call):
+    """Fitted rates that overflow on a huge coarse box poison the tridiagonal
+    solve; the step says so with the typed error, not a bare ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError, match="tridiagonal step"):
         call()
