@@ -14,8 +14,7 @@ from .gaussian_oracle import (BrownianRiccati, FundamentalMatrix, GaussianLaw,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher,
                               langevin_propagator, ou_moments, ou_moments_path,
                               riccati_value_function)
-from .sde import (ControlField, TrajectoryEnsemble, simulate_forward, simulate_langevin,
-                  zero_control)
+from .sde import TrajectoryEnsemble, simulate_forward, simulate_langevin
 from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, GridDensity2D,
                             fisher_and_rate_terms, gibbs_grid, relative_entropy_grid,
                             solve_fp_1d, solve_kinetic_fp_2d)
@@ -23,8 +22,7 @@ from .entropy import (DecayBound, EntropyTrace, HypocoercivityCertificate, Inequ
                       bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supremum,
                       hypocoercivity_certificate, kinetic_decay_bound,
                       kinetic_decay_bound_time_dependent, modified_functional_trace,
-                      optimize_omega, pinsker_talagrand_report,
-                      production_rate_check_brownian, production_rate_check_langevin)
+                      optimize_omega, pinsker_talagrand_report, production_rate_check)
 from .control import (GridControl1D, LangevinRiccati, feynman_kac_g,
                       langevin_control_solution, solve_g_pde_1d)
 from .reversal import (DriftIdentityReport, LawEquivalenceReport, ReverseDensityReport,

@@ -23,8 +23,7 @@ from .control import langevin_control_solution, solve_g_pde_1d
 from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supremum,
                       hypocoercivity_certificate, kinetic_decay_bound,
                       kinetic_decay_bound_time_dependent, modified_functional_trace,
-                      optimize_omega, production_rate_check_brownian,
-                      production_rate_check_langevin)
+                      optimize_omega, production_rate_check)
 from .errors import CertificateInfeasible, ConfigError, SpecError
 from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid, solve_fp_1d
 from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
@@ -39,7 +38,7 @@ from .odes import _step_count
 from .reversal import (_grid_reversal_reports, drift_identity_check,
                        kinetic_drift_identity_check, kinetic_law_equivalence_test,
                        law_equivalence_test)
-from .sde import ControlField, simulate_forward
+from .sde import simulate_forward
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
@@ -198,7 +197,7 @@ def run_entropy_brownian(p, out, seed, meta):
     times = np.linspace(0.0, spec.horizon, p["n_times"])
     init = GaussianLaw(np.array([2.0]), np.array([[0.5]]))
     laws = ou_moments_path(spec, init, times, substeps=8)
-    trace = production_rate_check_brownian(spec, laws, times)
+    trace = production_rate_check(spec, laws, times)
     _write_csv(out / "analytic_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs", "residual"],
                zip(trace.times, trace.r, trace.dr_ds, trace.rhs, trace.residual))
@@ -214,7 +213,7 @@ def run_entropy_brownian(p, out, seed, meta):
     sol = solve_fp_1d(grid_spec, GaussianLaw(np.array([1.5]), np.array([[0.3]])),
                       p["grid_dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=1.0)
-    gtrace = production_rate_check_brownian(grid_spec, sol)
+    gtrace = production_rate_check(grid_spec, sol)
     _write_csv(out / "grid_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs"],
                zip(gtrace.times, gtrace.r, gtrace.dr_ds, gtrace.rhs))
@@ -229,7 +228,7 @@ def run_entropy_langevin(p, out, seed, meta):
     prop = langevin_propagator(spec, times, substeps=32)
     init = GaussianLaw(np.array([1.2, -0.6]), np.array([[0.6, 0.1], [0.1, 1.4]]))
     laws = prop.push(init)
-    trace = production_rate_check_langevin(spec, laws, times)
+    trace = production_rate_check(spec, laws, times)
     _write_csv(out / "kinetic_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs", "residual"],
                zip(trace.times, trace.r, trace.dr_ds, trace.rhs, trace.residual))
@@ -253,7 +252,7 @@ def run_bound_overdamped(p, out, seed, meta):
     n_steps = _step_count(spec.horizon, p["dt"])
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)
-    trace = production_rate_check_brownian(spec, sol)
+    trace = production_rate_check(spec, sol)
     amp = p["amplitude"]
     coeff = 4.0 / (3.0 * math.sqrt(3.0))
 
@@ -344,12 +343,11 @@ def run_zero_variance(p, out, seed, meta):
     ric = riccati_value_function(spec, np.linspace(0.0, spec.horizon, 201))
     tilted = ric.tilted_initial_law()
     exact = free_energy_difference(spec)
-    control = ControlField(ric.control, tag="value-feedback")
     rows = []
     cvs = []
     for i, dt in enumerate([p["dt"], p["dt"] / 2.0]):
         ens = simulate_forward(spec, p["n_paths"], dt, seed=seed + i, init=tilted,
-                               control=control)
+                               control=ric.control)
         est = estimate_free_energy_is(spec, ens, initial_law=tilted)
         rep = variance_report(est)
         rows.append([dt, est.value, est.stderr, rep.cv, rep.ess])
@@ -513,6 +511,16 @@ RUNNERS = {
 ORDER = list(RUNNERS)
 
 
+def _check_type(key: str, value, default):
+    """ConfigError unless ``value`` suits a parameter whose default is
+    ``default``: an int where the default is an int, an int or a float where
+    it is a float.  A bool is neither; other defaults are not checked here."""
+    allowed = {int: (int,), float: (int, float)}.get(type(default))
+    if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+        kind = "an integer" if allowed == (int,) else "a number"
+        raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -532,6 +540,7 @@ def _load_config(path: str | None) -> dict:
     stray = set(cfg) - {"schema_version", "seed", "experiments", "spec"}
     if stray:
         raise ConfigError(f"unknown top-level key(s) in config: {sorted(stray)}")
+    _check_type("seed", cfg.get("seed", DEFAULT_SEED), DEFAULT_SEED)
     experiments = cfg.get("experiments", {})
     if not isinstance(experiments, dict):
         raise ConfigError("'experiments' must be a mapping")
@@ -543,6 +552,8 @@ def _load_config(path: str | None) -> dict:
         unknown = set(overrides) - set(DEFAULTS[name])
         if unknown:
             raise ConfigError(f"unknown parameter(s) for {name!r}: {sorted(unknown)}")
+        for key, value in overrides.items():
+            _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
     return cfg
 
 
@@ -597,7 +608,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
+        seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         out_root = Path(args.out)

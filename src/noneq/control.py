@@ -28,10 +28,10 @@ import numpy as np
 from .errors import BlowUpError, PositivityError, SpecError
 from .fokker_planck import (GridDensity1D, _box_from_spec, _fitted_rates, _grid_steps,
                             _theta_step)
-from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard
+from .gaussian_oracle import RICCATI_SUBSTEPS, GaussianLaw, _riccati_grid, _riccati_guard
 from .model import BrownianSpec, LangevinSpec, partition_function
 from .odes import rk4_path
-from .sde import ControlField, _overdamped_step, _run_blocks
+from .sde import _overdamped_step, _run_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -125,29 +125,26 @@ class GridControl1D:
         sig = np.array([float(self.spec.diffusion.sigma(s)[0, 0]) for s in self.times])
         return -2.0 * sig[:, None] * du
 
-    def control_field(self) -> ControlField:
+    def control_field(self):
+        """The control u*(x, s), interpolated from :meth:`control_grid`."""
         ugrid = self.control_grid()
+        return lambda x, s: self._interp(ugrid, x, s)[:, None]
 
-        def evaluate(x, s):
-            return self._interp(ugrid, x, s)[:, None]
-
-        return ControlField(evaluate, tag="grid-pde")
+    def _tilted(self) -> GridDensity1D:
+        """exp(-beta V(., 0)) g(., 0) on the grid, unnormalised."""
+        vals = np.exp(-self.spec.beta * self.spec.potential.v(self.x[:, None], 0.0)) \
+            * self.g[0]
+        return GridDensity1D(self.lo, self.hi, vals, 0.0)
 
     def tilted_initial_density(self) -> GridDensity1D:
         """Normalised optimal starting density exp(-beta V(., 0)) g(., 0) / Z(T)."""
-        vals = np.exp(-self.spec.beta * self.spec.potential.v(self.x[:, None], 0.0)) \
-            * self.g[0]
-        return GridDensity1D(self.lo, self.hi, vals, 0.0).normalized()
+        return self._tilted().normalized()
 
     def tilted_initial_mass(self) -> float:
         """Unnormalised mass of the tilted start; equals 1 when consistent."""
-        h = (self.hi - self.lo) / self.g.shape[1]
-        vals = np.exp(-self.spec.beta * self.spec.potential.v(self.x[:, None], 0.0)) \
-            * self.g[0]
-        z_t = partition_function(self.spec, self.spec.horizon).z
-        return float(np.sum(vals) * h / z_t)
+        return self._tilted().mass() / partition_function(self.spec, self.spec.horizon).z
 
-    def hjb_residual(self, core_std: float = 5.0) -> float:
+    def hjb_residual(self) -> float:
         """Max | U_s + L U - gamma (U_x)^2 + dV/ds | over the core region.
 
         The core masks out the zero-flux boundary layer, where the boxed
@@ -175,7 +172,7 @@ class GridControl1D:
             resid[i] = u_s[i] + lu - gamma * ux ** 2 \
                 + self.spec.potential.dv_ds(x[:, None], s)
         center, std = self.spec.potential.envelope(0.0, self.spec.beta)
-        core = np.abs(x - center) <= core_std * std
+        core = np.abs(x - center) <= 5.0 * std
         return float(np.max(np.abs(resid[:, core])))
 
 
@@ -230,7 +227,7 @@ class LangevinRiccati:
     u*(q, p, s) = -2 sqrt(xi) (Lqp q + Lpp p) and the tilted initial law.
     """
 
-    def __init__(self, spec: LangevinSpec, times, substeps: int = 32):
+    def __init__(self, spec: LangevinSpec, times):
         if not spec.potential.is_quadratic:
             raise SpecError("kinetic riccati solution requires a quadratic potential")
         pot = spec.potential
@@ -258,7 +255,7 @@ class LangevinRiccati:
             dc0 = -(xi / beta) * n * lpp
             return dqq, dqp, dpp, dc0
 
-        back = rk4_path(rhs, coef, np.zeros(4), self.times[::-1], substeps)
+        back = rk4_path(rhs, coef, np.zeros(4), self.times[::-1], RICCATI_SUBSTEPS)
         coeffs = back[::-1]
         self.lqq = coeffs[:, 0].copy()
         self.lqp = coeffs[:, 1].copy()
@@ -290,9 +287,6 @@ class LangevinRiccati:
         _, lqp, lpp, _ = self._coef(s)
         return -2.0 * math.sqrt(self.spec.xi) * (lqp * x[..., :n] + lpp * x[..., n:])
 
-    def control_field(self) -> ControlField:
-        return ControlField(self.control, tag="kinetic-riccati")
-
     def _initial_precision(self) -> np.ndarray:
         n = self.spec.dimension
         eta0 = float(self.spec.potential.k.value(0.0))
@@ -311,10 +305,9 @@ class LangevinRiccati:
             raise BlowUpError("tilted initial law is not normalisable")
         return GaussianLaw(np.zeros(prec.shape[0]), np.linalg.inv(prec))
 
-    def tilted_initial_mass(self, z_horizon: float | None = None) -> float:
+    def tilted_initial_mass(self) -> float:
         """integral of exp(-beta(H(., 0) + U(., 0))) / Z(T); 1 when consistent."""
-        if z_horizon is None:
-            z_horizon = partition_function(self.spec, self.spec.horizon).z
+        z_horizon = partition_function(self.spec, self.spec.horizon).z
         prec = self._initial_precision()
         n2 = prec.shape[0]
         sign, logdet = np.linalg.slogdet(prec)
@@ -325,5 +318,5 @@ class LangevinRiccati:
         return math.exp(log_mass)
 
 
-def langevin_control_solution(spec: LangevinSpec, times, substeps: int = 32) -> LangevinRiccati:
-    return LangevinRiccati(spec, times, substeps)
+def langevin_control_solution(spec: LangevinSpec, times) -> LangevinRiccati:
+    return LangevinRiccati(spec, times)

@@ -133,19 +133,12 @@ def _grid_trace(spec, solution) -> EntropyTrace:
     return _trace(solution.times, (solution.density(t) for t in solution.times), point)
 
 
-def production_rate_check_brownian(spec: BrownianSpec, states, times=None) -> EntropyTrace:
-    """Overdamped identity check on Gaussian laws at ``times`` (quadratic
-    potentials) or on a 1D grid solution."""
-    if isinstance(states, FPSolution1D):
-        return _grid_trace(spec, states)
-    return _gaussian_trace(spec, states, times)
-
-
-def production_rate_check_langevin(spec: LangevinSpec, states, times=None) -> EntropyTrace:
-    """Kinetic identity check on Gaussian phase-space laws at ``times``
-    (quadratic potentials) or on a 2D grid solution; the Fisher form only
-    sees the momentum block, weighted by xi."""
-    if isinstance(states, FPSolution2D):
+def production_rate_check(spec, states, times=None) -> EntropyTrace:
+    """Identity check on Gaussian laws at ``times`` (quadratic potentials) or
+    on a grid solution: 1D for overdamped dynamics, 2D phase space for
+    kinetic ones, where the Fisher form only sees the momentum block,
+    weighted by xi."""
+    if isinstance(states, (FPSolution1D, FPSolution2D)):
         return _grid_trace(spec, states)
     return _gaussian_trace(spec, states, times)
 
@@ -169,8 +162,11 @@ def _gronwall(times, y0: float, terms: Callable, tol: float) -> np.ndarray:
     """y(s) = e^{-A(s)} y0 + int_0^s f(u) e^{A(u)-A(s)} du on ``times``, where
     ``terms(grid, h)`` returns A and f on a uniform grid of spacing h over
     [0, times[-1]]; evaluated by cumulative Simpson on doubling grids until
-    the result is stable to ``tol``."""
+    the result is stable to ``tol``.  ``times`` must be non-negative and
+    non-decreasing, or the grid would not cover them: SpecError."""
     times = np.asarray(times, dtype=float)
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise SpecError("envelope times must be non-negative and non-decreasing")
     hi = float(times[-1])
     m = 1024
     prev = None
@@ -226,16 +222,14 @@ def decay_bound_lipschitz(times, r0: float, beta: float, gamma_minus: float,
     return _gronwall_envelope(times, r0, beta, gamma_minus, kappa_fn, forcing, tol)
 
 
-def bakry_emery_kappa(spec: BrownianSpec, s: float, probes: int = 2001,
-                      radius_std: float = 10.0) -> float:
+def bakry_emery_kappa(spec: BrownianSpec, s: float) -> float:
     """Log-Sobolev constant beta * min eig Hessian(V) from convexity probing."""
     center, std = spec.potential.envelope(s, spec.beta)
-    axis = np.linspace(center - radius_std * std, center + radius_std * std, probes)
+    lo, hi = center - 10.0 * std, center + 10.0 * std
     if spec.dimension == 1:
-        pts = axis[:, None]
+        pts = np.linspace(lo, hi, 2001)[:, None]
     elif spec.dimension == 2:
-        g = np.linspace(center - radius_std * std, center + radius_std * std,
-                        int(math.isqrt(probes)))
+        g = np.linspace(lo, hi, 44)
         xx, yy = np.meshgrid(g, g, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
     else:
@@ -430,7 +424,7 @@ class InequalityReport:
     talagrand_ok: bool
 
 
-def pinsker_talagrand_report(p, q, kappa: float, slack: float = 1e-12) -> InequalityReport:
+def pinsker_talagrand_report(p, q, kappa: float) -> InequalityReport:
     """TV <= sqrt(2 KL) and W2 <= sqrt(2 KL / kappa) for Gaussian or 1D grid pairs.
 
     ``kappa`` is the log-Sobolev constant of the reference measure q.
@@ -449,21 +443,11 @@ def pinsker_talagrand_report(p, q, kappa: float, slack: float = 1e-12) -> Inequa
     tal = math.sqrt(max(2.0 * kl / kappa, 0.0))
     return InequalityReport(
         tv=tv, sqrt_two_kl=sqrt_two_kl, w2=w2, talagrand_bound=tal,
-        pinsker_ok=bool(not math.isnan(tv) and tv <= sqrt_two_kl + slack),
-        talagrand_ok=bool(w2 <= tal + slack),
+        pinsker_ok=bool(not math.isnan(tv) and tv <= sqrt_two_kl + 1e-12),
+        talagrand_ok=bool(w2 <= tal + 1e-12),
     )
 
 
 def _grid_w2_1d(p: GridDensity1D, q: GridDensity1D, n_quantiles: int = 20001) -> float:
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
-    qp = _grid_quantiles(p, u)
-    qq = _grid_quantiles(q, u)
-    return math.sqrt(float(np.mean((qp - qq) ** 2)))
-
-
-def _grid_quantiles(d: GridDensity1D, u: np.ndarray) -> np.ndarray:
-    cdf = np.concatenate([[0.0], np.cumsum(d.values) * d.h])
-    cdf /= cdf[-1]
-    edges = np.linspace(d.lo, d.hi, len(d.values) + 1)
-    cdf, keep = np.unique(cdf, return_index=True)
-    return np.interp(u, cdf, edges[keep])
+    return math.sqrt(float(np.mean((p.quantile(u) - q.quantile(u)) ** 2)))

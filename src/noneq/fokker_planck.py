@@ -66,17 +66,19 @@ class GridDensity1D:
     def normalized(self) -> "GridDensity1D":
         return GridDensity1D(self.lo, self.hi, self.values / self.mass(), self.s)
 
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF at ``u`` in [0, 1), linear within each cell; ``u`` falls
+        in the cell i with F_i <= u < F_{i+1}, so never in an empty one."""
+        cdf = np.concatenate([[0.0], np.cumsum(self.values) * self.h])
+        cdf /= cdf[-1]
+        edges = np.linspace(self.lo, self.hi, len(self.values) + 1)
+        i = np.minimum(np.searchsorted(cdf, u, side="right") - 1, len(self.values) - 1)
+        slope = (edges[i + 1] - edges[i]) / (cdf[i + 1] - cdf[i])
+        return slope * (u - cdf[i]) + edges[i]
+
     def sampler(self) -> Callable[[np.random.Generator, int], np.ndarray]:
         """Inverse-CDF sampler (piecewise-linear within cells)."""
-        cdf = np.concatenate([[0.0], np.cumsum(self.values) * self.h])
-        cdf = cdf / cdf[-1]
-        edges = np.linspace(self.lo, self.hi, len(self.values) + 1)
-
-        def sample(gen: np.random.Generator, size: int) -> np.ndarray:
-            u = gen.random(size)
-            return np.interp(u, cdf, edges)[:, None]
-
-        return sample
+        return lambda gen, size: self.quantile(gen.random(size))[:, None]
 
     def logpdf_interp(self, pts: np.ndarray) -> np.ndarray:
         vals = np.interp(pts, self.x, np.log(np.maximum(self.values, TINY)))
@@ -309,20 +311,24 @@ def _box_from_spec(spec, radius_std: float):
     return min(los), max(his)
 
 
-def _init_values_1d(init, x: np.ndarray, h: float) -> np.ndarray:
+def _init_values(init, axes: list, vol: float) -> np.ndarray:
+    """Initial cell values on the grid with cell-centre ``axes``, scaled to
+    unit mass.  ``init`` is a grid density on that grid, a GaussianLaw, a
+    callable ``init(*axes)`` or an array of cell values; ``vol`` is the cell
+    volume."""
     from .gaussian_oracle import GaussianLaw
 
-    if isinstance(init, GridDensity1D):
-        if not _same_grid(_axes(init), [x]):
+    if isinstance(init, (GridDensity1D, GridDensity2D)):
+        if not _same_grid(_axes(init), axes):
             raise SpecError("initial grid density is not on the solver grid")
         vals = init.values.copy()
     elif isinstance(init, GaussianLaw):
-        vals = init.pdf(x[:, None])
+        vals = init.pdf(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     elif callable(init):
-        vals = np.asarray(init(x), dtype=float)
+        vals = np.asarray(init(*axes), dtype=float)
     else:
         vals = np.asarray(init, dtype=float)
-    return _normalized_init(vals, x.shape, h)
+    return _normalized_init(vals, tuple(len(a) for a in axes), vol)
 
 
 def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
@@ -344,7 +350,7 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
     x = GridDensity1D.centers(lo, hi, cells)
-    rho = _init_values_1d(init, x, h)
+    rho = _init_values(init, [x], h)
 
     times = [0.0]
     snaps = [rho.copy()]
@@ -431,24 +437,6 @@ def _cubic_interp2(field: np.ndarray, fq: np.ndarray, fp: np.ndarray) -> np.ndar
     return out
 
 
-def _init_values_2d(init, qs, ps, vol) -> np.ndarray:
-    from .gaussian_oracle import GaussianLaw
-
-    if isinstance(init, GridDensity2D):
-        if not _same_grid(_axes(init), [qs, ps]):
-            raise SpecError("initial grid density is not on the solver grid")
-        vals = init.values.copy()
-    elif isinstance(init, GaussianLaw):
-        qq, pp = np.meshgrid(qs, ps, indexing="ij")
-        pts = np.stack([qq, pp], axis=-1)
-        vals = init.pdf(pts)
-    elif callable(init):
-        vals = np.asarray(init(qs, ps), dtype=float)
-    else:
-        vals = np.asarray(init, dtype=float)
-    return _normalized_init(vals, (len(qs), len(ps)), vol)
-
-
 def _normalized_init(vals: np.ndarray, shape: tuple, vol: float) -> np.ndarray:
     """Initial cell values scaled to unit mass; SpecError for a wrong shape,
     non-finite values or zero mass, PositivityError for negative cells."""
@@ -492,7 +480,7 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     qs = GridDensity1D.centers(qlo, qhi, nq)
     ps = GridDensity1D.centers(plo, phi, npp)
     vol = hq * hp
-    rho = _init_values_2d(init, qs, ps, vol)
+    rho = _init_values(init, [qs, ps], vol)
 
     beta, xi = spec.beta, spec.xi
     # Momentum friction-diffusion: fitted flux against exp(-beta p^2 / 2m),

@@ -16,10 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, SpecError
-from .model import BrownianSpec, LangevinSpec, NoCirculation
+from .model import BrownianSpec, LangevinSpec, NoCirculation, partition_function
 from .odes import rk4_path
 
 RICCATI_BLOWUP = 1e8
+RICCATI_SUBSTEPS = 32  # RK4 substeps per knot interval of a backward Riccati solve
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,14 @@ def _moment_rhs(c, y):
     return dm.tolist() + dc.ravel().tolist()
 
 
+def _forward_times(times) -> np.ndarray:
+    """Knots of a forward solve: SpecError if they decrease; a repeat is a zero step."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise SpecError("moment propagation needs non-decreasing times")
+    return times
+
+
 def _moment_path(coef, dim: int, init: GaussianLaw, times, substeps=16):
     if init.dim != dim:
         raise SpecError(f"initial law has dimension {init.dim}, the dynamics {dim}")
@@ -225,7 +234,7 @@ def _moment_path(coef, dim: int, init: GaussianLaw, times, substeps=16):
 
 def ou_moments_path(spec: BrownianSpec, init: GaussianLaw, times, substeps: int = 16):
     """Gaussian laws of the overdamped process at ``times`` (ODE-exact moments)."""
-    return _moment_path(_ou_system(spec), spec.dimension, init, times, substeps)
+    return _moment_path(_ou_system(spec), spec.dimension, init, _forward_times(times), substeps)
 
 
 def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 32) -> GaussianLaw:
@@ -303,7 +312,7 @@ class LangevinPropagator:
 
     def __init__(self, spec: LangevinSpec, times, substeps: int = 16):
         self.spec = spec
-        self.times = np.asarray(times, dtype=float)
+        self.times = _forward_times(times)
         self.substeps = substeps
         self._coef = _langevin_system(spec)
 
@@ -351,7 +360,7 @@ class BrownianRiccati:
     g = exp(-beta U) and the tilted initial law.
     """
 
-    def __init__(self, spec: BrownianSpec, times, substeps: int = 32):
+    def __init__(self, spec: BrownianSpec, times):
         if spec.dimension != 1:
             raise SpecError("the quadratic value function solver is one-dimensional")
         if not spec.potential.is_quadratic:
@@ -377,7 +386,7 @@ class BrownianRiccati:
                 - 0.5 * kd * mu * mu - k * mud * mu
             return da, dd, dc
 
-        back = rk4_path(rhs, coef, np.zeros(3), self.times[::-1], substeps)
+        back = rk4_path(rhs, coef, np.zeros(3), self.times[::-1], RICCATI_SUBSTEPS)
         coeffs = back[::-1]
         self.alpha = coeffs[:, 0].copy()
         self.delta = coeffs[:, 1].copy()
@@ -420,12 +429,9 @@ class BrownianRiccati:
         mean = -(d0 - k0 * mu0) / (k0 + 2.0 * a0)
         return GaussianLaw(np.array([mean]), np.array([[var]]))
 
-    def tilted_initial_mass(self, z_horizon: float | None = None) -> float:
+    def tilted_initial_mass(self) -> float:
         """integral of exp(-beta(V+U)) / Z(T); equals 1 when all is consistent."""
-        from .model import partition_function
-
-        if z_horizon is None:
-            z_horizon = partition_function(self.spec, self.spec.horizon).z
+        z_horizon = partition_function(self.spec, self.spec.horizon).z
         pot = self.spec.potential
         beta = self.spec.beta
         k0 = float(pot.k.value(0.0))
@@ -437,5 +443,5 @@ class BrownianRiccati:
         return integral / z_horizon
 
 
-def riccati_value_function(spec: BrownianSpec, times, substeps: int = 32) -> BrownianRiccati:
-    return BrownianRiccati(spec, times, substeps)
+def riccati_value_function(spec: BrownianSpec, times) -> BrownianRiccati:
+    return BrownianRiccati(spec, times)

@@ -577,10 +577,10 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int):
     return x, w
 
 
-def _boltzmann_integral(spec, s: float, radius_std: float, panels: int, order: int) -> float:
+def _boltzmann_integral(spec, s: float, panels: int, order: int) -> float:
     n = spec.dimension
     center, std = spec.potential.envelope(s, spec.beta)
-    lo, hi = center - radius_std * std, center + radius_std * std
+    lo, hi = center - 8.0 * std, center + 8.0 * std
     x1, w1 = _gauss_legendre_panels(lo, hi, panels, order)
     if n == 1:
         vals = np.exp(-spec.beta * spec.potential.v(x1[:, None], s))
@@ -600,18 +600,17 @@ def _boltzmann_integral(spec, s: float, radius_std: float, panels: int, order: i
     return z
 
 
-def partition_function(spec, s: float, radius_std: float = 8.0) -> GibbsSnapshot:
+def partition_function(spec, s: float) -> GibbsSnapshot:
     """Z(s) and F(s) = -ln Z(s)/beta by composite Gauss-Legendre quadrature.
 
     The position integral is the quadrature; the error estimate is the
-    difference between two refinement levels, the box spans ``radius_std``
-    envelope standard deviations and the boundary weight is checked to be
-    negligible.  A Langevin spec multiplies in the exact Gaussian momentum
-    integral (2 pi / beta)^{n/2} det(M)^{1/2}.
+    difference between two refinement levels, the box spans 8 envelope
+    standard deviations and the boundary weight is checked to be negligible.
+    A Langevin spec multiplies in the exact Gaussian momentum integral
+    (2 pi / beta)^{n/2} det(M)^{1/2}.
     """
-    panels = max(8, int(2 * radius_std))
-    z_coarse = _boltzmann_integral(spec, s, radius_std, panels, 24)
-    z = _boltzmann_integral(spec, s, radius_std, 2 * panels, 32)
+    z_coarse = _boltzmann_integral(spec, s, 16, 24)
+    z = _boltzmann_integral(spec, s, 32, 32)
     err = abs(z - z_coarse)
     if not (z > 0) or not math.isfinite(z):
         raise QuadratureError("partition function quadrature returned a non-positive value")
@@ -722,8 +721,7 @@ class ValidationReport:
     messages: list[str]
 
 
-def validate_spec(spec, tol: float = 1e-8, probes: int = 41,
-                  radius_std: float = 6.0) -> ValidationReport:
+def validate_spec(spec, tol: float = 1e-8, probes: int = 41) -> ValidationReport:
     """Check Gibbs compatibility of the circulation and uniform ellipticity.
 
     The stationarity residual is |div J - beta J . grad V| e^{-beta V}
@@ -742,7 +740,7 @@ def validate_spec(spec, tol: float = 1e-8, probes: int = 41,
     max_resid = 0.0
     for s in times:
         center, std = spec.potential.envelope(s, spec.beta)
-        axis = np.linspace(center - radius_std * std, center + radius_std * std, probes)
+        axis = np.linspace(center - 6.0 * std, center + 6.0 * std, probes)
         if n == 1:
             pts = axis[:, None]
         elif n == 2:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .control import GridControl1D, LangevinRiccati
 from .errors import SpecError
-from .fokker_planck import GridDensity1D, _box_from_spec, solve_fp_1d
+from .fokker_planck import GridDensity1D, solve_fp_1d
 from .gaussian_oracle import BrownianRiccati, langevin_propagator, ou_moments_path
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
-from .sde import ControlField, simulate_forward, simulate_langevin
+from .sde import simulate_forward, simulate_langevin
 
 
 def _sidak_ks_coefficient(level: float, rows: int) -> float:
@@ -91,9 +91,8 @@ def _drift_residuals(spec, times, reverse_laws, gap) -> DriftIdentityReport:
     return DriftIdentityReport(times=times, residuals=resid)
 
 
-def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati, times,
-                         probe_std: float = 6.0, n_probe: int = 41,
-                         substeps: int = 64) -> DriftIdentityReport:
+def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati,
+                         times) -> DriftIdentityReport:
     """Analytic check for quadratic dynamics.
 
     The reverse-process law is transported exactly (Gaussian moments), its
@@ -103,30 +102,29 @@ def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati, times,
 
     def reverse_laws(rev_times):
         return ou_moments_path(spec.reversed(), gibbs_gaussian(spec, spec.horizon), rev_times,
-                               substeps=substeps)
+                               substeps=64)
 
     def gap(law, s):
         center, std = spec.potential.envelope(s, spec.beta)
-        pts = np.linspace(center - probe_std * std, center + probe_std * std, n_probe)[:, None]
+        pts = np.linspace(center - 6.0 * std, center + 6.0 * std, 41)[:, None]
         return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
                 - steered_drift(spec, riccati.control, pts, s))
 
     return _drift_residuals(spec, times, reverse_laws, gap)
 
 
-def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati, times,
-                                 probe_std: float = 5.0, n_probe: int = 13,
-                                 substeps: int = 64) -> DriftIdentityReport:
+def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati,
+                                 times) -> DriftIdentityReport:
     """Kinetic analogue of :func:`drift_identity_check` on a fixed (q, p)
     probe grid; the score correction only enters the momentum block."""
     if spec.dimension != 1:
         raise SpecError("the kinetic drift check probes a 1D position grid")
-    axis = np.linspace(-probe_std, probe_std, n_probe)
+    axis = np.linspace(-5.0, 5.0, 13)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
 
     def reverse_laws(rev_times):
-        prop = langevin_propagator(spec.reversed(), rev_times, substeps=substeps)
+        prop = langevin_propagator(spec.reversed(), rev_times, substeps=64)
         return prop.push(gibbs_gaussian(spec, spec.horizon))
 
     def gap(law, s):
@@ -208,13 +206,12 @@ def _compare_samples(rows, t, fwd: np.ndarray, rev: np.ndarray):
                                        ks_stat=ks, ks_crit=ks_crit))
 
 
-def _matched_marginals(spec, times, seed: int, forward, reverse) -> LawEquivalenceReport:
+def _matched_marginals(spec, seed: int, forward, reverse) -> LawEquivalenceReport:
     """Match the finite paths of ``forward(store_times, seed)`` at each forward
-    time s against those of ``reverse(store_times, seed + 104729)`` at T - s."""
+    time s = T/5, 2T/5, ..., T against those of
+    ``reverse(store_times, seed + 104729)`` at T - s."""
     T = spec.horizon
-    if times is None:
-        times = np.linspace(0.0, T, 6)[1:]
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(0.0, T, 6)[1:]
     fwd = forward(list(times), seed)
     rev = reverse([T - t for t in times], seed + 104729)
     report = LawEquivalenceReport(n_forward=int(fwd.finite().sum()),
@@ -227,8 +224,7 @@ def _matched_marginals(spec, times, seed: int, forward, reverse) -> LawEquivalen
 
 
 def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
-                         n_paths: int, dt: float, seed: int = 0,
-                         times=None) -> LawEquivalenceReport:
+                         n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
     """Steered forward ensemble vs time-flipped reverse ensemble (overdamped).
 
     The forward run starts from the tilted initial law and follows the
@@ -237,23 +233,22 @@ def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
     marginals at T - s.
     """
     return _matched_marginals(
-        spec, times, seed,
+        spec, seed,
         lambda store, sd: simulate_forward(spec, n_paths, dt, seed=sd,
                                            init=riccati.tilted_initial_law(), store_times=store,
-                                           control=ControlField(riccati.control, tag="riccati")),
+                                           control=riccati.control),
         lambda store, sd: simulate_forward(spec.reversed(), n_paths, dt, seed=sd,
                                            store_times=store))
 
 
 def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: LangevinRiccati,
-                                 n_paths: int, dt: float, seed: int = 0,
-                                 times=None) -> LawEquivalenceReport:
+                                 n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
     """Kinetic version of the matched-marginal test on stacked (q, p) states."""
     return _matched_marginals(
-        spec, times, seed,
+        spec, seed,
         lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd,
                                             init=riccati.tilted_initial_law(), store_times=store,
-                                            control=riccati.control_field()),
+                                            control=riccati.control),
         lambda store, sd: simulate_langevin(spec.reversed(), n_paths, dt, seed=sd,
                                             store_times=store))
 
@@ -272,34 +267,31 @@ class ReverseDensityReport:
         return float(np.max(self.l1_errors))
 
 
-def _reverse_march(spec: BrownianSpec, dt: float, cells: int, radius_std: float,
-                   n_check: int):
-    """March rho^R from exp(-beta V(., T)) / Z(T) on the reversed spec's box.
+def _reverse_march(spec: BrownianSpec, dt: float, cells: int):
+    """March rho^R from exp(-beta V(., T)) / Z(T) on the reversed spec's box,
+    recording about 20 slices; the grid checks share this march.
 
-    Returns the solution, Z(T), the recorded reverse times nearest to
-    ``n_check`` evenly spaced ones, and for each of them the forward time
-    s = T - u with the slice recorded there.
+    Returns the solution, Z(T), the recorded reverse times nearest to 5
+    evenly spaced ones, and for each of them the forward time s = T - u with
+    the slice recorded there.
     """
     if spec.dimension != 1:
         raise SpecError("the reverse grid march is one-dimensional")
-    rspec = spec.reversed()
-    lo, hi = _box_from_spec(rspec, radius_std)
-    x = GridDensity1D.centers(lo, hi, cells)
     z_t = partition_function(spec, spec.horizon).z
-    init = np.exp(-spec.beta * spec.potential.v(x[:, None], spec.horizon)) / z_t
 
-    record = max(1, _step_count(spec.horizon, dt) // (4 * n_check))
-    sol = solve_fp_1d(rspec, init, dt, cells=cells, radius_std=radius_std,
-                      record_every=record)
-    check_times = np.linspace(0.0, spec.horizon, n_check + 1)[1:]
+    def init(x):
+        return np.exp(-spec.beta * spec.potential.v(x[:, None], spec.horizon)) / z_t
+
+    sol = solve_fp_1d(spec.reversed(), init, dt, cells=cells, radius_std=10.0,
+                      record_every=max(1, _step_count(spec.horizon, dt) // 20))
+    check_times = np.linspace(0.0, spec.horizon, 6)[1:]
     idx = [int(np.argmin(np.abs(sol.times - u))) for u in check_times]
     slices = [(spec.horizon - float(sol.times[i]), sol.snapshots[i]) for i in idx]
     return sol, z_t, sol.times[idx], slices
 
 
 def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
-                          cells: int = 800, radius_std: float = 10.0,
-                          n_check: int = 5) -> ReverseDensityReport:
+                          cells: int = 800) -> ReverseDensityReport:
     """March the reverse-process density and compare with exp(-beta V) g / Z(T).
 
     Both solvers share the same box, so the comparison is pointwise in the
@@ -307,7 +299,7 @@ def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
     T) doubles as a check that the reverse process ends in the tilted
     initial law.
     """
-    return _density_report(spec, control, _reverse_march(spec, dt, cells, radius_std, n_check))
+    return _density_report(spec, control, _reverse_march(spec, dt, cells))
 
 
 def _density_report(spec, control, march) -> ReverseDensityReport:
@@ -323,9 +315,7 @@ def _density_report(spec, control, march) -> ReverseDensityReport:
 
 
 def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: float,
-                              cells: int = 800, radius_std: float = 10.0,
-                              n_check: int = 5, core_std: float = 4.0
-                              ) -> DriftIdentityReport:
+                              cells: int = 800) -> DriftIdentityReport:
     """Drift-level identity along a finite-volume reverse run.
 
     The score is a centred difference of ln rho^R restricted to the core of
@@ -333,11 +323,10 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
     limited by the spatial resolution (second-order differences), which sets
     the tolerance callers should use.
     """
-    return _grid_drift_report(spec, control, _reverse_march(spec, dt, cells, radius_std, n_check),
-                              core_std)
+    return _grid_drift_report(spec, control, _reverse_march(spec, dt, cells))
 
 
-def _grid_drift_report(spec, control, march, core_std: float) -> DriftIdentityReport:
+def _grid_drift_report(spec, control, march) -> DriftIdentityReport:
     sol, _, _, slices = march
     cells = sol.snapshots.shape[1]
     x = GridDensity1D.centers(sol.lo, sol.hi, cells)
@@ -348,7 +337,7 @@ def _grid_drift_report(spec, control, march, core_std: float) -> DriftIdentityRe
     def gap(rho, s):
         score = np.gradient(np.log(np.maximum(rho, 1e-300)), h)
         center, std = spec.potential.envelope(s, spec.beta)
-        core = np.abs(x - center) <= core_std * std
+        core = np.abs(x - center) <= 4.0 * std  # away from the zero-flux walls
         pts = x[core][:, None]
         return (rereversed_drift(spec, lambda _x, _u: score[core][:, None], pts, s)
                 - steered_drift(spec, steer, pts, s))
@@ -360,7 +349,7 @@ def _grid_drift_report(spec, control, march, core_std: float) -> DriftIdentityRe
 
 def _grid_reversal_reports(spec: BrownianSpec, control: GridControl1D, dt: float,
                            cells: int) -> tuple[DriftIdentityReport, ReverseDensityReport]:
-    """:func:`grid_drift_identity_check` and :func:`reverse_density_check` at
-    their defaults, from one reverse march."""
-    march = _reverse_march(spec, dt, cells, 10.0, 5)
-    return _grid_drift_report(spec, control, march, 4.0), _density_report(spec, control, march)
+    """:func:`grid_drift_identity_check` and :func:`reverse_density_check`
+    from one reverse march."""
+    march = _reverse_march(spec, dt, cells)
+    return _grid_drift_report(spec, control, march), _density_report(spec, control, march)

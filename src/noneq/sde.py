@@ -31,25 +31,6 @@ BLOWUP_FRACTION = 1e-3
 
 
 @dataclass
-class ControlField:
-    """A feedback control u(x, s) valued in the noise space R^m.
-
-    The blocks of a run may call ``evaluate`` concurrently from several
-    threads, so it must not mutate shared state.
-    """
-
-    evaluate: Callable[[np.ndarray, float], np.ndarray]
-    tag: str = "custom"
-
-    def __call__(self, x, s):
-        return self.evaluate(x, s)
-
-
-def zero_control(m: int) -> ControlField:
-    return ControlField(lambda x, s: np.zeros(x.shape[:-1] + (m,)), tag="zero")
-
-
-@dataclass
 class TrajectoryEnsemble:
     """States, cumulative work and change-of-measure exponents on snapshot times."""
 
@@ -279,7 +260,7 @@ def _girsanov(g, u, z, beta, dt):
 # overdamped dynamics
 # ---------------------------------------------------------------------------
 
-def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[ControlField] = None):
+def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[Callable] = None):
     """The Euler-Maruyama step of the overdamped dynamics, optionally controlled."""
     n, m = spec.diffusion.shape
     amp = math.sqrt(2.0 * dt / spec.beta)
@@ -304,13 +285,16 @@ def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[ControlFie
 
 
 def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
-                     init=None, store_times=None, control: Optional[ControlField] = None,
+                     init=None, store_times=None, control: Optional[Callable] = None,
                      noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble of the overdamped SDE on [0, T].
 
-    ``noise`` may inject standard-normal increments of shape (K, N, m) for
-    reproducibility experiments; otherwise each path block draws its own
-    counter-based stream.  The reverse process is ``spec.reversed()``.
+    ``control`` is a feedback ``u(x, s)`` valued in the noise space R^m.  The
+    path blocks of a run may call it from several threads at once, so it must
+    not mutate shared state.  ``noise`` may inject standard-normal increments
+    of shape (K, N, m) for reproducibility experiments; otherwise each path
+    block draws its own counter-based stream.  The reverse process is
+    ``spec.reversed()``.
     """
     return _run_blocks(lambda: _overdamped_step(spec, dt, control), spec.horizon,
                        n_paths, dt, seed, _resolve_init(spec, init), spec.dimension,
@@ -321,7 +305,7 @@ def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
 # kinetic dynamics
 # ---------------------------------------------------------------------------
 
-def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField],
+def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[Callable],
                   method: str):
     """The euler or BAOAB step of the kinetic dynamics."""
     n, pot, sign, minv = spec.dimension, spec.potential, spec.transport, spec.mass_inv
@@ -367,14 +351,17 @@ def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[ControlField]
 
 def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,
                       init=None, store_times=None,
-                      control: Optional[ControlField] = None,
+                      control: Optional[Callable] = None,
                       noise: Optional[np.ndarray] = None,
                       method: str = "euler") -> TrajectoryEnsemble:
     """Ensemble of the kinetic dynamics on [0, T].
 
     States are stacked (q, p).  The reverse process is ``spec.reversed()``;
-    its default initial law is the Gibbs law at the horizon.  The optional
-    ``baoab`` splitting is available for uncontrolled runs.
+    its default initial law is the Gibbs law at the horizon.  ``control`` is a
+    feedback ``u(x, s)`` on the momentum channel, valued in R^n; as in
+    :func:`simulate_forward`, the path blocks may call it from several threads
+    at once, so it must not mutate shared state.  The optional ``baoab``
+    splitting is available for uncontrolled runs.
     """
     if method not in ("euler", "baoab"):
         raise SpecError(f"unknown integrator {method!r}")

@@ -35,8 +35,7 @@ from noneq import (
     optimize_omega,
     ou_moments_path,
     pinsker_talagrand_report,
-    production_rate_check_brownian,
-    production_rate_check_langevin,
+    production_rate_check,
     riccati_value_function,
     simulate_forward,
     solve_fp_1d,
@@ -44,7 +43,6 @@ from noneq import (
     variance_report,
 )
 from noneq.model import DiffusionFactor
-from noneq.sde import ControlField
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = ""):
@@ -63,7 +61,7 @@ def test_criterion_01_production_identity_brownian():
     times = np.linspace(0.0, 1.0, 401)
     laws = ou_moments_path(spec, GaussianLaw(np.array([2.0]),
                                              np.array([[0.5]])), times)
-    trace = production_rate_check_brownian(spec, laws, times)
+    trace = production_rate_check(spec, laws, times)
     elapsed = time.perf_counter() - t0
     ok = trace.max_residual <= 1e-6 and elapsed < 5.0
     verdict(1, "entropy production identity, analytic diffusion case", ok,
@@ -77,7 +75,7 @@ def test_criterion_02_production_identity_langevin():
     times = np.linspace(0.0, 1.0, 401)
     init = GaussianLaw(np.array([0.8, -0.4]), np.diag([0.6, 1.2]))
     laws = langevin_propagator(spec, times).push(init)
-    trace = production_rate_check_langevin(spec, laws, times)
+    trace = production_rate_check(spec, laws, times)
     elapsed = time.perf_counter() - t0
     ok = trace.max_residual <= 1e-5 and elapsed < 10.0
     verdict(2, "entropy production identity, kinetic propagator case", ok,
@@ -91,7 +89,7 @@ def test_criterion_03_monotone_decay_moving_diffusion():
         gamma_minus=1.5)
     init = GaussianLaw(np.array([0.5]), np.array([[0.7]]))
     sol = solve_fp_1d(spec, init, dt=1e-3, cells=800, theta=1.0, record_every=5)
-    trace = production_rate_check_brownian(spec, sol)
+    trace = production_rate_check(spec, sol)
     ok = trace.max_dr <= 1e-6
     verdict(3, "divergence decays under a frozen potential, moving noise", ok,
             f"max dR/ds {trace.max_dr:.2e} <= 1e-06 at {len(trace.times)} times")
@@ -107,7 +105,7 @@ def test_criterion_04_decay_envelopes_tanh_perturbation():
 
     sol = solve_fp_1d(spec, init, dt=2.5e-4, cells=1200, radius_std=10.0,
                       theta=0.5, record_every=40)
-    trace = production_rate_check_brownian(spec, sol)
+    trace = production_rate_check(spec, sol)
     coeff = 4.0 / (3.0 * math.sqrt(3.0))
 
     def kappa_fn(s):
@@ -193,7 +191,7 @@ def test_criterion_09_flattened_estimator_variance():
                         beta=1.0, horizon=1.0)
     ric = riccati_value_function(spec, np.linspace(0.0, 1.0, 1001))
     tilted = ric.tilted_initial_law()
-    ctl = ControlField(ric.control, tag="value-feedback")
+    ctl = ric.control
     cvs = []
     for dt in (1e-3, 5e-4):
         ens = simulate_forward(spec, 2000, dt, seed=5, init=tilted, control=ctl)
@@ -237,10 +235,9 @@ def test_criterion_11_change_of_measure_normalisation():
     spec = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), dimension=1),
                         beta=1.0, horizon=1.0)
     controls = [
-        ControlField(lambda x, s: 0.8 * np.tanh(x), tag="saturating"),
-        ControlField(lambda x, s: 0.5 * np.cos(2.0 * x), tag="oscillatory"),
-        ControlField(lambda x, s: 0.4 * math.sin(math.pi * s)
-                     * np.ones_like(x), tag="time-only"),
+        lambda x, s: 0.8 * np.tanh(x),
+        lambda x, s: 0.5 * np.cos(2.0 * x),
+        lambda x, s: 0.4 * math.sin(math.pi * s) * np.ones_like(x),
     ]
     zs = []
     for ctl in controls:

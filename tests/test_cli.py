@@ -70,6 +70,25 @@ class TestExitCodes:
         assert code == 2
         assert "config error: dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, key", [
+        ("seed: abc\n", "'seed'"),
+        ("seed: 1.7\n", "'seed'"),
+        ("seed: true\n", "'seed'"),
+        ("experiments:\n  jarzynski:\n    n_paths: many\n", "'jarzynski.n_paths'"),
+        ("experiments:\n  jarzynski:\n    n_paths: 2000.0\n", "'jarzynski.n_paths'"),
+        ("experiments:\n  jarzynski:\n    dt: 4e-3\n", "'jarzynski.dt'"),
+        ("experiments:\n  jarzynski:\n    dt: true\n", "'jarzynski.dt'"),
+    ], ids=["seed-text", "seed-float", "seed-bool", "int-text", "int-float",
+            "float-yaml-string", "float-bool"])
+    def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, payload, key):
+        """Ints where the default is an int, ints or floats where it is a
+        float, never a bool; PyYAML reads ``4e-3`` (no dot) as a string."""
+        cfg = write_config(tmp_path, payload)
+        code = main(["jarzynski", "--quick", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_config_error_in_a_worker_process_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiments:\n  entropy-brownian:\n    grid_dt: 0\n")
         code = main(["all", "--quick", "--jobs", "2", "--config", cfg,

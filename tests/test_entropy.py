@@ -34,8 +34,7 @@ from noneq import (
     optimize_omega,
     ou_moments_path,
     pinsker_talagrand_report,
-    production_rate_check_brownian,
-    production_rate_check_langevin,
+    production_rate_check,
     solve_fp_1d,
 )
 from noneq.model import Potential
@@ -59,7 +58,7 @@ class TestProductionRateBrownian:
         times = np.linspace(0.0, 1.0, 401)
         laws = ou_moments_path(spec, GaussianLaw(np.array([2.0]),
                                                  np.array([[0.5]])), times)
-        trace = production_rate_check_brownian(spec, laws, times)
+        trace = production_rate_check(spec, laws, times)
         assert trace.max_residual <= 1e-6
         assert np.all(trace.r >= 0.0)
 
@@ -67,7 +66,7 @@ class TestProductionRateBrownian:
         spec = ou_spec(k0=1.3, beta=2.0)
         times = np.linspace(0.0, 1.0, 101)
         laws = ou_moments_path(spec, gibbs_gaussian(spec, 0.0), times)
-        trace = production_rate_check_brownian(spec, laws, times)
+        trace = production_rate_check(spec, laws, times)
         assert np.max(np.abs(trace.r)) <= 1e-12
         assert np.max(np.abs(trace.dr_ds)) <= 1e-10
         assert np.max(np.abs(trace.rhs)) <= 1e-10
@@ -78,13 +77,13 @@ class TestProductionRateBrownian:
         laws = ou_moments_path(spec, gibbs_gaussian(spec, 0.0), times)
         for args in ((laws[:-1], times), (laws, None)):
             with pytest.raises(SpecError):
-                production_rate_check_brownian(spec, *args)
+                production_rate_check(spec, *args)
 
     def test_grid_identity_with_moving_schedule(self):
         spec = ou_spec(k0=1.0, k1=1.5)  # stiffness 1 + s/2
         init = GaussianLaw(np.array([0.5]), np.array([[0.7]]))
         sol = solve_fp_1d(spec, init, dt=1e-3, cells=1000, theta=0.5)
-        trace = production_rate_check_brownian(spec, sol)
+        trace = production_rate_check(spec, sol)
         assert trace.max_residual <= 1e-4
 
     def test_grid_residual_first_order_in_dt(self):
@@ -97,7 +96,7 @@ class TestProductionRateBrownian:
             every = 5 * int(round(2e-3 / dt))
             sol = solve_fp_1d(spec, init, dt=dt, cells=1000, theta=1.0,
                               record_every=every)
-            res.append(production_rate_check_brownian(spec, sol).max_residual)
+            res.append(production_rate_check(spec, sol).max_residual)
         assert 1.6 <= res[0] / res[1] <= 2.6
 
     def test_grid_trace_builds_one_gibbs_density_per_slice(self, monkeypatch):
@@ -115,7 +114,7 @@ class TestProductionRateBrownian:
 
         for mod in (entropy, fokker_planck):
             monkeypatch.setattr(mod, "gibbs_grid", counted)
-        trace = production_rate_check_brownian(spec, sol)
+        trace = production_rate_check(spec, sol)
         assert len(calls) == 11
         monkeypatch.undo()
         want = [fisher_and_rate_terms(spec, sol.density(t), float(t)).rhs(spec.beta)
@@ -126,7 +125,7 @@ class TestProductionRateBrownian:
         spec = ou_spec()
         init = GaussianLaw(np.array([1.2]), np.array([[0.4]]))
         sol = solve_fp_1d(spec, init, dt=1e-3, cells=800, theta=1.0)
-        trace = production_rate_check_brownian(spec, sol)
+        trace = production_rate_check(spec, sol)
         assert trace.max_dr <= 1e-6
 
 
@@ -136,7 +135,7 @@ class TestProductionRateLangevin:
         times = np.linspace(0.0, 1.0, 401)
         init = GaussianLaw(np.array([0.8, -0.4]), np.diag([0.6, 1.2]))
         laws = langevin_propagator(spec, times).push(init)
-        trace = production_rate_check_langevin(spec, laws, times)
+        trace = production_rate_check(spec, laws, times)
         assert trace.max_residual <= 1e-6
 
     def test_stationary_case_is_identically_zero(self):
@@ -144,7 +143,7 @@ class TestProductionRateLangevin:
         times = np.linspace(0.0, 1.0, 101)
         laws = langevin_propagator(spec, times).push(
             gibbs_gaussian(spec, 0.0))
-        trace = production_rate_check_langevin(spec, laws, times)
+        trace = production_rate_check(spec, laws, times)
         assert np.max(np.abs(trace.r)) <= 1e-10
         assert np.max(np.abs(trace.residual)) <= 1e-10
 
@@ -153,7 +152,7 @@ class TestProductionRateLangevin:
         times = np.linspace(0.0, 1.0, 401)
         init = GaussianLaw(np.array([0.8, -0.4]), np.diag([0.6, 1.2]))
         laws = langevin_propagator(spec, times).push(init)
-        trace = production_rate_check_langevin(spec, laws, times)
+        trace = production_rate_check(spec, laws, times)
         assert trace.max_residual <= 1e-5
 
 
@@ -392,6 +391,14 @@ class TestInequalityToolkit:
             q = GaussianLaw(m[1:], np.array([[s[1] ** 2]]))
             rep = pinsker_talagrand_report(p, q, kappa=1.0 / s[1] ** 2)
             assert rep.pinsker_ok and rep.talagrand_ok
+
+    def test_grid_w2_skips_empty_cells(self):
+        """Uniform on [0, 1] u [3, 4] against uniform on [1, 3]: the quantiles
+        differ by exactly 1 everywhere, so W2 = 1.  Interpolating the inverse
+        CDF across the empty cells would shrink it."""
+        p = GridDensity1D(0.0, 4.0, np.array([1.0, 0.0, 0.0, 1.0]))
+        q = GridDensity1D(0.0, 4.0, np.array([0.0, 1.0, 1.0, 0.0]))
+        assert_allclose(pinsker_talagrand_report(p, q, kappa=1.0).w2, 1.0, rtol=1e-12)
 
     def test_grid_branch_matches_gaussian_branch(self):
         """N(0.3, 0.8) against N(0, 1), as Gaussian laws and as 2000-cell grids."""

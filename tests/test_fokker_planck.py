@@ -18,10 +18,14 @@ from noneq import (
     QuadraticPotential,
     SpecError,
     TanhPerturbedPotential,
+    decay_bound_lipschitz,
+    decay_bound_supremum,
     fisher_and_rate_terms,
     gaussian_kl,
     gaussian_w2,
     gibbs_grid,
+    hypocoercivity_certificate,
+    kinetic_decay_bound_time_dependent,
     langevin_propagator,
     optimize_omega,
     ou_moments,
@@ -104,6 +108,18 @@ class TestOverdampedSolver:
         a = solve_fp_1d(spec, law, dt=1e-3, cells=400)
         b = solve_fp_1d(spec, lambda x: law.pdf(x[:, None]), dt=1e-3, cells=400)
         assert_allclose(a.snapshots, b.snapshots, atol=1e-12)
+
+
+def test_sampler_never_lands_in_empty_cells():
+    """Runs of empty cells at the start, inside and at the end of the grid are
+    flat stretches of the CDF; the inverse-CDF sampler places no point in
+    them, and each cell with mass gets its share."""
+    values = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    dens = GridDensity1D(-4.0, 5.0, values)
+    x = dens.sampler()(np.random.default_rng(3), 40000)[:, 0]
+    counts = np.bincount(np.floor(x - dens.lo).astype(int), minlength=len(values))
+    assert np.all(counts[values == 0] == 0)
+    assert_allclose(counts / len(x), values / values.sum(), atol=0.01)
 
 
 class TestFittedFluxOperator:
@@ -325,6 +341,12 @@ def kinetic_spec():
 
 STD_LAW = GaussianLaw(np.zeros(1), np.eye(1))
 STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
+HAND_CERTIFICATE = hypocoercivity_certificate(0.05, 0.04, 0.05, xi=1.0, beta=1.0,
+                                              hessian_bound=0.0, lsi_kappa=1.0)
+
+
+def unit_rate(s):
+    return np.ones_like(np.asarray(s, dtype=float))
 
 
 @pytest.mark.parametrize("call", [
@@ -360,6 +382,14 @@ STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
     lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0]).push(
         GaussianLaw(np.zeros(3), np.eye(3))),
     lambda: gaussian_w2(STD_LAW, STD_PHASE_LAW),
+    lambda: ou_moments_path(ou_spec(), STD_LAW, [0.0, 0.5, 0.25]),
+    lambda: ou_moments(ou_spec(), STD_LAW, -0.5),
+    lambda: langevin_propagator(kinetic_spec(), [0.0, 1.0, 0.5]).push(STD_PHASE_LAW),
+    lambda: langevin_propagator(kinetic_spec(), [1.0, 0.0]).fundamental,
+    lambda: decay_bound_supremum([0.0, 0.5, 0.25], 0.1, 1.0, 1.0, unit_rate, unit_rate),
+    lambda: decay_bound_lipschitz([-0.5, 0.0, 1.0], 0.1, 1.0, 1.0, unit_rate, unit_rate),
+    lambda: kinetic_decay_bound_time_dependent(HAND_CERTIFICATE, 0.1, [1.0, 0.5],
+                                               unit_rate, unit_rate, unit_rate),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
@@ -367,10 +397,21 @@ STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
         "fp-density-unrecorded-time", "ou-moments-no-substeps",
         "propagator-no-substeps", "omega-no-grid-points", "omega-no-refine-starts",
         "ou-moments-2d-init-on-1d-spec", "propagator-1d-init", "propagator-3d-init",
-        "w2-dimension-mismatch"])
+        "w2-dimension-mismatch", "ou-moments-decreasing-times", "ou-moments-negative-time",
+        "propagator-push-decreasing-times", "propagator-flow-decreasing-times",
+        "envelope-decreasing-times", "envelope-negative-time",
+        "kinetic-envelope-decreasing-times"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
+
+
+def test_repeated_time_knots_are_legal():
+    """A zero-length step moves nothing: the moments at time 0 are the initial law."""
+    init = GaussianLaw(np.array([0.4]), np.array([[0.7]]))
+    law = ou_moments(ou_spec(k0=1.0, k1=2.0), init, 0.0)
+    assert_allclose(law.mean, init.mean, rtol=0.0, atol=0.0)
+    assert_allclose(law.cov, init.cov, rtol=0.0, atol=0.0)
 
 
 @pytest.mark.parametrize("call", [

@@ -20,7 +20,7 @@ from noneq import (
     simulate_forward,
     variance_report,
 )
-from noneq.sde import ControlField, TrajectoryEnsemble
+from noneq.sde import TrajectoryEnsemble
 
 HALF_LN2 = 0.5 * math.log(2.0)
 
@@ -37,8 +37,7 @@ def frozen_spec():
 
 def value_feedback(spec, knots=1001):
     ric = riccati_value_function(spec, np.linspace(0.0, spec.horizon, knots))
-    return ric.tilted_initial_law(), ControlField(ric.control,
-                                                  tag="value-feedback")
+    return ric.tilted_initial_law(), ric.control
 
 
 class TestVanillaEstimator:
@@ -95,7 +94,7 @@ class TestReweightedEstimator:
 
     def test_bounded_control_corrects_to_zero(self):
         spec = frozen_spec()
-        ctl = ControlField(lambda x, s: 0.6 * np.tanh(x), tag="bounded")
+        ctl = lambda x, s: 0.6 * np.tanh(x)
         ens = simulate_forward(spec, 20000, 1e-3, seed=13, control=ctl)
         rep = estimate_free_energy_is(spec, ens)
         assert abs(rep.value) <= 3.0 * rep.stderr

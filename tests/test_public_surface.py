@@ -12,11 +12,15 @@ module other than ``model`` tests whether a spec is a ``BrownianSpec`` or a
 ``LangevinSpec``, so only ``model`` knows how the Gibbs family and the
 dynamics depend on the kind of spec.
 
+Every defaulted parameter of a public function, or of a public method or
+``__init__`` of a public class, is passed by some call in ``src/``,
+``tests/`` or ``perfbench/``; a knob that nothing sets is a constant.
+
 The checks read the source with ``ast`` and run nothing.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,10 +32,14 @@ def loaded_names(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
 
+def source_files() -> list[Path]:
+    return sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
 def unused_public_definitions() -> list[str]:
     definitions = []
     uses = Counter()
-    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+    for path in source_files():
         if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -84,3 +92,61 @@ def spec_kind_tests() -> list[str]:
 
 def test_only_model_tests_the_kind_of_a_spec():
     assert spec_kind_tests() == []
+
+
+def public_callables() -> list:
+    """``(label, name, params)`` for each public module-level function and each
+    public method or ``__init__`` of a public class of the package.  ``name``
+    is what a call names (the class for ``__init__``), and ``params`` maps
+    each defaulted parameter to its index among a call's positional arguments
+    (``None`` for a keyword-only one)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(path.stem, node.name, node, False) for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(f"{path.stem}.{cls.name}",
+                          cls.name if node.name == "__init__" else node.name, node,
+                          not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in node.decorator_list))
+                         for node in cls.body if isinstance(node, ast.FunctionDef)
+                         and (node.name == "__init__" or not node.name.startswith("_"))]
+        for owner, name, node, bound in defs:
+            args = node.args
+            positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+            params = {a.arg: i for i, a in enumerate(positional)
+                      if i >= len(positional) - len(args.defaults)}
+            params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None})
+            found.append((f"{owner}.{node.name}", name, params))
+    return found
+
+
+def passed_arguments() -> tuple[dict, dict]:
+    """Per callee name, the keywords that some call passes and the most
+    positional arguments that one call passes (up to a ``*args``), over every
+    call in ``src/``, ``tests/`` and ``perfbench/``."""
+    keywords, positional = defaultdict(set), defaultdict(int)
+    for path in source_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords[name].update(k.arg for k in node.keywords if k.arg is not None)
+                n = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+                positional[name] = max(positional[name], n)
+    return keywords, positional
+
+
+def unpassed_parameters() -> list[str]:
+    """``module.[Class.]function(parameter)`` for each defaulted parameter no call passes."""
+    keywords, positional = passed_arguments()
+    return [f"{label}({param})" for label, name, params in public_callables()
+            for param, index in params.items()
+            if param not in keywords[name] and (index is None or index >= positional[name])]
+
+
+def test_every_public_parameter_is_passed():
+    assert unpassed_parameters() == []

@@ -16,7 +16,6 @@ from noneq import (
     BlowUpError,
     BrownianSpec,
     Constant,
-    ControlField,
     DiffusionFactor,
     GaussianLaw,
     LangevinSpec,
@@ -31,7 +30,6 @@ from noneq import (
     ou_moments,
     simulate_forward,
     simulate_langevin,
-    zero_control,
 )
 from noneq import sde
 from noneq.model import Potential
@@ -205,7 +203,7 @@ class TestControlled:
         spec = ou_spec(k1=2.0)
         plain = simulate_forward(spec, 400, dt=5e-3, seed=7)
         ctrl = simulate_forward(spec, 400, dt=5e-3, seed=7,
-                                control=zero_control(1))
+                                control=lambda x, s: np.zeros((len(x), 1)))
         assert_array_equal(plain.states, ctrl.states)
         assert_array_equal(ctrl.terminal_log_weight, 0.0)
 
@@ -215,7 +213,7 @@ class TestControlled:
         n = 30000
         ens = simulate_forward(
             spec, n, dt=2e-3, seed=11, init=np.zeros((n, 1)),
-            control=ControlField(lambda x, s: np.full((len(x), 1), u0)))
+            control=lambda x, s: np.full((len(x), 1), u0))
         x = ens.states_at(1.0)[:, 0]
         se = x.std(ddof=1) / math.sqrt(n)
         assert abs(x.mean() - u0) <= 4.0 * se
@@ -225,7 +223,7 @@ class TestControlled:
         this pins both the sign convention and the quadratic penalty factor."""
         spec = ou_spec(k1=1.5)
         n = 50000
-        field = ControlField(lambda x, s: 0.8 * np.tanh(x))
+        field = lambda x, s: 0.8 * np.tanh(x)
         ens = simulate_forward(spec, n, dt=2e-3, seed=19, control=field)
         w = np.exp(ens.terminal_log_weight)
         se = w.std(ddof=1) / math.sqrt(n)
@@ -292,12 +290,12 @@ class TestLangevin:
             assert abs(x[:, col].var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / n) + 1e-3
         with pytest.raises(SpecError):
             simulate_langevin(spec, 8, dt=5e-3, method="baoab",
-                              control=zero_control(1))
+                              control=lambda x, s: np.zeros((len(x), 1)))
 
     def test_langevin_girsanov_normalized(self):
         spec = self.spec(eta1=1.5)
         n = 50000
-        field = ControlField(lambda x, s: 0.6 * np.tanh(x[:, :1]))
+        field = lambda x, s: 0.6 * np.tanh(x[:, :1])
         ens = simulate_langevin(spec, n, dt=2e-3, seed=43, control=field)
         w = np.exp(ens.terminal_log_weight)
         se = w.std(ddof=1) / math.sqrt(n)
@@ -475,7 +473,7 @@ class TestBlockRunnerBitIdentity:
         assert_same_ensemble(ens, ref_overdamped(self.spec(), n, self.dt, 4, init, {0, 2, 5}))
 
     def test_controlled(self):
-        field = ControlField(lambda x, s: 0.7 * np.tanh(x) * (1.0 + s))
+        field = lambda x, s: 0.7 * np.tanh(x) * (1.0 + s)
         ens = simulate_forward(self.spec(), 300, self.dt, seed=5, control=field)
         ref = ref_overdamped(self.spec(), 300, self.dt, 5, gibbs_sampler(self.spec()), {0, 5},
                              control=field)
@@ -502,7 +500,7 @@ class TestBlockRunnerBitIdentity:
                                               reverse=reverse))
 
     def test_langevin_controlled(self):
-        field = ControlField(lambda x, s: 0.6 * np.tanh(x[:, :1]))
+        field = lambda x, s: 0.6 * np.tanh(x[:, :1])
         ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=7, control=field)
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 5},
                                               control=field))
@@ -533,7 +531,7 @@ class TestBlockRunnerBitIdentity:
                             beta=1.0, horizon=0.1, xi=0.8, mass=np.array([[2.0]]))
 
     def test_two_blocks_controlled(self, cpus):
-        field = ControlField(lambda x, s: 0.7 * np.tanh(x) * (1.0 + s))
+        field = lambda x, s: 0.7 * np.tanh(x) * (1.0 + s)
         spec = self.moving()
         ens = simulate_forward(spec, self.n_two, self.dt, seed=5, control=field,
                                store_times=[0.0, 0.04, 0.1])
@@ -556,7 +554,7 @@ class TestBlockRunnerBitIdentity:
                                               reverse=reverse, method=method))
 
     def test_two_blocks_kinetic_controlled(self, cpus):
-        field = ControlField(lambda x, s: 0.6 * np.tanh(x[:, :1]))
+        field = lambda x, s: 0.6 * np.tanh(x[:, :1])
         ens = simulate_langevin(self.heavy(), self.n_two, self.dt, seed=7, control=field)
         assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 5},
                                               control=field))
@@ -569,8 +567,8 @@ class TestBlockRunnerBitIdentity:
                             diffusion=DiffusionFactor(np.array([[1.0, 0.3, 0.2],
                                                                 [0.0, 0.8, -0.4]]),
                                                       Linear(1.0, 1.5, 0.1)))
-        field = ControlField(lambda x, s: 0.3 * np.tanh(x @ np.array([[1.0, 0.5, -0.2],
-                                                                     [0.0, 1.0, 0.7]])))
+        field = lambda x, s: 0.3 * np.tanh(x @ np.array([[1.0, 0.5, -0.2],
+                                                         [0.0, 1.0, 0.7]]))
         for control in (None, field):
             ens = simulate_forward(spec, self.n_two, self.dt, seed=9, control=control)
             assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 9,
@@ -591,7 +589,7 @@ class TestBlockRunnerBitIdentity:
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         """Three blocks on three threads, switching every microsecond, give the
         bits of the one-thread run; blocks that shared a buffer would not."""
-        spec, field = self.moving(), ControlField(lambda x, s: 0.7 * np.tanh(x))
+        spec, field = self.moving(), lambda x, s: 0.7 * np.tanh(x)
         runs = []
         for cpus in (1, 3):
             monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: set(range(cpus)),
