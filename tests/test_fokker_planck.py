@@ -35,7 +35,8 @@ from noneq import (
     solve_g_pde_1d,
     solve_kinetic_fp_2d,
 )
-from noneq.fokker_planck import _fitted_rates, _theta_step
+from noneq.fokker_planck import (KINETIC_LEAK_RATE, _fitted_rates, _shift, _shift_taps,
+                                 _theta_step)
 
 EPS = np.finfo(float).eps
 
@@ -329,6 +330,66 @@ class TestKineticSolver:
         for snap in sol.snapshots:
             assert abs(np.sum(snap) * vol - 1.0) <= 1e-12
 
+    def test_mass_guard_scales_with_dt(self):
+        """A step of dt may move the mass by KINETIC_LEAK_RATE * dt: a coarse
+        march at dt 0.05 returns, where a fixed per-step bound of 1e-6 (the
+        guard at dt 1e-3) would stop it."""
+        sol = solve_kinetic_fp_2d(self.kin_spec(eta1=1.5), GaussianLaw(np.zeros(2), np.eye(2)),
+                                  dt=0.05, cells=(64, 64), radius_std=6.0)
+        assert 1e-6 < sol.mass_drift <= KINETIC_LEAK_RATE * 0.05
+
+    def test_leaking_box_still_raises(self):
+        """A box of two standard deviations loses mass through its edges far
+        faster than the guard allows."""
+        with pytest.raises(QuadratureError, match="mass leaked"):
+            solve_kinetic_fp_2d(self.kin_spec(eta1=1.5), GaussianLaw(np.zeros(2), np.eye(2)),
+                                dt=0.05, cells=(64, 64), radius_std=2.0)
+
+    def test_perturbed_gibbs_is_a_fixed_point(self):
+        """The Gibbs density of a frozen non-quadratic potential is kept to
+        roundoff: a constant density/Gibbs ratio stays constant under the
+        transport, and the momentum diffusion fixes the Maxwellian."""
+        spec = LangevinSpec(TanhPerturbedPotential(Constant(0.8)), beta=1.0, horizon=0.5,
+                            xi=1.0)
+
+        def gibbs(q, p):
+            mesh = np.stack(np.meshgrid(q, p, indexing="ij"), axis=-1)
+            return np.exp(-spec.beta * spec.energy(mesh, 0.0))
+
+        sol = solve_kinetic_fp_2d(spec, gibbs, dt=1e-3, cells=(96, 96), radius_std=9.0)
+        rho0, rho1 = sol.snapshots[0], sol.snapshots[-1]
+        assert np.max(np.abs(rho1 - rho0)) / np.max(rho0) <= 4 * 500 * EPS
+
+
+class TestLineShift:
+    """The 1-D cubic shift that each transport sub-step applies along grid lines."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_integer_shift_moves_values_exactly(self, axis):
+        """Whole-cell shifts copy values; a lookup past the box holds the edge."""
+        field = np.random.default_rng(3).random((12, 10))
+        lines = field.shape[1 - axis]
+        shift = np.arange(lines) % 7 - 3
+        out = _shift(field, _shift_taps(shift.astype(float), field.shape, axis))
+        n = field.shape[axis]
+        source = np.clip(np.arange(n)[:, None] + shift, 0, n - 1)
+        expected = (field[source, np.arange(lines)] if axis == 0
+                    else field[np.arange(lines)[:, None], source.T])
+        assert_allclose(out, expected, rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (17, 33), (3, 5)])
+    def test_constant_stays_constant(self, shape):
+        """Shifts of up to 30 cells, as a step of dt 1 makes on a 40-cell grid
+        of the grid property tests, keep a constant field to roundoff, alone
+        and composed as stream, kick, stream."""
+        c = 3.7
+        field = np.full(shape, c)
+        stream = _shift_taps(np.linspace(-10.3, 10.3, shape[1]), shape, 0)
+        kick = _shift_taps(np.linspace(-30.0, 29.1, shape[0]), shape, 1)
+        for out in (_shift(field, stream), _shift(field, kick),
+                    _shift(_shift(_shift(field, stream), kick), stream)):
+            assert np.max(np.abs(out - c)) <= 8 * EPS * c
+
 
 # ---------------------------------------------------------------------------
 # argument checks at the grid solvers
@@ -368,6 +429,20 @@ def unit_rate(s):
     lambda: solve_kinetic_fp_2d(kinetic_spec(),
                                 GridDensity2D(-40.0, 40.0, -40.0, 40.0, np.ones((20, 20))),
                                 1e-2, cells=(20, 20)),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50.5),
+    lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50, radius_std=math.inf),
+    lambda: solve_fp_1d(ou_spec(), STD_PHASE_LAW, 1e-2, cells=50),
+    lambda: solve_g_pde_1d(ou_spec(), 1e-2, cells=50, radius_std=-1.0),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20, 20),
+                                radius_std=-1.0),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20, 20),
+                                radius_std=math.nan),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20.5, 20)),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20, 20, 20)),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=20),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_LAW, 1e-2, cells=(20, 20)),
+    lambda: solve_kinetic_fp_2d(kinetic_spec(), GaussianLaw(np.zeros(3), np.eye(3)), 1e-2,
+                                cells=(20, 20)),
     lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
                                   gaussian_grid(-5.0, 5.0, 12, 0.0, 1.0)),
     lambda: relative_entropy_grid(gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0),
@@ -393,7 +468,10 @@ def unit_rate(s):
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
-        "kinetic-init-off-grid", "entropy-grid-mismatch", "entropy-grid-other-box",
+        "kinetic-init-off-grid", "fp-fractional-cells", "fp-infinite-radius", "fp-2d-init",
+        "g-negative-radius", "kinetic-negative-radius", "kinetic-nan-radius",
+        "kinetic-fractional-cells", "kinetic-three-cell-counts", "kinetic-scalar-cells",
+        "kinetic-1d-init", "kinetic-3d-init", "entropy-grid-mismatch", "entropy-grid-other-box",
         "fp-density-unrecorded-time", "ou-moments-no-substeps",
         "propagator-no-substeps", "omega-no-grid-points", "omega-no-refine-starts",
         "ou-moments-2d-init-on-1d-spec", "propagator-1d-init", "propagator-3d-init",
