@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,7 +189,10 @@ def _gronwall(times, y0: float, terms: Callable, tol: float) -> np.ndarray:
 def _gronwall_envelope(times, r0, beta, gamma_minus, kappa_fn, forcing_fn,
                        tol: float) -> DecayBound:
     """sqrt R(s) <= e^{-A(s)} sqrt R(0) + int_0^s f(u) e^{A(u)-A(s)} du with
-    A(s) = (gamma_minus/beta) int_0^s kappa."""
+    A(s) = (gamma_minus/beta) int_0^s kappa.  A relative entropy is never
+    negative, so a negative (or NaN) R(0) = ``r0`` is a wrong input: SpecError."""
+    if not r0 >= 0:
+        raise SpecError(f"initial relative entropy must be non-negative, got {r0}")
 
     def terms(grid, h):
         kap = np.asarray(kappa_fn(grid), dtype=float)
@@ -196,7 +200,7 @@ def _gronwall_envelope(times, r0, beta, gamma_minus, kappa_fn, forcing_fn,
         return big_a, np.asarray(forcing_fn(grid), dtype=float)
 
     return DecayBound(times=np.asarray(times, dtype=float),
-                      sqrt_bound=_gronwall(times, math.sqrt(max(r0, 0.0)), terms, tol))
+                      sqrt_bound=_gronwall(times, math.sqrt(r0), terms, tol))
 
 
 def decay_bound_supremum(times, r0: float, beta: float, gamma_minus: float,
@@ -262,12 +266,45 @@ class HypocoercivityCertificate:
     omega: float
 
 
-def _dissipation_matrix(a, b, c, xi, beta, hessian_bound):
+def _sym2_eigs(p, q, r):
+    """(largest, smallest) eigenvalue of [[p, q], [q, r]] in float arithmetic.
+
+    The smallest is det / largest when the largest is positive, so its sign
+    is the sign of the float determinant p r - q q: a boundary point with
+    ac = b^2 reads exactly 0, never a rounding-level negative.
+    """
+    mean = 0.5 * (p + r)
+    rad = math.hypot(0.5 * (p - r), q)
+    big = mean + rad
+    return big, ((p * r - q * q) / big if big > 0 else mean - rad)
+
+
+def _certificate_terms(a, b, c, xi, beta, hessian_bound, lsi_kappa):
+    """The certificate in float arithmetic: (violated, lambda1_tilde, lambda2, omega).
+
+    ``violated`` names the first constraint that fails, checked in the order
+    positivity, 2b > c, ac >= b^2, S >= 0, S~ > 0, kappa > 0, or is None;
+    terms not reached before a failure are NaN.  S = [[a, b], [b, c]] is the
+    weight matrix and S~ the dissipation matrix of the modified functional.
+    """
+    nan = math.nan
+    if min(a, b, c) < 0:
+        return "positivity", nan, nan, nan
+    if not 2.0 * b > c:
+        return "2b > c", nan, nan, nan
+    if a * c < b * b:
+        return "ac >= b^2", nan, nan, nan
+    lam2, s_min = _sym2_eigs(a, b, c)
+    if not s_min >= 0:
+        return "S >= 0", nan, lam2, nan
     el = hessian_bound
-    return np.array([
-        [xi * (1.0 / beta + 2.0 * a) - 2.0 * b * (1.0 + el), -(a + b * xi + c * el)],
-        [-(a + b * xi + c * el), 2.0 * b - c],
-    ])
+    _, lam1 = _sym2_eigs(xi * (1.0 / beta + 2.0 * a) - 2.0 * b * (1.0 + el),
+                         -(a + b * xi + c * el), 2.0 * b - c)
+    if not lam1 > 0:
+        return "S~ > 0", lam1, lam2, nan
+    if lsi_kappa <= 0:
+        return "kappa > 0", lam1, lam2, nan
+    return None, lam1, lam2, 0.5 * lam1 / (0.5 / min(lsi_kappa, beta) + lam2)
 
 
 def hypocoercivity_certificate(a: float, b: float, c: float, xi: float, beta: float,
@@ -277,25 +314,16 @@ def hypocoercivity_certificate(a: float, b: float, c: float, xi: float, beta: fl
 
     Raises CertificateInfeasible naming the violated constraint.
     """
-    if min(a, b, c) < 0:
-        raise CertificateInfeasible("positivity", f"(a, b, c)=({a}, {b}, {c}) must be >= 0")
-    if not 2.0 * b > c:
-        raise CertificateInfeasible("2b > c", f"2*{b} <= {c}")
-    if a * c < b * b:
-        raise CertificateInfeasible("ac >= b^2", f"{a}*{c} < {b}^2")
-    s_mat = np.array([[a, b], [b, c]])
-    s_eigs = np.linalg.eigvalsh(s_mat)
-    if s_eigs[0] < 0:
-        raise CertificateInfeasible("S >= 0", f"min eig S = {s_eigs[0]:.3e}")
-    tilde = _dissipation_matrix(a, b, c, xi, beta, hessian_bound)
-    t_eigs = np.linalg.eigvalsh(tilde)
-    if t_eigs[0] <= 0:
-        raise CertificateInfeasible("S~ > 0", f"min eig S~ = {t_eigs[0]:.3e}")
-    if lsi_kappa <= 0:
-        raise CertificateInfeasible("kappa > 0", f"kappa = {lsi_kappa}")
-    lam1 = float(t_eigs[0])
-    lam2 = float(s_eigs[-1])
-    omega = 0.5 * lam1 / (0.5 / min(lsi_kappa, beta) + lam2)
+    violated, lam1, lam2, omega = _certificate_terms(a, b, c, xi, beta, hessian_bound,
+                                                     lsi_kappa)
+    if violated is not None:
+        detail = {"positivity": f"(a, b, c)=({a}, {b}, {c}) must be >= 0",
+                  "2b > c": f"2*{b} <= {c}",
+                  "ac >= b^2": f"{a}*{c} < {b}^2",
+                  "S >= 0": f"min eig S = {(a * c - b * b) / lam2:.3e}",
+                  "S~ > 0": f"min eig S~ = {lam1:.3e}",
+                  "kappa > 0": f"kappa = {lsi_kappa}"}[violated]
+        raise CertificateInfeasible(violated, detail)
     return HypocoercivityCertificate(a=a, b=b, c=c, xi=xi, beta=beta,
                                      hessian_bound=hessian_bound, lsi_kappa=lsi_kappa,
                                      lambda1_tilde=lam1, lambda2=lam2, omega=omega)
@@ -339,14 +367,74 @@ def _omega_grid_search(xi, beta, hessian_bound, lsi_kappa, grid_points):
     t11 = xi * (1.0 / beta + 2.0 * a) - 2.0 * b * (1.0 + el)
     t12 = -(a + b * xi + c * el)
     t22 = 2.0 * b - c
-    mean_t = 0.5 * (t11 + t22)
-    rad_t = np.sqrt(0.25 * (t11 - t22) ** 2 + t12 ** 2)
-    lam1 = mean_t - rad_t
-    lam2 = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)
+    # _sym2_eigs on arrays; the grid weights are positive, so S has largest eigenvalue > 0
+    t_mean = 0.5 * (t11 + t22)
+    t_rad = np.hypot(0.5 * (t11 - t22), t12)
+    t_big = t_mean + t_rad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam1 = np.where(t_big > 0, (t11 * t22 - t12 * t12) / t_big, t_mean - t_rad)
+    lam2 = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
     feasible = (2.0 * b > c) & (a * c >= b * b) & (lam1 > 0)
     omega = np.where(feasible, 0.5 * lam1 / (0.5 / min(lsi_kappa, beta) + lam2), -np.inf)
     order = np.argsort(omega)[::-1]
     return a, b, c, omega, order
+
+
+# Nelder-Mead (Nelder & Mead, Comput. J. 7:308, 1965) with the coefficients,
+# the initial simplex and the stopping rule of scipy's default method:
+# reflection 1, expansion 2, contraction 1/2, shrink 1/2; the start plus one
+# vertex per coordinate moved by 5 % (or to 0.00025 from 0); stop once every
+# vertex is within _NM_XATOL of the best in each coordinate and within
+# _NM_FATOL of it in value, or after _NM_MAXITER iterations.
+_NM_XATOL = 1e-10
+_NM_FATOL = 1e-14
+_NM_MAXITER = 4000
+
+
+def _nelder_mead(fun: Callable, x0: Sequence[float]) -> list:
+    """The vertex with the lowest ``fun`` when the simplex stops."""
+    n = len(x0)
+    verts = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        verts.append(y)
+    simplex = sorted(((fun(x), x) for x in verts), key=itemgetter(0))
+    for _ in range(1, _NM_MAXITER):
+        f_best, best = simplex[0]
+        if (max(abs(v - w) for _, x in simplex[1:] for v, w in zip(x, best)) <= _NM_XATOL
+                and max(abs(f_best - f) for f, _ in simplex[1:]) <= _NM_FATOL):
+            break
+        f_worst, worst = simplex[-1]
+        total = simplex[0][1]  # summed in vertex order, as scipy does
+        for _, x in simplex[1:-1]:
+            total = [s + v for s, v in zip(total, x)]
+        xbar = [s / n for s in total]
+        xr = [2.0 * m - w for m, w in zip(xbar, worst)]
+        fr = fun(xr)
+        if fr < f_best:
+            xe = [3.0 * m - 2.0 * w for m, w in zip(xbar, worst)]
+            fe = fun(xe)
+            simplex[-1] = (fe, xe) if fe < fr else (fr, xr)
+        elif fr < simplex[-2][0]:
+            simplex[-1] = (fr, xr)
+        else:
+            if fr < f_worst:
+                xc = [1.5 * m - 0.5 * w for m, w in zip(xbar, worst)]
+                fc = fun(xc)
+                contracted = fc <= fr
+            else:
+                xc = [0.5 * m + 0.5 * w for m, w in zip(xbar, worst)]
+                fc = fun(xc)
+                contracted = fc < f_worst
+            if contracted:
+                simplex[-1] = (fc, xc)
+            else:
+                shrunk = [[v + 0.5 * (u - v) for u, v in zip(x, best)]
+                          for _, x in simplex[1:]]
+                simplex[1:] = [(fun(x), x) for x in shrunk]
+        simplex.sort(key=itemgetter(0))
+    return simplex[0][1]
 
 
 def optimize_omega(xi: float, beta: float, hessian_bound: float, lsi_kappa: float,
@@ -354,12 +442,13 @@ def optimize_omega(xi: float, beta: float, hessian_bound: float, lsi_kappa: floa
                    ) -> HypocoercivityCertificate:
     """Best certified rate over admissible (a, b, c).
 
-    Coarse log-grid scan over [1e-6, 1e2]^3 followed by Nelder-Mead descent in
-    log-parameters from the best grid points.  Raises SpecError unless
-    ``grid_points`` and ``refine_starts`` are at least 1.
+    Coarse log-grid scan over [1e-6, 1e2]^3, then a float Nelder-Mead simplex
+    in log-parameters from each of the ``refine_starts`` best grid points.
+    The simplex reads the rate from the same float arithmetic as
+    ``hypocoercivity_certificate``, which validates the returned point.
+    Raises SpecError unless ``grid_points`` and ``refine_starts`` are at
+    least 1.
     """
-    from scipy.optimize import minimize
-
     if grid_points < 1 or refine_starts < 1:
         raise SpecError(f"optimize_omega needs grid_points and refine_starts of at least 1, "
                         f"got {grid_points} and {refine_starts}")
@@ -373,30 +462,23 @@ def optimize_omega(xi: float, beta: float, hessian_bound: float, lsi_kappa: floa
             "friction, inverse temperature, or curvature parameters")
 
     def neg_omega(logp):
-        try:
-            cert = hypocoercivity_certificate(math.exp(logp[0]), math.exp(logp[1]),
-                                              math.exp(logp[2]), xi, beta,
-                                              hessian_bound, lsi_kappa)
-        except CertificateInfeasible:
-            return 1e30
-        return -cert.omega
+        violated, _, _, rate = _certificate_terms(math.exp(logp[0]), math.exp(logp[1]),
+                                                  math.exp(logp[2]), xi, beta,
+                                                  hessian_bound, lsi_kappa)
+        return 1e30 if violated is not None else -rate
 
     best = None
     for idx in order[:refine_starts]:
         if not np.isfinite(omega[idx]):
             continue
-        x0 = np.log([a[idx], b[idx], c[idx]])
-        res = minimize(neg_omega, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
-        candidates = [res.x, x0]
-        for cand in candidates:
+        x0 = [math.log(a[idx]), math.log(b[idx]), math.log(c[idx])]
+        for cand in [_nelder_mead(neg_omega, x0), x0]:
             val = neg_omega(cand)
             if val < 1e29 and (best is None or val < best[0]):
                 best = (val, cand)
-    cert = hypocoercivity_certificate(math.exp(best[1][0]), math.exp(best[1][1]),
+    return hypocoercivity_certificate(math.exp(best[1][0]), math.exp(best[1][1]),
                                       math.exp(best[1][2]), xi, beta,
                                       hessian_bound, lsi_kappa)
-    return cert
 
 
 def modified_functional_trace(spec: LangevinSpec, laws: Sequence[GaussianLaw],

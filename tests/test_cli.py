@@ -25,6 +25,16 @@ def read_artifact(out: Path, experiment: str) -> dict:
     return json.loads(path.read_text())
 
 
+def last_line_of_fresh_run(script: str) -> str:
+    """The last line a new interpreter prints running ``script`` on this package."""
+    src = str(Path(noneq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestExitCodes:
     def test_quick_experiment_passes(self, tmp_path):
         assert main(["simulate", "--quick", "--out", str(tmp_path / "a")]) == 0
@@ -191,9 +201,14 @@ class TestAggregateRun:
                   "import noneq.cli\n"
                   f"assert noneq.cli.main(['validate', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = str(Path(noneq.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert last_line_of_fresh_run(script) == "[]"
+
+    def test_certificate_experiments_do_not_load_scipy_optimize(self, tmp_path):
+        """The certificate optimiser runs on floats: no scipy.optimize import."""
+        script = ("import sys\n"
+                  "import noneq.cli\n"
+                  "for name in ('omega-opt', 'bound-kinetic'):\n"
+                  f"    out = {str(tmp_path)!r} + '/' + name\n"
+                  "    assert noneq.cli.main([name, '--quick', '--out', out]) == 0\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        assert last_line_of_fresh_run(script) == "False"

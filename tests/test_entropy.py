@@ -37,6 +37,7 @@ from noneq import (
     production_rate_check,
     solve_fp_1d,
 )
+from noneq.cli import DEFAULTS, QUICK
 from noneq.model import Potential
 
 
@@ -365,6 +366,63 @@ class TestOmegaOptimizer:
         with pytest.raises(CertificateInfeasible) as exc:
             optimize_omega(1.0, 1.0, 1e9, 1.0, grid_points=8, refine_starts=1)
         assert "rescal" in str(exc.value)
+
+
+# The best certified rate, at beta = kappa = 1, of each (friction, curvature
+# bound) the CLI optimises: omega-opt, bound-kinetic and omega-scaling, full
+# and --quick.  From a 41-point grid scan with 20 refinement starts.
+REFERENCE_RATES = {
+    (1.0, 0.0): 0.05073120127920673,
+    (1.0, 1.0): 0.03443820079465724,
+    (0.001, 1.0): 5.9989374236566166e-05,
+    (0.0017782794100389228, 1.0): 0.00010662394980204412,
+    (0.0021544346900318843, 1.0): 0.00012914631020292746,
+    (0.0031622776601683794, 1.0): 0.00018943685320423623,
+    (0.004641588833612777, 1.0): 0.0002777884462724996,
+    (0.005623413251903491, 1.0): 0.00033633409707232564,
+    (0.01, 1.0): 0.0005964019441343848,
+    (100.0, 1.0): 0.007501156456794912,
+    (177.82794100389228, 1.0): 0.004539336927561902,
+    (215.44346900318845, 1.0): 0.00382210126190791,
+    (316.2277660168379, 1.0): 0.00269486083034624,
+    (464.15888336127773, 1.0): 0.0018884108139135185,
+    (562.341325190349, 1.0): 0.0015777324039693433,
+    (1000.0, 1.0): 0.0009142904096816444,
+}
+
+
+def cli_omega_cases() -> dict:
+    """label -> (quick, friction, curvature bound, grid points, refinement
+    starts) of every feasible optimize_omega call the CLI makes."""
+    cases = {}
+    for quick in (False, True):
+        mode = "quick" if quick else "full"
+        opt, kin, scaling = ({**DEFAULTS[name], **(QUICK[name] if quick else {})}
+                             for name in ("omega-opt", "bound-kinetic", "omega-scaling"))
+        for hb in (0.0, 1.0):
+            cases[f"omega-opt-{mode}-{hb}"] = (quick, 1.0, hb, opt["grid_points"],
+                                               opt["refine_starts"])
+        cases[f"bound-kinetic-{mode}"] = (quick, kin["xi"], 1.0, kin["grid_points"],
+                                          kin["refine_starts"])
+        for lo, hi in ((1e-3, 1e-2), (1e2, 1e3)):
+            for xi in np.logspace(math.log10(lo), math.log10(hi), scaling["points"]):
+                cases[f"omega-scaling-{mode}-{xi:.4g}"] = (
+                    quick, float(xi), 1.0, scaling["grid_points"], scaling["refine_starts"])
+    return cases
+
+
+CLI_OMEGA_CASES = cli_omega_cases()
+
+
+@pytest.mark.parametrize("quick, xi, hessian_bound, grid_points, refine_starts",
+                         CLI_OMEGA_CASES.values(), ids=CLI_OMEGA_CASES.keys())
+def test_cli_rates_match_the_reference(quick, xi, hessian_bound, grid_points, refine_starts):
+    """Each CLI rate is within 1e-9 (full) or 5e-9 (--quick) of the reference."""
+    reference = next(rate for (x, hb), rate in REFERENCE_RATES.items()
+                     if hb == hessian_bound and math.isclose(x, xi, rel_tol=1e-12))
+    cert = optimize_omega(xi, 1.0, hessian_bound, 1.0, grid_points=grid_points,
+                          refine_starts=refine_starts)
+    assert abs(cert.omega - reference) <= (5e-9 if quick else 1e-9) * reference
 
 
 class TestInequalityToolkit:

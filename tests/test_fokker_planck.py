@@ -465,6 +465,8 @@ def unit_rate(s):
     lambda: decay_bound_lipschitz([-0.5, 0.0, 1.0], 0.1, 1.0, 1.0, unit_rate, unit_rate),
     lambda: kinetic_decay_bound_time_dependent(HAND_CERTIFICATE, 0.1, [1.0, 0.5],
                                                unit_rate, unit_rate, unit_rate),
+    lambda: decay_bound_supremum([0.0, 0.5, 1.0], -0.1, 1.0, 1.0, unit_rate, unit_rate),
+    lambda: decay_bound_lipschitz([0.0, 0.5, 1.0], -1e-300, 1.0, 1.0, unit_rate, unit_rate),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
@@ -478,7 +480,8 @@ def unit_rate(s):
         "w2-dimension-mismatch", "ou-moments-decreasing-times", "ou-moments-negative-time",
         "propagator-push-decreasing-times", "propagator-flow-decreasing-times",
         "envelope-decreasing-times", "envelope-negative-time",
-        "kinetic-envelope-decreasing-times"])
+        "kinetic-envelope-decreasing-times", "envelope-negative-divergence",
+        "lipschitz-envelope-negative-divergence"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
