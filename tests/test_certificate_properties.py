@@ -1,13 +1,16 @@
 """Property tests: the kinetic decay certificate and its optimiser.
 
-Hypothesis draws weights (a, b, c) and model constants, both at random and
-exactly on the boundaries ac = b^2 and 2b = c of the admissible set.
+Hypothesis draws weights (a, b, c) and model constants, both at random (NaN
+and infinite weights included) and exactly on the boundaries ac = b^2 and
+2b = c of the admissible set.
 ``hypocoercivity_certificate`` must either raise ``CertificateInfeasible`` or
 return a positive rate whose eigenvalues agree with ``np.linalg.eigvalsh`` to
 1e-12 of the matrix norm; an exact boundary point ac = b^2 is never rejected
 by the weight-matrix constraints.  Every point ``optimize_omega`` returns must
 pass ``hypocoercivity_certificate`` again.  Runs are derandomized.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from noneq import CertificateInfeasible, hypocoercivity_certificate, optimize_om
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
-weights = st.one_of(st.floats(1e-6, 1e2), st.floats(-1.0, 1.0), st.just(0.0))
+weights = st.one_of(st.floats(1e-6, 1e2), st.floats(-1.0, 1.0),
+                    st.sampled_from([0.0, math.nan, math.inf]))
 frictions = st.floats(1e-3, 1e3)
 betas = st.floats(0.1, 10.0)
 curvatures = st.floats(0.0, 10.0)
