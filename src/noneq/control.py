@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, PositivityError, SpecError
-from .fokker_planck import (GridDensity1D, _box_from_spec, _fitted_rates, _grid_steps,
-                            _theta_step)
+from .fokker_planck import (MARCH_BLOCK, GridDensity1D, _box_from_spec, _generator_rates,
+                            _grid_steps, _march, _theta_solve)
 from .gaussian_oracle import RICCATI_SUBSTEPS, GaussianLaw, _riccati_grid, _riccati_guard
 from .model import BrownianSpec, LangevinSpec, partition_function
 from .odes import rk4_path
@@ -155,22 +155,19 @@ class GridControl1D:
         u_val = self.value_grid
         x = self.x
         h = x[1] - x[0]
-        dt = self.times[1] - self.times[0]
-        u_s = derivative_uniform(u_val, dt)
-        resid = np.full_like(u_val, np.nan)
-        x_face = 0.5 * (x[:-1] + x[1:])[:, None]
-        for i, s in enumerate(self.times):
-            gamma = float(self.spec.diffusion.gamma(s)[0, 0])
-            up, down, _ = _fitted_rates(self.spec.potential.v(x[:, None], s),
-                                        self.spec.potential.v(x_face, s),
-                                        gamma, self.spec.beta, h)
-            row = u_val[i]
-            lu = np.zeros_like(row)
-            lu[:-1] += down * (row[1:] - row[:-1])
-            lu[1:] += up * (row[:-1] - row[1:])
-            ux = np.gradient(row, h)
-            resid[i] = u_s[i] + lu - gamma * ux ** 2 \
-                + self.spec.potential.dv_ds(x[:, None], s)
+        u_s = derivative_uniform(u_val, self.times[1] - self.times[0])
+        ux = np.gradient(u_val, h, axis=1)
+        resid = np.empty_like(u_val)
+        for i in range(0, len(self.times), MARCH_BLOCK):
+            rows = slice(i, i + MARCH_BLOCK)
+            s = self.times[rows]
+            gamma, (up, down, _) = _generator_rates(self.spec, x, h, s)
+            u = u_val[rows]
+            lu = np.zeros_like(u)
+            lu[:, :-1] += down * (u[:, 1:] - u[:, :-1])
+            lu[:, 1:] += up * (u[:, :-1] - u[:, 1:])
+            resid[rows] = u_s[rows] + lu - gamma * ux[rows] ** 2 \
+                + self.spec.potential.dv_ds(x[:, None], s[:, None])
         center, std = self.spec.potential.envelope(0.0, self.spec.beta)
         core = np.abs(x - center) <= 5.0 * std
         return float(np.max(np.abs(resid[:, core])))
@@ -191,26 +188,14 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
     x = GridDensity1D.centers(lo, hi, cells)
-    xcol = x[:, None]
-    x_face = 0.5 * (x[:-1] + x[1:])[:, None]
-    beta = spec.beta
-
-    g = np.ones(cells)
-    slices = [g.copy()]
-    for k in range(n_steps - 1, -1, -1):
-        s_mid = (k + 0.5) * dt
-        gamma = float(spec.diffusion.gamma(s_mid)[0, 0])
-        up, down, diag = _fitted_rates(spec.potential.v(xcol, s_mid),
-                                       spec.potential.v(x_face, s_mid), gamma, beta, h)
-        # adjoint generator with killing beta dV/ds, stepped in reversed time
-        g = _theta_step(down, up, diag - beta * spec.potential.dv_ds(xcol, s_mid),
-                        g, dt, theta)
-        if g.min() <= 0.0:
-            raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g.min():.3e}")
-        slices.append(g.copy())
-    slices.reverse()
+    g = np.empty((n_steps + 1, cells))
+    g[n_steps] = 1.0
+    for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=True):
+        g[k] = _theta_solve(implicit, explicit, g[k + 1])
+        if g[k].min() <= 0.0:
+            raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g[k].min():.3e}")
     times = dt * np.arange(n_steps + 1)
-    return GridControl1D(spec=spec, times=times, lo=lo, hi=hi, g=np.array(slices))
+    return GridControl1D(spec=spec, times=times, lo=lo, hi=hi, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ banded solve for all position columns).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -30,6 +31,9 @@ TINY = 1e-300
 # Largest mass defect per unit time that a kinetic step may make before the
 # renormalisation: a step of dt may move the mass by this times dt.
 KINETIC_LEAK_RATE = 1e-3
+# Steps of a 1-D march whose coefficients are evaluated together, as arrays
+# over their mid-times.
+MARCH_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +239,11 @@ def _rate_terms(spec, density, s: float, gibbs: np.ndarray) -> RateTerms:
 # fitted-flux generator (shared by every grid solver)
 # ---------------------------------------------------------------------------
 
-def _fitted_rates(v_c: np.ndarray, v_f: np.ndarray, gamma: float, beta: float, h: float):
+def _fitted_rates(v_c: np.ndarray, v_f: np.ndarray, gamma, beta: float, h: float):
     """Scharfetter-Gummel rates of the tridiagonal generator A for potential
-    values at cell centres ``v_c`` and interior faces ``v_f``.
+    values at cell centres ``v_c`` and interior faces ``v_f``, cells on the
+    last axis; ``gamma`` is a float or an array that broadcasts against
+    their leading axes.
 
     ``up[i]`` is the rate from cell i+1 to i (A's super-diagonal), ``down[i]``
     the rate from i to i+1 (its sub-diagonal), and ``diag`` makes every column
@@ -246,35 +252,90 @@ def _fitted_rates(v_c: np.ndarray, v_f: np.ndarray, gamma: float, beta: float, h
     to zero.
     """
     base = gamma / (beta * h * h)
-    up = base * np.exp(beta * (v_c[1:] - v_f))
-    down = base * np.exp(beta * (v_c[:-1] - v_f))
-    diag = np.zeros(len(v_c))
-    diag[:-1] -= down
-    diag[1:] -= up
+    up = base * np.exp(beta * (v_c[..., 1:] - v_f))
+    down = base * np.exp(beta * (v_c[..., :-1] - v_f))
+    diag = np.zeros(v_c.shape)
+    diag[..., :-1] -= down
+    diag[..., 1:] -= up
     return up, down, diag
 
 
-def _theta_step(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, r: np.ndarray,
-                dt: float, theta: float) -> np.ndarray:
-    """Solve (I - theta dt A) r' = (I + (1 - theta) dt A) r along axis 0 of r,
-    with A = tridiag(sub, diag, sup), by LAPACK ``dgtsv``, leaving r as it
-    was; QuadratureError if the solve fails or its result is not finite."""
-    from scipy.linalg.lapack import dgtsv
+def _generator_rates(spec, x: np.ndarray, h: float, s: np.ndarray):
+    """gamma(s) as a column and the ``_fitted_rates`` (up, down, diag) of the
+    overdamped generator on cell centres ``x`` of width ``h``, at each time of
+    the 1-D array ``s``, stacked on a leading axis."""
+    gamma = spec.diffusion.gamma(s)[:, :1, 0]
+    s_col = s[:, None]
+    v_c = spec.potential.v(x[:, None], s_col)
+    v_f = spec.potential.v(0.5 * (x[:-1] + x[1:])[:, None], s_col)
+    return gamma, _fitted_rates(v_c, v_f, gamma, spec.beta, h)
 
+
+def _theta_bands(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, dt: float, theta: float):
+    """Band rows of the step (I - theta dt A) r' = (I + (1 - theta) dt A) r with
+    A = tridiag(sub, diag, sup), over any leading axes: the implicit matrix's
+    (sub, diag, sup) and the explicit one's, or None for theta = 1."""
+    ci = theta * dt
+    implicit = (-ci * sub, 1.0 - ci * diag, -ci * sup)
     if theta < 1.0:
         c = (1.0 - theta) * dt
-        col = (slice(None),) + (None,) * (r.ndim - 1)
-        explicit = r * (1.0 + c * diag)[col]
-        explicit[:-1] += (c * sup)[col] * r[1:]
-        explicit[1:] += (c * sub)[col] * r[:-1]
+        return implicit, (c * sub, 1.0 + c * diag, c * sup)
+    return implicit, None
+
+
+@functools.cache
+def _dgtsv():
+    """LAPACK's tridiagonal solver, imported on first use so that importing
+    the package does not load scipy.linalg."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+def _theta_solve(implicit, explicit, r: np.ndarray) -> np.ndarray:
+    """One step with the ``_theta_bands`` rows ``implicit`` and ``explicit``
+    along axis 0 of r, by LAPACK ``dgtsv``, leaving r and the rows as they
+    were; QuadratureError if the solve fails or its result is not finite."""
+    if explicit is None:
+        rhs = r
     else:
-        explicit = r
-    ci = theta * dt
-    *_, out, info = dgtsv(-ci * sub, 1.0 - ci * diag, -ci * sup, explicit, overwrite_dl=1,
-                          overwrite_d=1, overwrite_du=1, overwrite_b=explicit is not r)
+        sub, diag, sup = explicit
+        col = (slice(None),) + (None,) * (r.ndim - 1)
+        rhs = r * diag[col]
+        rhs[:-1] += sup[col] * r[1:]
+        rhs[1:] += sub[col] * r[:-1]
+    *_, out, info = _dgtsv()(*implicit, rhs, overwrite_b=rhs is not r)
     if info != 0 or not np.isfinite(out).all():
         raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
     return out
+
+
+def _block_bands(spec, x: np.ndarray, h: float, s: np.ndarray, dt: float, theta: float,
+                 adjoint: bool):
+    """The ``_theta_bands`` rows of a 1-D march at each mid-time of ``s``,
+    stacked on a leading axis; the adjoint march uses the transposed
+    generator with the killing rate beta dV/ds on its diagonal.  The rates
+    die on return, so only the bands stay alive while a block is stepped."""
+    _, (up, down, diag) = _generator_rates(spec, x, h, s)
+    if adjoint:
+        up, down = down, up
+        diag = diag - spec.beta * spec.potential.dv_ds(x[:, None], s[:, None])
+    return _theta_bands(up, down, diag, dt, theta)
+
+
+def _march(spec, x: np.ndarray, h: float, dt: float, n_steps: int, theta: float,
+           adjoint: bool):
+    """Yield (k, implicit, explicit) for each step k of a 1-D fitted-flux march
+    on cell centres ``x``: the ``_block_bands`` rows at the mid-time
+    (k + 1/2) dt, evaluated MARCH_BLOCK steps at a time.  The adjoint march
+    steps backward in k."""
+    starts = range(0, n_steps, MARCH_BLOCK)
+    for k0 in reversed(starts) if adjoint else starts:
+        s = (np.arange(k0, min(k0 + MARCH_BLOCK, n_steps)) + 0.5) * dt
+        implicit, explicit = _block_bands(spec, x, h, s, dt, theta, adjoint)
+        steps = zip(range(k0, k0 + len(s)), zip(*implicit),
+                    [None] * len(s) if explicit is None else zip(*explicit))
+        yield from reversed(list(steps)) if adjoint else steps
 
 
 def _grid_steps(horizon: float, dt: float, cells, theta: float = 1.0, axes: int = 1) -> int:
@@ -366,33 +427,30 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     x = GridDensity1D.centers(lo, hi, cells)
     rho = _init_values(init, [x], h)
 
-    times = [0.0]
-    snaps = [rho.copy()]
+    records = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    times = np.zeros(records)
+    snaps = np.empty((records, cells))
+    snaps[0] = rho
+    n_rec = 1
     mass_drift = abs(np.sum(rho) * h - 1.0)
-    xcol = x[:, None]
-    x_face = 0.5 * (x[:-1] + x[1:])[:, None]
 
-    for k in range(n_steps):
-        s_mid = (k + 0.5) * dt
-        gamma = float(spec.diffusion.gamma(s_mid)[0, 0])
-        up, down, diag = _fitted_rates(spec.potential.v(xcol, s_mid),
-                                       spec.potential.v(x_face, s_mid), gamma, spec.beta, h)
-        rho = _theta_step(up, down, diag, rho, dt, theta)
+    for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=False):
+        rho = _theta_solve(implicit, explicit, rho)
         if rho.min() < -1e-14:
             raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
-        np.clip(rho, 0.0, None, out=rho)
-        mass = np.sum(rho) * h
+        np.maximum(rho, 0.0, out=rho)
+        mass = rho.sum() * h
         mass_drift = max(mass_drift, abs(mass - 1.0))
         if abs(mass - 1.0) > 1e-8:
             raise QuadratureError(f"mass leaked beyond tolerance at step {k}: {mass - 1.0:.3e}")
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             if max(rho[0], rho[-1]) > 1e-9 * max(rho.max(), TINY):
                 raise QuadratureError("solver box too small: boundary density is not negligible")
-            times.append((k + 1) * dt)
-            snaps.append(rho.copy())
+            times[n_rec] = (k + 1) * dt
+            snaps[n_rec] = rho
+            n_rec += 1
 
-    return FPSolution1D(times=np.array(times), snapshots=np.array(snaps),
-                        lo=lo, hi=hi, mass_drift=mass_drift)
+    return FPSolution1D(times=times, snapshots=snaps, lo=lo, hi=hi, mass_drift=mass_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +565,12 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     # Momentum friction-diffusion: fitted flux against exp(-beta p^2 / 2m),
     # identical tridiagonal system for every position column.
     p_face = 0.5 * (ps[:-1] + ps[1:])
-    up, down, diag = _fitted_rates(0.5 * ps * ps / m_scalar, 0.5 * p_face * p_face / m_scalar,
-                                   xi, beta, hp)
+    implicit, _ = _theta_bands(*_fitted_rates(0.5 * ps * ps / m_scalar,
+                                              0.5 * p_face * p_face / m_scalar, xi, beta, hp),
+                               0.5 * dt, 1.0)
 
     def diffusion_half(r: np.ndarray) -> np.ndarray:
-        return _theta_step(up, down, diag, r.T, 0.5 * dt, 1.0).T
+        return _theta_solve(implicit, None, r.T).T
 
     # The free stream q' = p / m shifts each momentum column by a fixed
     # amount, so its half-step taps are built once; the kick p' = -dV/dq

@@ -139,6 +139,8 @@ class Potential:
 
     All methods accept states of shape (..., n) and a scalar time; they
     return arrays of shape (...,), (..., n) or (..., n, n) as appropriate.
+    ``v`` and ``dv_ds`` also take an array of times, broadcast against the
+    batch axes (...) of the states.
     """
 
     dimension: int
@@ -172,7 +174,7 @@ class QuadraticPotential(Potential):
         self.dimension = int(dimension)
 
     def _dev(self, x, s):
-        return np.asarray(x, dtype=float) - self.mu.value(s)
+        return np.asarray(x, dtype=float) - self.mu.value(s)[..., None]
 
     def v(self, x, s):
         d = self._dev(x, s)

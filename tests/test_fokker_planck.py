@@ -9,13 +9,16 @@ from numpy.testing import assert_allclose
 from noneq import (
     BrownianSpec,
     Constant,
+    DiffusionFactor,
     GaussianLaw,
     GridDensity1D,
     GridDensity2D,
     LangevinSpec,
     Linear,
+    PositivityError,
     QuadratureError,
     QuadraticPotential,
+    Sine,
     SpecError,
     TanhPerturbedPotential,
     decay_bound_lipschitz,
@@ -35,10 +38,17 @@ from noneq import (
     solve_g_pde_1d,
     solve_kinetic_fp_2d,
 )
-from noneq.fokker_planck import (KINETIC_LEAK_RATE, _fitted_rates, _shift, _shift_taps,
-                                 _theta_step)
+from noneq.cli import _ou_spec
+from noneq.fokker_planck import (KINETIC_LEAK_RATE, MARCH_BLOCK, _box_from_spec, _fitted_rates,
+                                 _init_values, _shift, _shift_taps, _theta_bands,
+                                 _theta_solve)
 
 EPS = np.finfo(float).eps
+
+
+def theta_step(sup, sub, diag, r, dt, theta):
+    """One theta step of the generator tridiag(sub, diag, sup) on r."""
+    return _theta_solve(*_theta_bands(sup, sub, diag, dt, theta), r)
 
 
 def ou_spec(k0=1.0, k1=None, beta=1.0, horizon=1.0):
@@ -139,20 +149,20 @@ class TestFittedFluxOperator:
     def test_gibbs_is_a_fixed_point(self, theta):
         v_c, (up, down, diag) = self.frozen_rates()
         gibbs = np.exp(-1.5 * v_c)
-        step = _theta_step(up, down, diag, gibbs, 0.05, theta)
+        step = theta_step(up, down, diag, gibbs, 0.05, theta)
         assert np.max(np.abs(step - gibbs)) <= self.CELLS * EPS * np.max(gibbs)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_mass_is_conserved(self, theta):
         _, (up, down, diag) = self.frozen_rates()
         r = np.random.default_rng(11).random(self.CELLS) + 0.1
-        step = _theta_step(up, down, diag, r, 0.05, theta)
+        step = theta_step(up, down, diag, r, 0.05, theta)
         assert abs(np.sum(step) - np.sum(r)) <= self.CELLS * EPS * np.sum(r)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_adjoint_keeps_constants(self, theta):
         _, (up, down, diag) = self.frozen_rates()
-        step = _theta_step(down, up, diag, np.ones(self.CELLS), 0.05, theta)
+        step = theta_step(down, up, diag, np.ones(self.CELLS), 0.05, theta)
         assert np.max(np.abs(step - 1.0)) <= self.CELLS * EPS
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -179,7 +189,7 @@ class TestFittedFluxOperator:
                                                1.0, spec.beta, h)
                 kill = diag - spec.beta * spec.potential.dv_ds(x, s_mid)
                 sup, sub = (down, up) if swap else (up, down)
-                rho = _theta_step(sup, sub, kill, rho, dt, theta)
+                rho = theta_step(sup, sub, kill, rho, dt, theta)
             return np.sum(rho) * h
 
         assert abs(killed_mass(False) - paired) <= cells * EPS * paired
@@ -206,9 +216,158 @@ class TestFittedFluxOperator:
         ab[0, 1:] = -theta * dt * up
         ab[1] = 1.0 - theta * dt * diag
         ab[2, :-1] = -theta * dt * down
-        step = _theta_step(up, down, diag, r, dt, theta)
+        step = theta_step(up, down, diag, r, dt, theta)
         np.testing.assert_array_equal(step, solve_banded((1, 1), ab, explicit))
         np.testing.assert_array_equal(r, kept)
+
+
+def reference_theta_step(sup, sub, diag, r, dt, theta):
+    """The theta step as a single function, as it was before its split into
+    ``_theta_bands`` and ``_theta_solve``: the explicit product, then ``dgtsv``."""
+    from scipy.linalg.lapack import dgtsv
+
+    if theta < 1.0:
+        c = (1.0 - theta) * dt
+        explicit = r * (1.0 + c * diag)
+        explicit[:-1] += (c * sup) * r[1:]
+        explicit[1:] += (c * sub) * r[:-1]
+    else:
+        explicit = r
+    ci = theta * dt
+    *_, out, info = dgtsv(-ci * sub, 1.0 - ci * diag, -ci * sup, explicit, overwrite_dl=1,
+                          overwrite_d=1, overwrite_du=1, overwrite_b=explicit is not r)
+    if info != 0 or not np.isfinite(out).all():
+        raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
+    return out
+
+
+def reference_rates(spec, x, h, dt, k):
+    """Fitted rates of step k at its scalar mid-time, and that time."""
+    s_mid = (k + 0.5) * dt
+    gamma = float(spec.diffusion.gamma(s_mid)[0, 0])
+    return _fitted_rates(spec.potential.v(x[:, None], s_mid),
+                         spec.potential.v(0.5 * (x[:-1] + x[1:])[:, None], s_mid),
+                         gamma, spec.beta, h), s_mid
+
+
+def reference_grid(spec, cells, radius_std):
+    """Cell width and cell centres of the solvers' box."""
+    lo, hi = _box_from_spec(spec, radius_std)
+    return (hi - lo) / cells, GridDensity1D.centers(lo, hi, cells)
+
+
+def reference_density_march(spec, init, dt, cells, theta, record_every, radius_std=10.0):
+    """The density march one step at a time, coefficients at each scalar
+    mid-time: (times, snapshots, mass drift) as ``solve_fp_1d`` gives them."""
+    n_steps = round(spec.horizon / dt)
+    h, x = reference_grid(spec, cells, radius_std)
+    rho = _init_values(init, [x], h)
+    times, snaps = [0.0], [rho.copy()]
+    mass_drift = abs(np.sum(rho) * h - 1.0)
+    for k in range(n_steps):
+        (up, down, diag), _ = reference_rates(spec, x, h, dt, k)
+        rho = reference_theta_step(up, down, diag, rho, dt, theta)
+        if rho.min() < -1e-14:
+            raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
+        np.clip(rho, 0.0, None, out=rho)
+        mass = np.sum(rho) * h
+        mass_drift = max(mass_drift, abs(mass - 1.0))
+        if abs(mass - 1.0) > 1e-8:
+            raise QuadratureError(f"mass leaked beyond tolerance at step {k}: {mass - 1.0:.3e}")
+        if (k + 1) % record_every == 0 or k + 1 == n_steps:
+            if max(rho[0], rho[-1]) > 1e-9 * max(rho.max(), 1e-300):
+                raise QuadratureError("solver box too small: boundary density is not negligible")
+            times.append((k + 1) * dt)
+            snaps.append(rho.copy())
+    return np.array(times), np.array(snaps), mass_drift
+
+
+def reference_g_march(spec, dt, cells, theta, radius_std=10.0):
+    """The g-march one step at a time, backward from the flat horizon slice:
+    the slices in ascending time, as ``solve_g_pde_1d`` gives them."""
+    n_steps = round(spec.horizon / dt)
+    h, x = reference_grid(spec, cells, radius_std)
+    g = np.ones(cells)
+    slices = [g.copy()]
+    for k in range(n_steps - 1, -1, -1):
+        (up, down, diag), s_mid = reference_rates(spec, x, h, dt, k)
+        kill = diag - spec.beta * spec.potential.dv_ds(x[:, None], s_mid)
+        g = reference_theta_step(down, up, kill, g, dt, theta)
+        if g.min() <= 0.0:
+            raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g.min():.3e}")
+        slices.append(g.copy())
+    return np.array(slices[::-1])
+
+
+def outcome(call):
+    """The arrays a march returns, or the type and message of its typed error."""
+    try:
+        return call()
+    except (PositivityError, QuadratureError) as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+BLOCK_MARCH_SPECS = {
+    "moving-quadratic": BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0),
+                                                        Linear(0.0, 1.5, 1.0)),
+                                     beta=1.3, horizon=1.0),
+    "sine-tanh": BrownianSpec(TanhPerturbedPotential(Sine(0.7)), beta=1.0, horizon=1.0),
+    "sine-noise": BrownianSpec(QuadraticPotential(Constant(1.0)), beta=1.0, horizon=1.0,
+                               diffusion=DiffusionFactor.isotropic(1, 1.0, Sine(0.3, base=1.0))),
+}
+
+
+class TestBlockMarch:
+    """The marches evaluate their coefficients MARCH_BLOCK steps at a time;
+    they must give the step-by-step reference bit for bit, or fail at the
+    same step with the same typed error."""
+
+    CELLS = 60
+    INIT = GaussianLaw(np.array([0.3]), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("n_steps", [1, MARCH_BLOCK // 2, 1000])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MARCH_SPECS))
+    def test_matches_the_step_by_step_reference(self, name, reverse, theta, n_steps):
+        assert n_steps % MARCH_BLOCK
+        spec = BLOCK_MARCH_SPECS[name]
+        spec = spec.reversed() if reverse else spec
+        dt = spec.horizon / n_steps
+
+        def density():
+            sol = solve_fp_1d(spec, self.INIT, dt, cells=self.CELLS, theta=theta,
+                              record_every=7)
+            return sol.times, sol.snapshots, sol.mass_drift
+
+        assert_same_outcome(outcome(density), outcome(
+            lambda: reference_density_march(spec, self.INIT, dt, self.CELLS, theta, 7)))
+        assert_same_outcome(
+            outcome(lambda: (solve_g_pde_1d(spec, dt, cells=self.CELLS, theta=theta).g,)),
+            outcome(lambda: (reference_g_march(spec, dt, self.CELLS, theta),)))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_overflow_fails_like_the_reference(self, theta):
+        spec = _ou_spec(1.0, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = outcome(lambda: solve_fp_1d(spec, STD_LAW, 0.1, cells=3, radius_std=100.0,
+                                              theta=theta))
+            want = outcome(lambda: reference_density_march(spec, STD_LAW, 0.1, 3, theta, 1,
+                                                           radius_std=100.0))
+            assert got == want and want[0] is QuadratureError
+            got = outcome(lambda: solve_g_pde_1d(spec, 0.1, cells=3, radius_std=100.0,
+                                                 theta=theta))
+            want = outcome(lambda: reference_g_march(spec, 0.1, 3, theta, radius_std=100.0))
+            assert got == want and want[0] is QuadratureError
 
 
 class TestEntropyQuadrature:

@@ -34,6 +34,7 @@ from noneq import (
     validate_spec,
 )
 from noneq.gaussian_oracle import _langevin_system
+from noneq.model import Potential
 from noneq.rng import block_generator
 
 
@@ -329,3 +330,40 @@ def test_diffusion_schedule_enters_gamma():
     g_half = spec.diffusion.gamma(0.5)[0, 0]
     assert_allclose(g0, 1.25 ** 2, rtol=1e-12)
     assert_allclose(g_half, (1.25 + 0.5 * math.sin(0.5 * math.pi)) ** 2, rtol=1e-12)
+
+
+def package_potentials(cls=Potential):
+    """Every subclass of ``cls`` that the package defines, at any depth."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__ == Potential.__module__:
+            found.add(sub)
+        found |= package_potentials(sub)
+    return found
+
+
+BATCHED_POTENTIALS = [
+    QuadraticPotential(Linear(1.0, 2.0, 1.0), Linear(0.0, 1.5, 1.0)),
+    QuadraticPotential(Sine(0.4, base=1.0), Sine(0.7), 2),
+    TanhPerturbedPotential(Sine(0.7)),
+]
+
+
+@pytest.mark.parametrize("pot", BATCHED_POTENTIALS + [
+    BrownianSpec(pot, beta=1.0, horizon=1.0).reversed().potential for pot in BATCHED_POTENTIALS
+], ids=["moving-quadratic", "sine-quadratic-2d", "sine-tanh",
+        "moving-quadratic-mirrored", "sine-quadratic-2d-mirrored", "sine-tanh-mirrored"])
+def test_potential_takes_a_column_of_times(pot):
+    """``v`` and ``dv_ds`` on a column of times give the per-time results
+    stacked, bit for bit: the grid marches evaluate a block of steps at once."""
+    x = np.random.default_rng(6).normal(size=(9, pot.dimension))
+    s = np.linspace(0.0, 1.0, 5)[:, None]
+    for method in (pot.v, pot.dv_ds):
+        assert_array_equal(method(x, s), np.stack([method(x, float(t)) for t in s[:, 0]]))
+
+
+def test_every_potential_has_a_batched_time_case():
+    cases = {type(pot) for pot in BATCHED_POTENTIALS}
+    cases |= {type(BrownianSpec(pot, beta=1.0, horizon=1.0).reversed().potential)
+              for pot in BATCHED_POTENTIALS}
+    assert package_potentials() <= cases
