@@ -88,7 +88,21 @@ class GridControl1D:
     @property
     def value_grid(self) -> np.ndarray:
         """U = -ln(g)/beta on the same grid."""
-        return -np.log(self.g) / self.spec.beta
+        return self._value_rows(slice(None))
+
+    def _value_rows(self, rows: slice) -> np.ndarray:
+        return -np.log(self.g[rows]) / self.spec.beta
+
+    def _control_rows(self, rows: slice) -> np.ndarray:
+        """u*(x, s) = -2 sigma(s) dU/dx on the time rows ``rows`` of the grid."""
+        u_val = self._value_rows(rows)
+        h = (self.hi - self.lo) / self.g.shape[1]
+        du = np.empty_like(u_val)
+        du[:, 1:-1] = (u_val[:, 2:] - u_val[:, :-2]) / (2 * h)
+        du[:, 0] = (u_val[:, 1] - u_val[:, 0]) / h
+        du[:, -1] = (u_val[:, -1] - u_val[:, -2]) / h
+        sig = self.spec.diffusion.sigma(self.times[rows])[:, 0, 0]
+        return -2.0 * sig[:, None] * du
 
     def _time_weights(self, s: float):
         times = self.times
@@ -98,37 +112,33 @@ class GridControl1D:
         frac = (s - times[j]) / (times[j + 1] - times[j])
         return j, frac
 
-    def _interp(self, field: np.ndarray, x, s: float) -> np.ndarray:
+    def _interp(self, rows_of, x, s: float) -> np.ndarray:
+        """The field whose time rows ``rows_of(slice)`` gives, linear in time
+        between the two rows around ``s`` (clamped to the grid) and in x."""
         pts = np.asarray(x, dtype=float).reshape(-1)
         if not self._warned and (pts.min() < self.lo or pts.max() > self.hi):
             logger.warning("control query outside the solved box [%g, %g]; "
                            "using constant extrapolation", self.lo, self.hi)
             self._warned = True
         j, frac = self._time_weights(s)
-        row = (1.0 - frac) * field[j] + frac * field[j + 1]
+        before, after = rows_of(slice(j, j + 2))
+        row = (1.0 - frac) * before + frac * after
         return np.interp(pts, self.x, row)
 
     def value(self, x, s: float) -> np.ndarray:
-        return self._interp(self.value_grid, x, s)
+        return self._interp(self._value_rows, x, s)
 
     def g_at(self, x, s: float) -> np.ndarray:
-        return self._interp(self.g, x, s)
+        return self._interp(self.g.__getitem__, x, s)
 
     def control_grid(self) -> np.ndarray:
         """u*(x, s) = -2 sigma(s) dU/dx sampled on the grid."""
-        u_val = self.value_grid
-        h = (self.hi - self.lo) / self.g.shape[1]
-        du = np.empty_like(u_val)
-        du[:, 1:-1] = (u_val[:, 2:] - u_val[:, :-2]) / (2 * h)
-        du[:, 0] = (u_val[:, 1] - u_val[:, 0]) / h
-        du[:, -1] = (u_val[:, -1] - u_val[:, -2]) / h
-        sig = np.array([float(self.spec.diffusion.sigma(s)[0, 0]) for s in self.times])
-        return -2.0 * sig[:, None] * du
+        return self._control_rows(slice(None))
 
     def control_field(self):
-        """The control u*(x, s), interpolated from :meth:`control_grid`."""
-        ugrid = self.control_grid()
-        return lambda x, s: self._interp(ugrid, x, s)[:, None]
+        """The control u*(x, s), interpolated from the two time rows of
+        :meth:`control_grid` around s, which each call computes afresh."""
+        return lambda x, s: self._interp(self._control_rows, x, s)[:, None]
 
     def _tilted(self) -> GridDensity1D:
         """exp(-beta V(., 0)) g(., 0) on the grid, unnormalised."""

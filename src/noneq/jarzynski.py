@@ -45,14 +45,26 @@ class VarianceReport:
     n_paths: int
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum exp(a) of a 1-D float array with the arithmetic of
+    scipy.special.logsumexp (scipy 1.17): the m terms at the maximum are
+    split out of the shifted sum s, then ln(1 + s/m) + ln m + max; where that
+    is not finite, ln sum exp(a) directly."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = np.count_nonzero(at_max)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+        out = float(np.log1p(s / m) + np.log(m) + a_max)
+        return out if math.isfinite(out) else float(np.log(np.exp(a).sum()))
+
+
 def _finalize_report(log_vals: np.ndarray, beta: float, kind: str, dt: float,
                      seed: int) -> EstimatorReport:
-    from scipy.special import logsumexp
-
     n = len(log_vals)
     if n < 2:
         raise SpecError("need at least two finite paths")
-    log_mean = float(logsumexp(log_vals) - math.log(n))
+    log_mean = _logsumexp(log_vals) - math.log(n)
     if not math.isfinite(log_mean):
         raise SpecError("all path weights vanished; rescale beta*W or check the run")
     ratios = np.exp(log_vals - log_mean)

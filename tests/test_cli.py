@@ -203,6 +203,16 @@ class TestAggregateRun:
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         assert last_line_of_fresh_run(script) == "[]"
 
+    def test_path_experiments_do_not_load_scipy(self, tmp_path):
+        """Runs that only draw paths and estimate need numpy alone."""
+        script = ("import sys\n"
+                  "import noneq.cli\n"
+                  "for name in ('jarzynski', 'zero-variance'):\n"
+                  f"    out = {str(tmp_path)!r} + '/' + name\n"
+                  "    assert noneq.cli.main([name, '--quick', '--out', out]) == 0\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert last_line_of_fresh_run(script) == "[]"
+
     def test_certificate_experiments_do_not_load_scipy_optimize(self, tmp_path):
         """The certificate optimiser runs on floats: no scipy.optimize import."""
         script = ("import sys\n"

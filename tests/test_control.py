@@ -1,5 +1,7 @@
 """Work-tilted expectations and the optimal steering field that flattens them."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,11 +10,13 @@ from noneq import (
     BlowUpError,
     BrownianSpec,
     Constant,
+    DiffusionFactor,
     GaussianLaw,
     LangevinSpec,
     Linear,
     QuadraticPotential,
     SpecError,
+    Sine,
     feynman_kac_g,
     gibbs_gaussian,
     gibbs_grid,
@@ -100,6 +104,70 @@ class TestGridSolution:
         assert coarse <= 1e-2
         fine = solve_g_pde_1d(spec, dt=5e-4, cells=1600).hjb_residual()
         assert fine <= coarse / 2.0
+
+
+def full_value_grid(grid):
+    return -np.log(grid.g) / grid.spec.beta
+
+
+def full_control_grid(grid):
+    """The control on every grid row, with sigma read one time at a time."""
+    u_val = full_value_grid(grid)
+    h = (grid.hi - grid.lo) / grid.g.shape[1]
+    du = np.empty_like(u_val)
+    du[:, 1:-1] = (u_val[:, 2:] - u_val[:, :-2]) / (2 * h)
+    du[:, 0] = (u_val[:, 1] - u_val[:, 0]) / h
+    du[:, -1] = (u_val[:, -1] - u_val[:, -2]) / h
+    sig = np.array([float(grid.spec.diffusion.sigma(s)[0, 0]) for s in grid.times])
+    return -2.0 * sig[:, None] * du
+
+
+def from_full_grid(grid, field, x, s):
+    """``field`` (all time rows) read at (x, s) as the grid control reads its rows."""
+    j, frac = grid._time_weights(s)
+    return np.interp(x, grid.x, (1.0 - frac) * field[j] + frac * field[j + 1])
+
+
+class TestRowsOnDemand:
+    """value, g_at and control_field compute only the two time rows around s;
+    they must give the full-grid computation bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        spec = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), Linear(0.0, 0.5, 1.0)),
+                            beta=1.3, horizon=1.0,
+                            diffusion=DiffusionFactor.isotropic(1, 1.0, Sine(0.3, base=1.0)))
+        return solve_g_pde_1d(spec, dt=0.01, cells=61)
+
+    def query_times(self, grid):
+        t = grid.times
+        return [t[0], t[1], t[37], t[-2], t[-1], 0.5 * (t[0] + t[1]), 0.3 * t[40] + 0.7 * t[41],
+                0.123456789, 0.5 * (t[-2] + t[-1]), -0.25, -1e-9, 1.0 + 1e-9, 7.0]
+
+    def test_control_grid_matches_the_per_time_sigma(self, grid):
+        np.testing.assert_array_equal(grid.control_grid(), full_control_grid(grid), strict=True)
+
+    def test_fields_match_the_full_grid(self, grid):
+        xs = np.concatenate([grid.x[::3], np.linspace(grid.lo, grid.hi, 29)])
+        ugrid, vgrid = full_control_grid(grid), full_value_grid(grid)
+        field = grid.control_field()
+        for s in self.query_times(grid):
+            np.testing.assert_array_equal(field(xs, s), from_full_grid(grid, ugrid, xs, s)[:, None],
+                                          strict=True)
+            np.testing.assert_array_equal(grid.value(xs, s), from_full_grid(grid, vgrid, xs, s),
+                                          strict=True)
+            np.testing.assert_array_equal(grid.g_at(xs, s), from_full_grid(grid, grid.g, xs, s),
+                                          strict=True)
+
+    def test_one_field_on_two_threads(self, grid):
+        field = grid.control_field()
+        xs = grid.x[::2]
+        queries = np.linspace(-0.1, 1.1, 241)
+        serial = [field(xs, s) for s in queries]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda s: field(xs, s), queries))
+        for a, b in zip(threaded, serial):
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 class EarlyKink(Schedule):

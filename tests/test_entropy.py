@@ -15,6 +15,7 @@ from noneq import (
     LangevinSpec,
     Linear,
     QuadraticPotential,
+    QuadratureError,
     SpecError,
     TanhPerturbedPotential,
     bakry_emery_kappa,
@@ -37,7 +38,8 @@ from noneq import (
     production_rate_check,
     solve_fp_1d,
 )
-from noneq.cli import DEFAULTS, QUICK
+import noneq.entropy as entropy_module
+from noneq.cli import DEFAULTS, QUICK, main
 from noneq.model import Potential
 
 
@@ -201,6 +203,87 @@ class TestDecayEnvelopes:
         with pytest.raises(CertificateInfeasible):
             decay_bound_lipschitz(times, 0.1, 1.0, 1.0,
                                   lambda s: 0.0 * s, lambda s: 0.2 + 0.0 * s)
+
+
+class TestGronwallQuadrature:
+    """The envelopes' shared quadrature: cumulative Simpson on doubling grids,
+    read at the output times with cubic Lagrange weights, so both the
+    quadrature and the readout are fourth order."""
+
+    RATES = dict(beta=1.3, gamma_minus=0.8, kappa=1.1, l1=0.45)
+
+    def supremum(self, times, r0=0.6, **kw):
+        p = self.RATES
+        return decay_bound_supremum(times, r0, p["beta"], p["gamma_minus"],
+                                    lambda s: p["kappa"] + 0.0 * s,
+                                    lambda s: p["l1"] + 0.0 * s, **kw)
+
+    def closed_sqrt(self, times, r0=0.6):
+        p = self.RATES
+        rate = p["gamma_minus"] * p["kappa"] / p["beta"]
+        decay = np.exp(-rate * np.asarray(times))
+        return math.sqrt(r0) * decay + p["beta"] * p["l1"] / math.sqrt(2.0) * (1.0 - decay) / rate
+
+    def test_constant_rates_match_the_closed_form_to_roundoff(self):
+        times = np.linspace(0.0, 3.0, 121)
+        env = self.supremum(times)
+        assert np.max(np.abs(env.sqrt_bound - self.closed_sqrt(times))) <= 1e-13
+
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.3, 0.2)])
+    def test_kinetic_constant_rates_match_the_closed_form_to_roundoff(self, l1, l2):
+        cert = hypocoercivity_certificate(0.05, 0.04, 0.05, xi=1.0, beta=1.0,
+                                          hessian_bound=0.0, lsi_kappa=1.0)
+        times = np.linspace(0.0, 4.0, 81)
+        got = kinetic_decay_bound_time_dependent(
+            cert, 0.5, times, lambda s: cert.omega + 0.0 * s,
+            lambda s: l1 + 0.0 * s, lambda s: l2 + 0.0 * s)
+        forcing = 0.5 * cert.beta ** 2 * l1 ** 2 / cert.omega \
+            + cert.beta ** 2 * (cert.c + 0.5 * cert.b) * l2 ** 2
+        decay = np.exp(-cert.omega * times)
+        assert np.max(np.abs(got - (0.5 * decay + forcing * (1.0 - decay) / cert.omega))) <= 1e-13
+
+    def test_times_with_repeats(self):
+        times = np.array([0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 2.5, 2.5])
+        env = self.supremum(times)
+        assert env.sqrt_bound[1] == env.sqrt_bound[2]
+        assert env.sqrt_bound[3] == env.sqrt_bound[4] == env.sqrt_bound[5]
+        assert env.sqrt_bound[6] == env.sqrt_bound[7]
+        assert env.sqrt_bound[0] == math.sqrt(0.6)
+        assert np.max(np.abs(env.sqrt_bound - self.closed_sqrt(times))) <= 1e-13
+
+    def test_a_single_time_at_zero_is_the_start(self):
+        assert self.supremum([0.0, 0.0]).sqrt_bound.tolist() == [math.sqrt(0.6)] * 2
+
+    def test_unreachable_tolerance_is_a_typed_error(self):
+        with pytest.raises(QuadratureError, match="did not settle"):
+            self.supremum(np.linspace(0.0, 3.0, 121), tol=0.0)
+
+    @pytest.mark.parametrize("times", [[0.0, float("nan")], [0.0, float("inf")],
+                                       [-0.1, 1.0], [0.0, 1.0, 0.5]])
+    def test_times_off_the_grid_are_rejected(self, times):
+        with pytest.raises(SpecError):
+            self.supremum(times)
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_cli_envelopes_converge_within_three_grids(self, quick, tmp_path, monkeypatch):
+        """Each envelope the CLI draws settles within 3 grids (at most 4097
+        points), counted by the calls to the quadrature's ``terms``."""
+        grids = []
+        gronwall = entropy_module._gronwall
+
+        def counting(times, y0, terms, tol):
+            sizes = []
+            grids.append(sizes)
+            return gronwall(times, y0, lambda grid, h: (sizes.append(len(grid)),
+                                                        terms(grid, h))[1], tol)
+
+        monkeypatch.setattr(entropy_module, "_gronwall", counting)
+        flag = ["--quick"] if quick else []
+        for name in ("bound-overdamped", "bound-kinetic"):
+            assert main([name, *flag, "--out", str(tmp_path / name)]) == 0
+        assert len(grids) == 4
+        for sizes in grids:
+            assert 2 <= len(sizes) <= 3 and sizes[-1] <= 4097, sizes
 
 
 class QuarticDoubleWell(Potential):

@@ -267,7 +267,7 @@ def reference_density_march(spec, init, dt, cells, theta, record_every, radius_s
     for k in range(n_steps):
         (up, down, diag), _ = reference_rates(spec, x, h, dt, k)
         rho = reference_theta_step(up, down, diag, rho, dt, theta)
-        if rho.min() < -1e-14:
+        if rho.min() < -1e-12 * rho.max():
             raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
         np.clip(rho, 0.0, None, out=rho)
         mass = np.sum(rho) * h
@@ -354,6 +354,15 @@ class TestBlockMarch:
         assert_same_outcome(
             outcome(lambda: (solve_g_pde_1d(spec, dt, cells=self.CELLS, theta=theta).g,)),
             outcome(lambda: (reference_g_march(spec, dt, self.CELLS, theta),)))
+
+    def test_roundoff_undershoot_is_not_a_loss_of_positivity(self):
+        """The guard scales with the peak density: a Crank-Nicolson undershoot
+        of about 3e-14 against a peak of order 0.5 is clamped, not fatal."""
+        spec = BLOCK_MARCH_SPECS["moving-quadratic"]
+        sol = solve_fp_1d(spec, self.INIT, 0.1, cells=120, theta=0.5)
+        times, snaps, drift = reference_density_march(spec, self.INIT, 0.1, 120, 0.5, 1)
+        np.testing.assert_array_equal(sol.snapshots, snaps, strict=True)
+        assert sol.times[-1] == times[-1] == 1.0 and sol.mass_drift == drift
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_overflow_fails_like_the_reference(self, theta):

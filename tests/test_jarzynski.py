@@ -20,6 +20,7 @@ from noneq import (
     simulate_forward,
     variance_report,
 )
+from noneq.jarzynski import _logsumexp
 from noneq.sde import TrajectoryEnsemble
 
 HALF_LN2 = 0.5 * math.log(2.0)
@@ -169,3 +170,31 @@ class TestGuards:
         ens = simulate_forward(spec, 16, 1e-2, seed=1)
         with pytest.raises(SpecError):
             estimate_free_energy_is(spec, ens, initial_law=object())
+
+
+def logsumexp_cases():
+    rng = np.random.default_rng(23)
+    draws = rng.normal(size=(4, 500))
+    tied = draws[0].copy()
+    tied[[3, 77, 401]] = tied.max() + 0.5
+    return {
+        "tie at the maximum": tied,
+        "all tied": np.full(64, -3.25),
+        "n=2": np.array([0.1, -0.7]),
+        "n=2 tied": np.array([2.5, 2.5]),
+        "single dominant term": np.concatenate([[40.0], draws[1]]),
+        "dominant beyond roundoff": np.array([0.0, -800.0, -745.5, -40.0]),
+        "magnitudes near 300": 300.0 + draws[2],
+        "magnitudes near -300": -300.0 + 3.0 * draws[3],
+        "mixed signs near 300": np.array([299.5, -301.0, 300.25, 298.0]),
+        "vanished weights": np.array([-np.inf, -np.inf, -np.inf]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(logsumexp_cases()))
+def test_logsumexp_matches_scipy(name):
+    """The estimators' logsumexp keeps scipy's arithmetic: equal, not close."""
+    from scipy.special import logsumexp
+
+    a = logsumexp_cases()[name]
+    assert _logsumexp(a) == float(logsumexp(a))
