@@ -11,34 +11,41 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .control import langevin_control_solution, solve_g_pde_1d
-from .entropy import (bakry_emery_kappa, decay_bound_lipschitz, decay_bound_supremum,
-                      hypocoercivity_certificate, kinetic_decay_bound,
-                      kinetic_decay_bound_time_dependent, modified_functional_trace,
-                      optimize_omega, production_rate_check)
 from .errors import CertificateInfeasible, ConfigError, SpecError
-from .fokker_planck import GridDensity1D, _box_from_spec, gibbs_grid, solve_fp_1d
-from .gaussian_oracle import GaussianLaw, langevin_propagator, ou_moments_path, \
-    riccati_value_function
-from .jarzynski import estimate_free_energy_is, estimate_free_energy_vanilla, \
-    variance_report
 from .model import (BrownianSpec, Constant, DiffusionFactor, LangevinSpec, Linear,
                     QuadraticPotential, RadialLinearCirculation, RotationCirculation,
                     Sine, TanhPerturbedPotential, free_energy_difference, spec_from_config,
                     validate_spec)
-from .odes import _step_count
-from .reversal import (_grid_reversal_reports, drift_identity_check,
-                       kinetic_drift_identity_check, kinetic_law_equivalence_test,
-                       law_equivalence_test)
-from .sde import simulate_forward
+
+# The numerical library names the runners read, by home module.  Argument
+# parsing, config checks and `validate` need none of them, so they are bound
+# as attributes of this module by _bind_library, on the first other run.
+_LIBRARY = {
+    "control": ("langevin_control_solution", "solve_g_pde_1d"),
+    "entropy": ("bakry_emery_kappa", "decay_bound_lipschitz", "decay_bound_supremum",
+                "hypocoercivity_certificate", "kinetic_decay_bound",
+                "kinetic_decay_bound_time_dependent", "modified_functional_trace",
+                "optimize_omega", "production_rate_check"),
+    "fokker_planck": ("GridDensity1D", "_box_from_spec", "gibbs_grid", "solve_fp_1d"),
+    "gaussian_oracle": ("GaussianLaw", "langevin_propagator", "ou_moments_path",
+                        "riccati_value_function"),
+    "jarzynski": ("estimate_free_energy_is", "estimate_free_energy_vanilla",
+                  "variance_report"),
+    "odes": ("_step_count",),
+    "reversal": ("_grid_reversal_reports", "drift_identity_check",
+                 "kinetic_drift_identity_check", "kinetic_law_equivalence_test",
+                 "law_equivalence_test"),
+    "sde": ("simulate_forward",),
+}
+_library_bound = False
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 2026
@@ -524,6 +531,8 @@ def _check_type(key: str, value, default):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import yaml  # only a --config run reads YAML
+
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh) or {}
@@ -567,7 +576,23 @@ def _resolve_params(name: str, cfg: dict, quick: bool) -> dict:
     return params
 
 
+def _bind_library():
+    """Import the numerical library once and bind the names in ``_LIBRARY``
+    as attributes of this module, where the runners read them."""
+    global _library_bound
+    if _library_bound:
+        return
+    namespace = globals()
+    for module, names in _LIBRARY.items():
+        home = importlib.import_module(f".{module}", __package__)
+        for attr in names:
+            namespace[attr] = getattr(home, attr)
+    _library_bound = True
+
+
 def _run_one(name: str, cfg: dict, seed: int, quick: bool, out_root: Path):
+    if name != "validate":
+        _bind_library()
     params = _resolve_params(name, cfg, quick)
     resolved = {"experiment": name, "parameters": params, "seed": seed, "quick": quick}
     chash = hashlib.sha256(

@@ -28,9 +28,8 @@ import numpy as np
 from .errors import BlowUpError, PositivityError, SpecError
 from .fokker_planck import (MARCH_BLOCK, GridDensity1D, _box_from_spec, _generator_rates,
                             _grid_steps, _march, _theta_solve)
-from .gaussian_oracle import RICCATI_SUBSTEPS, GaussianLaw, _riccati_grid, _riccati_guard
+from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard, _riccati_solve
 from .model import BrownianSpec, LangevinSpec, partition_function
-from .odes import rk4_path
 from .sde import _overdamped_step, _run_blocks
 
 logger = logging.getLogger(__name__)
@@ -85,12 +84,8 @@ class GridControl1D:
     def x(self) -> np.ndarray:
         return GridDensity1D.centers(self.lo, self.hi, self.g.shape[1])
 
-    @property
-    def value_grid(self) -> np.ndarray:
-        """U = -ln(g)/beta on the same grid."""
-        return self._value_rows(slice(None))
-
     def _value_rows(self, rows: slice) -> np.ndarray:
+        """U = -ln(g)/beta on the time rows ``rows`` of the grid."""
         return -np.log(self.g[rows]) / self.spec.beta
 
     def _control_rows(self, rows: slice) -> np.ndarray:
@@ -160,27 +155,36 @@ class GridControl1D:
         The core masks out the zero-flux boundary layer, where the boxed
         problem legitimately differs from the free-space one.
         """
+        center, std = self.spec.potential.envelope(0.0, self.spec.beta)
+        core = np.abs(self.x - center) <= 5.0 * std
+        return float(np.max([np.max(np.abs(r[:, core])) for r in self._hjb_blocks()]))
+
+    def _hjb_blocks(self):
+        """U_s + L U - gamma (U_x)^2 + dV/ds on every cell, MARCH_BLOCK time
+        rows at a time.  U_s reads a window of two more rows on each side, for
+        its 5-point stencil, and grows toward the other side to 5 rows at a
+        short last block, so the one-sided rows of ``derivative_uniform`` land
+        only on the grid's true ends."""
         from .entropy import derivative_uniform
 
-        u_val = self.value_grid
         x = self.x
         h = x[1] - x[0]
-        u_s = derivative_uniform(u_val, self.times[1] - self.times[0])
-        ux = np.gradient(u_val, h, axis=1)
-        resid = np.empty_like(u_val)
-        for i in range(0, len(self.times), MARCH_BLOCK):
-            rows = slice(i, i + MARCH_BLOCK)
-            s = self.times[rows]
+        dt = self.times[1] - self.times[0]
+        n = len(self.times)
+        for i in range(0, n, MARCH_BLOCK):
+            j = min(i + MARCH_BLOCK, n)
+            hi = min(j + 2, n)
+            lo = max(min(i - 2, hi - 5), 0)
+            window = self._value_rows(slice(lo, hi))
+            u_s = derivative_uniform(window, dt)[i - lo:j - lo]
+            u = window[i - lo:j - lo]
+            s = self.times[i:j]
             gamma, (up, down, _) = _generator_rates(self.spec, x, h, s)
-            u = u_val[rows]
+            ux = np.gradient(u, h, axis=1)
             lu = np.zeros_like(u)
             lu[:, :-1] += down * (u[:, 1:] - u[:, :-1])
             lu[:, 1:] += up * (u[:, :-1] - u[:, 1:])
-            resid[rows] = u_s[rows] + lu - gamma * ux[rows] ** 2 \
-                + self.spec.potential.dv_ds(x[:, None], s[:, None])
-        center, std = self.spec.potential.envelope(0.0, self.spec.beta)
-        core = np.abs(x - center) <= 5.0 * std
-        return float(np.max(np.abs(resid[:, core])))
+            yield u_s + lu - gamma * ux ** 2 + self.spec.potential.dv_ds(x[:, None], s[:, None])
 
 
 def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
@@ -250,8 +254,7 @@ class LangevinRiccati:
             dc0 = -(xi / beta) * n * lpp
             return dqq, dqp, dpp, dc0
 
-        back = rk4_path(rhs, coef, np.zeros(4), self.times[::-1], RICCATI_SUBSTEPS)
-        coeffs = back[::-1]
+        coeffs = _riccati_solve(rhs, coef, 4, self.times)
         self.lqq = coeffs[:, 0].copy()
         self.lqp = coeffs[:, 1].copy()
         self.lpp = coeffs[:, 2].copy()

@@ -351,6 +351,19 @@ def _riccati_guard(s: float, *coeffs: float):
         raise BlowUpError(f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
 
 
+def _riccati_solve(rhs, coef, width: int, times: np.ndarray) -> np.ndarray:
+    """Coefficients at ``times`` of the backward flow from zero data at the
+    horizon, shape (len(times), width).  The stage guard passes NaN (no
+    comparison with NaN is true), so the solved path is checked once here:
+    BlowUpError at the latest time where a coefficient is not finite."""
+    back = rk4_path(rhs, coef, np.zeros(width), times[::-1], RICCATI_SUBSTEPS)
+    bad = ~np.isfinite(back).all(axis=1)
+    if bad.any():
+        s = times[::-1][bad.argmax()]
+        raise BlowUpError(f"riccati coefficients are not finite at s={s:.6g}")
+    return back[::-1]
+
+
 class BrownianRiccati:
     """Backward quadratic solution U(x, s) = alpha s x^2 + delta x + c0.
 
@@ -386,8 +399,7 @@ class BrownianRiccati:
                 - 0.5 * kd * mu * mu - k * mud * mu
             return da, dd, dc
 
-        back = rk4_path(rhs, coef, np.zeros(3), self.times[::-1], RICCATI_SUBSTEPS)
-        coeffs = back[::-1]
+        coeffs = _riccati_solve(rhs, coef, 3, self.times)
         self.alpha = coeffs[:, 0].copy()
         self.delta = coeffs[:, 1].copy()
         self.c0 = coeffs[:, 2].copy()

@@ -1,6 +1,8 @@
 """Command-line experiment runner: exit codes, artifacts, determinism."""
 
+import ast
 import filecmp
+import importlib
 import json
 import os
 import subprocess
@@ -61,6 +63,12 @@ class TestExitCodes:
                      "--out", str(tmp_path / "a")])
         assert code == 2
         assert "warp_factor" in capsys.readouterr().err
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiments: [unclosed\n")
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "config error: config file is not valid YAML" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--quick", "--seed", "-4",
@@ -222,3 +230,129 @@ class TestAggregateRun:
                   "    assert noneq.cli.main([name, '--quick', '--out', out]) == 0\n"
                   "print('scipy.optimize' in sys.modules)\n")
         assert last_line_of_fresh_run(script) == "False"
+
+
+def loaded_after_fresh_runs(runs) -> list:
+    """The ``noneq``, ``yaml`` and ``scipy`` modules a new interpreter holds
+    after ``import noneq.cli`` and ``main(argv)`` for each ``(argv, exit code)``
+    of ``runs``; an exit through ``SystemExit`` (``--help``) counts too."""
+    script = ("import contextlib, io, sys\n"
+              "import noneq.cli\n"
+              f"for argv, code in {runs!r}:\n"
+              "    sink = io.StringIO()\n"
+              "    try:\n"
+              "        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+              "            got = noneq.cli.main(argv)\n"
+              "    except SystemExit as exc:\n"
+              "        got = exc.code\n"
+              "    assert got == code, (argv, got, sink.getvalue())\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] in ('noneq', 'yaml', 'scipy')))\n")
+    return ast.literal_eval(last_line_of_fresh_run(script))
+
+
+LIGHT = ["noneq", "noneq.cli", "noneq.errors", "noneq.model"]
+
+# perfbench/tracing.py's MODULES: the tracer reads each from sys.modules
+TRACED = ("cli", "sde", "fokker_planck", "control", "gaussian_oracle", "odes", "entropy",
+          "reversal", "jarzynski", "model")
+
+
+class TestStartUp:
+    """Argument parsing, config checks and validate load no numerical module,
+    and pyyaml loads only for --config; the first other run loads them all."""
+
+    def test_validate_help_and_config_errors_stay_light(self, tmp_path):
+        out = str(tmp_path / "a")
+        runs = [(["validate", "--out", out], 0), (["--help"], 0),
+                (["simulate", "--seed", "-1", "--out", out], 2),
+                (["warp-drive"], 2)]
+        assert loaded_after_fresh_runs(runs) == LIGHT
+
+    def test_config_loads_yaml_only(self, tmp_path):
+        out = str(tmp_path / "a")
+        good = write_config(tmp_path, "seed: 3\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("experiments: [unclosed\n")
+        runs = [(["validate", "--config", good, "--out", out], 0),
+                (["simulate", "--config", str(bad), "--out", out], 2)]
+        loaded = loaded_after_fresh_runs(runs)
+        assert [m for m in loaded if m.startswith("noneq")] == LIGHT
+        assert "yaml" in loaded
+        assert not [m for m in loaded if m.startswith("scipy")]
+
+    def test_one_numerical_run_binds_the_whole_library(self, tmp_path):
+        """perfbench's tracer reads every traced module after one warm-up pass
+        and rebinds the names cli holds; omega-opt uses neither sde nor jarzynski."""
+        out = str(tmp_path / "a")
+        script = ("import sys\n"
+                  "import noneq.cli\n"
+                  f"assert noneq.cli.main(['omega-opt', '--quick', '--out', {out!r}]) == 0\n"
+                  f"missing = [m for m in {TRACED!r} if 'noneq.' + m not in sys.modules]\n"
+                  "from noneq import cli, sde\n"
+                  "print(missing, cli.simulate_forward is sde.simulate_forward)\n")
+        assert last_line_of_fresh_run(script) == "[] True"
+
+
+# Every name noneq exported when its __init__ imported each module eagerly.
+EXPORTED = {
+    "errors": ["BlowUpError", "CertificateInfeasible", "ConfigError", "PositivityError",
+               "QuadratureError", "SpecError"],
+    "model": ["BrownianSpec", "Constant", "DiffusionFactor", "GibbsSnapshot", "LangevinSpec",
+              "Linear", "NoCirculation", "PiecewiseFrozen", "QuadraticPotential",
+              "RadialLinearCirculation", "RotationCirculation", "Schedule", "Sine",
+              "TanhPerturbedPotential", "ValidationReport", "free_energy_difference",
+              "gibbs_gaussian", "gibbs_logpdf", "gibbs_sampler", "partition_function",
+              "spec_from_config", "validate_spec"],
+    "gaussian_oracle": ["BrownianRiccati", "FundamentalMatrix", "GaussianLaw",
+                        "LangevinPropagator", "gaussian_kl", "gaussian_modified_functional",
+                        "gaussian_tv_1d", "gaussian_w2", "gaussian_weighted_fisher",
+                        "langevin_propagator", "ou_moments", "ou_moments_path",
+                        "riccati_value_function"],
+    "sde": ["TrajectoryEnsemble", "simulate_forward", "simulate_langevin"],
+    "fokker_planck": ["FPSolution1D", "FPSolution2D", "GridDensity1D", "GridDensity2D",
+                      "fisher_and_rate_terms", "gibbs_grid", "relative_entropy_grid",
+                      "solve_fp_1d", "solve_kinetic_fp_2d"],
+    "entropy": ["DecayBound", "EntropyTrace", "HypocoercivityCertificate", "InequalityReport",
+                "bakry_emery_kappa", "decay_bound_lipschitz", "decay_bound_supremum",
+                "hypocoercivity_certificate", "kinetic_decay_bound",
+                "kinetic_decay_bound_time_dependent", "modified_functional_trace",
+                "optimize_omega", "pinsker_talagrand_report", "production_rate_check"],
+    "control": ["GridControl1D", "LangevinRiccati", "feynman_kac_g",
+                "langevin_control_solution", "solve_g_pde_1d"],
+    "reversal": ["DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
+                 "drift_identity_check", "grid_drift_identity_check",
+                 "kinetic_drift_identity_check", "kinetic_law_equivalence_test",
+                 "law_equivalence_test", "reverse_density_check"],
+    "jarzynski": ["EstimatorReport", "VarianceReport", "estimate_free_energy_is",
+                  "estimate_free_energy_vanilla", "variance_report"],
+}
+
+
+class TestLazySurface:
+    def test_every_name_is_its_home_modules_object(self):
+        names = [n for group in EXPORTED.values() for n in group]
+        assert sorted(noneq.__all__) == sorted(names)
+        for module, group in EXPORTED.items():
+            home = importlib.import_module(f"noneq.{module}")
+            for name in group:
+                assert getattr(noneq, name) is getattr(home, name), name
+
+    def test_dir_lists_the_names_and_unknown_names_raise(self):
+        assert set(noneq.__all__) <= set(dir(noneq))
+        with pytest.raises(AttributeError, match="no attribute 'warp_drive'"):
+            noneq.warp_drive  # noqa: B018
+
+    def test_submodules_resolve_as_attributes(self):
+        assert noneq.sde is importlib.import_module("noneq.sde")
+
+    def test_bare_import_loads_no_module(self):
+        script = ("import sys\n"
+                  "import noneq\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'noneq'))\n")
+        assert last_line_of_fresh_run(script) == "['noneq']"
+
+    def test_star_import_loads_every_name(self):
+        script = ("from noneq import *\n"
+                  "print(simulate_forward.__module__, optimize_omega.__module__)\n")
+        assert last_line_of_fresh_run(script) == "noneq.sde noneq.entropy"

@@ -1,5 +1,6 @@
 """Work-tilted expectations and the optimal steering field that flattens them."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,8 @@ from noneq import (
     simulate_langevin,
     solve_g_pde_1d,
 )
-from noneq.fokker_planck import GridDensity1D
+from noneq.entropy import derivative_uniform
+from noneq.fokker_planck import MARCH_BLOCK, GridDensity1D, _generator_rates
 from noneq.model import PiecewiseFrozen, Schedule
 
 
@@ -98,12 +100,11 @@ class TestGridSolution:
         l1 = float(np.sum(np.abs(dens.values - pdf)) * (x[1] - x[0]))
         assert l1 <= 1e-4
 
-    def test_dynamic_programming_residual_shrinks(self, grid_and_riccati):
-        spec, grid, _ = grid_and_riccati
+    def test_dynamic_programming_residual_shrinks(self, grid_and_riccati, fine_grid):
+        _, grid, _ = grid_and_riccati
         coarse = grid.hjb_residual()
         assert coarse <= 1e-2
-        fine = solve_g_pde_1d(spec, dt=5e-4, cells=1600).hjb_residual()
-        assert fine <= coarse / 2.0
+        assert fine_grid.hjb_residual() <= coarse / 2.0
 
 
 def full_value_grid(grid):
@@ -168,6 +169,72 @@ class TestRowsOnDemand:
             threaded = list(pool.map(lambda s: field(xs, s), queries))
         for a, b in zip(threaded, serial):
             np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.fixture(scope="module")
+def fine_grid(grid_and_riccati):
+    spec, _, _ = grid_and_riccati
+    return solve_g_pde_1d(spec, dt=5e-4, cells=1600)
+
+
+def full_hjb_rows(grid):
+    """The residual of ``hjb_residual`` on every (time, cell), computed with U,
+    U_s, U_x and the residual held on the whole grid at once."""
+    u_val = full_value_grid(grid)
+    x = grid.x
+    h = x[1] - x[0]
+    u_s = derivative_uniform(u_val, grid.times[1] - grid.times[0])
+    ux = np.gradient(u_val, h, axis=1)
+    resid = np.empty_like(u_val)
+    for i in range(0, len(grid.times), MARCH_BLOCK):
+        rows = slice(i, i + MARCH_BLOCK)
+        s = grid.times[rows]
+        gamma, (up, down, _) = _generator_rates(grid.spec, x, h, s)
+        u = u_val[rows]
+        lu = np.zeros_like(u)
+        lu[:, :-1] += down * (u[:, 1:] - u[:, :-1])
+        lu[:, 1:] += up * (u[:, :-1] - u[:, 1:])
+        resid[rows] = u_s[rows] + lu - gamma * ux[rows] ** 2 \
+            + grid.spec.potential.dv_ds(x[:, None], s[:, None])
+    return resid
+
+
+def full_hjb_residual(grid):
+    center, std = grid.spec.potential.envelope(0.0, grid.spec.beta)
+    core = np.abs(grid.x - center) <= 5.0 * std
+    return float(np.max(np.abs(full_hjb_rows(grid)[:, core])))
+
+
+class TestResidualByBlocks:
+    """hjb_residual holds one block of time rows at a time; every row of its
+    residual, and so its value, must equal the full-grid computation exactly,
+    whatever the length of the last block."""
+
+    def assert_matches_full_grid(self, grid):
+        rows = np.concatenate(list(grid._hjb_blocks()))
+        np.testing.assert_array_equal(rows, full_hjb_rows(grid), strict=True)
+        assert grid.hjb_residual() == full_hjb_residual(grid)
+
+    def test_coarse_and_fine_match_the_full_grid(self, grid_and_riccati, fine_grid):
+        _, grid, _ = grid_and_riccati
+        self.assert_matches_full_grid(grid)
+        self.assert_matches_full_grid(fine_grid)
+
+    # 65 and 129 rows end on a last block of one row, 69 on one of five
+    @pytest.mark.parametrize("n_steps", [4, 64, 68, 128])
+    def test_short_last_block(self, n_steps):
+        grid = solve_g_pde_1d(moving_spec(), dt=1.0 / n_steps, cells=120, theta=1.0)
+        assert len(grid.times) == n_steps + 1
+        self.assert_matches_full_grid(grid)
+
+    def test_peak_memory_is_bounded_by_the_grid(self, fine_grid):
+        tracemalloc.start()
+        try:
+            fine_grid.hjb_residual()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fine_grid.g.nbytes
 
 
 class EarlyKink(Schedule):
@@ -270,4 +337,13 @@ class TestRiccatiGuards:
         pot = QuadraticPotential(Linear(1.0, 1e10, 1.0))
         with pytest.raises(BlowUpError,
                            match=rf"^riccati coefficients exceeded 1e\+08 at s={where}$"):
+            RICCATI_SOLVERS[solver](pot, np.linspace(0.0, 1.0, 201))
+
+    @pytest.mark.parametrize("solver", RICCATI_SOLVERS)
+    def test_nan_stiffness_is_a_blow_up(self, solver):
+        """No comparison with NaN is true, so the stage guard alone lets a NaN
+        schedule through; the solved coefficients are checked for it."""
+        pot = QuadraticPotential(Linear(1.0, float("nan"), 1.0))
+        with pytest.raises(BlowUpError,
+                           match=r"^riccati coefficients are not finite at s=0.995$"):
             RICCATI_SOLVERS[solver](pot, np.linspace(0.0, 1.0, 201))

@@ -16,6 +16,10 @@ Every defaulted parameter of a public function, or of a public method or
 ``__init__`` of a public class, is passed by some call in ``src/``,
 ``tests/`` or ``perfbench/``; a knob that nothing sets is a constant.
 
+At module level, ``cli`` imports no package module other than ``errors``
+and ``model``: argument parsing, config checks and ``validate`` need no
+more, and the runners bind the numerical library on their first run.
+
 The checks read the source with ``ast`` and run nothing.
 """
 
@@ -150,3 +154,49 @@ def unpassed_parameters() -> list[str]:
 
 def test_every_public_parameter_is_passed():
     assert unpassed_parameters() == []
+
+
+CLI_START_UP = {"errors", "model"}
+
+
+def module_level_package_imports(source: str) -> list[str]:
+    """The package modules that ``source`` imports outside any function body
+    (``from .x import``, ``from . import x``, ``from noneq.x import``, ``import noneq.x``)."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "noneq":
+                    continue
+                module = module.partition(".")[2]
+            found += [module.split(".")[0]] if module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [a.name.split(".")[1] for a in node.names if a.name.startswith("noneq.")]
+    return sorted(set(found))
+
+
+def test_cli_imports_only_errors_and_model_at_start_up():
+    assert set(module_level_package_imports((PACKAGE / "cli.py").read_text())) <= CLI_START_UP
+
+
+def test_start_up_rule_sees_every_import_form():
+    source = ("from .sde import simulate_forward\n"
+              "from . import entropy\n"
+              "from noneq.control import solve_g_pde_1d\n"
+              "import noneq.jarzynski\n"
+              "from noneq import odes\n"
+              "if True:\n"
+              "    from .reversal import law_equivalence_test\n"
+              "class Runner:\n"
+              "    from .fokker_planck import solve_fp_1d\n"
+              "def lazy():\n"
+              "    from .gaussian_oracle import GaussianLaw\n"
+              "import numpy\n")
+    assert module_level_package_imports(source) == [
+        "control", "entropy", "fokker_planck", "jarzynski", "odes", "reversal", "sde"]
