@@ -19,8 +19,8 @@ _EXPORTS = {
               "TanhPerturbedPotential", "ValidationReport", "free_energy_difference",
               "gibbs_gaussian", "gibbs_logpdf", "gibbs_sampler", "partition_function",
               "spec_from_config", "validate_spec"),
-    "gaussian_oracle": ("BrownianRiccati", "FundamentalMatrix", "GaussianLaw",
-                        "LangevinPropagator", "gaussian_kl", "gaussian_modified_functional",
+    "gaussian_oracle": ("FundamentalMatrix", "GaussianLaw", "LangevinPropagator",
+                        "QuadraticValueFunction", "gaussian_kl", "gaussian_modified_functional",
                         "gaussian_tv_1d", "gaussian_w2", "gaussian_weighted_fisher",
                         "langevin_propagator", "ou_moments", "ou_moments_path",
                         "riccati_value_function"),
@@ -33,8 +33,7 @@ _EXPORTS = {
                 "hypocoercivity_certificate", "kinetic_decay_bound",
                 "kinetic_decay_bound_time_dependent", "modified_functional_trace",
                 "optimize_omega", "pinsker_talagrand_report", "production_rate_check"),
-    "control": ("GridControl1D", "LangevinRiccati", "feynman_kac_g",
-                "langevin_control_solution", "solve_g_pde_1d"),
+    "control": ("GridControl1D", "feynman_kac_g", "solve_g_pde_1d"),
     "reversal": ("DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
                  "drift_identity_check", "grid_drift_identity_check",
                  "kinetic_drift_identity_check", "kinetic_law_equivalence_test",

@@ -29,7 +29,7 @@ from .model import (BrownianSpec, Constant, DiffusionFactor, LangevinSpec, Linea
 # parsing, config checks and `validate` need none of them, so they are bound
 # as attributes of this module by _bind_library, on the first other run.
 _LIBRARY = {
-    "control": ("langevin_control_solution", "solve_g_pde_1d"),
+    "control": ("solve_g_pde_1d",),
     "entropy": ("bakry_emery_kappa", "decay_bound_lipschitz", "decay_bound_supremum",
                 "hypocoercivity_certificate", "kinetic_decay_bound",
                 "kinetic_decay_bound_time_dependent", "modified_functional_trace",
@@ -379,7 +379,7 @@ def run_reversal_test(p, out, seed, meta):
     law_rep = law_equivalence_test(spec, ric, p["n_paths"], p["dt"], seed=seed)
 
     kspec = _kin_spec(eta0=1.0, eta1=1.5, horizon=p["horizon"], beta=p["beta"])
-    kric = langevin_control_solution(kspec, np.linspace(0.0, kspec.horizon, 201))
+    kric = riccati_value_function(kspec, np.linspace(0.0, kspec.horizon, 201))
     kdrift_rep = kinetic_drift_identity_check(kspec, kric, probe_times)
     klaw_rep = kinetic_law_equivalence_test(kspec, kric, p["n_paths"], p["dt"],
                                             seed=seed + 1)
@@ -520,11 +520,12 @@ ORDER = list(RUNNERS)
 
 def _check_type(key: str, value, default):
     """ConfigError unless ``value`` suits a parameter whose default is
-    ``default``: an int where the default is an int, an int or a float where
-    it is a float.  A bool is neither; other defaults are not checked here."""
+    ``default``: an int where the default is an int, an int or a finite float
+    where it is a float.  A bool is neither; other defaults are not checked here."""
     allowed = {int: (int,), float: (int, float)}.get(type(default))
-    if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-        kind = "an integer" if allowed == (int,) else "a number"
+    if allowed and (isinstance(value, bool) or not isinstance(value, allowed)
+                    or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if allowed == (int,) else "a finite number"
         raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
 
 

@@ -11,10 +11,10 @@ that the reweighted work estimator becomes deterministic, and the time-zero
 slice tilts the Gibbs law into the matching optimal starting distribution
 exp(-beta(V(x, 0) + U(x, 0))) / Z(T).
 
-Three routes are provided: direct Monte Carlo for pointwise values, a fitted
-Crank-Nicolson march for one-dimensional overdamped problems, and backward
-quadratic (Riccati) coefficient flows for kinetic quadratic problems.  The
-overdamped quadratic flow lives in gaussian_oracle.BrownianRiccati.
+Two routes are provided here: direct Monte Carlo for pointwise values and a
+fitted Crank-Nicolson march for one-dimensional overdamped problems.  For a
+quadratic potential, of either kind of spec, the value function is quadratic
+and solves a matrix Riccati equation: gaussian_oracle.riccati_value_function.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, PositivityError, SpecError
+from .errors import PositivityError, SpecError
 from .fokker_planck import (MARCH_BLOCK, GridDensity1D, _box_from_spec, _generator_rates,
                             _grid_steps, _march, _theta_solve)
-from .gaussian_oracle import GaussianLaw, _riccati_grid, _riccati_guard, _riccati_solve
-from .model import BrownianSpec, LangevinSpec, partition_function
+from .model import BrownianSpec, partition_function
 from .sde import _overdamped_step, _run_blocks
 
 logger = logging.getLogger(__name__)
@@ -210,111 +209,3 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
             raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g[k].min():.3e}")
     times = dt * np.arange(n_steps + 1)
     return GridControl1D(spec=spec, times=times, lo=lo, hi=hi, g=g)
-
-
-# ---------------------------------------------------------------------------
-# kinetic quadratic value function
-# ---------------------------------------------------------------------------
-
-class LangevinRiccati:
-    """Backward quadratic value flow for kinetic dynamics.
-
-    For an isotropic quadratic potential with fixed centre at the origin and
-    scalar mass, U(q, p, s) = (Lqq |q|^2 + 2 Lqp q.p + Lpp |p|^2)/2 + c0(s)
-    with coefficient ODEs integrated backward from zero terminal data.
-    Exposes the value, the momentum-channel feedback
-    u*(q, p, s) = -2 sqrt(xi) (Lqp q + Lpp p) and the tilted initial law.
-    """
-
-    def __init__(self, spec: LangevinSpec, times):
-        if not spec.potential.is_quadratic:
-            raise SpecError("kinetic riccati solution requires a quadratic potential")
-        pot = spec.potential
-        probe = np.linspace(0.0, spec.horizon, 33)
-        if np.max(np.abs(pot.mu.value(probe))) > 1e-12:
-            raise SpecError("kinetic riccati solution requires a centred potential")
-        m_scalar = float(spec.mass[0, 0])
-        if np.max(np.abs(spec.mass - m_scalar * np.eye(spec.dimension))) > 1e-12:
-            raise SpecError("kinetic riccati solution requires scalar mass")
-        self.spec = spec
-        self.mass_scalar = m_scalar
-        self.times = _riccati_grid(times, spec.horizon)
-        xi, beta, n = spec.xi, spec.beta, spec.dimension
-
-        def coef(s):
-            return s, pot.k.value(s), pot.k.derivative(s)
-
-        def rhs(c, y):
-            s, eta, etad = c
-            lqq, lqp, lpp, c0 = y
-            _riccati_guard(s, lqq, lqp, lpp, c0)
-            dqq = 2.0 * (eta * lqp + xi * lqp * lqp) - etad
-            dqp = -lqq / m_scalar + eta * lpp + xi * lqp / m_scalar + 2.0 * xi * lqp * lpp
-            dpp = 2.0 * (-lqp / m_scalar + xi * lpp / m_scalar + xi * lpp * lpp)
-            dc0 = -(xi / beta) * n * lpp
-            return dqq, dqp, dpp, dc0
-
-        coeffs = _riccati_solve(rhs, coef, 4, self.times)
-        self.lqq = coeffs[:, 0].copy()
-        self.lqp = coeffs[:, 1].copy()
-        self.lpp = coeffs[:, 2].copy()
-        self.c0 = coeffs[:, 3].copy()
-
-    def _coef(self, s):
-        return (np.interp(s, self.times, self.lqq),
-                np.interp(s, self.times, self.lqp),
-                np.interp(s, self.times, self.lpp),
-                np.interp(s, self.times, self.c0))
-
-    def value(self, q, p, s):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        lqq, lqp, lpp, c0 = self._coef(s)
-        qq = np.sum(q * q, axis=-1)
-        qp = np.sum(q * p, axis=-1)
-        pp = np.sum(p * p, axis=-1)
-        return 0.5 * (lqq * qq + 2.0 * lqp * qp + lpp * pp) + c0
-
-    def g(self, q, p, s):
-        return np.exp(-self.spec.beta * self.value(q, p, s))
-
-    def control(self, x, s):
-        """Momentum-channel feedback for the stacked state (q, p)."""
-        n = self.spec.dimension
-        x = np.asarray(x, dtype=float)
-        _, lqp, lpp, _ = self._coef(s)
-        return -2.0 * math.sqrt(self.spec.xi) * (lqp * x[..., :n] + lpp * x[..., n:])
-
-    def _initial_precision(self) -> np.ndarray:
-        n = self.spec.dimension
-        eta0 = float(self.spec.potential.k.value(0.0))
-        prec = np.zeros((2 * n, 2 * n))
-        idx = np.arange(n)
-        prec[idx, idx] = eta0 + self.lqq[0]
-        prec[n + idx, n + idx] = 1.0 / self.mass_scalar + self.lpp[0]
-        prec[idx, n + idx] = self.lqp[0]
-        prec[n + idx, idx] = self.lqp[0]
-        return self.spec.beta * prec
-
-    def tilted_initial_law(self) -> GaussianLaw:
-        prec = self._initial_precision()
-        eigs = np.linalg.eigvalsh(prec)
-        if eigs[0] <= 0:
-            raise BlowUpError("tilted initial law is not normalisable")
-        return GaussianLaw(np.zeros(prec.shape[0]), np.linalg.inv(prec))
-
-    def tilted_initial_mass(self) -> float:
-        """integral of exp(-beta(H(., 0) + U(., 0))) / Z(T); 1 when consistent."""
-        z_horizon = partition_function(self.spec, self.spec.horizon).z
-        prec = self._initial_precision()
-        n2 = prec.shape[0]
-        sign, logdet = np.linalg.slogdet(prec)
-        if sign <= 0:
-            raise BlowUpError("tilted initial law is not normalisable")
-        log_mass = -self.spec.beta * self.c0[0] \
-            + 0.5 * n2 * math.log(2.0 * math.pi) - 0.5 * logdet - math.log(z_horizon)
-        return math.exp(log_mass)
-
-
-def langevin_control_solution(spec: LangevinSpec, times) -> LangevinRiccati:
-    return LangevinRiccati(spec, times)

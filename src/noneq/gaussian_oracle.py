@@ -5,6 +5,11 @@ entropies, Fisher-type integrals, fundamental matrices and the quadratic
 value function of the optimal importance-sampling control are all available
 in closed (or ODE-exact) form.  The rest of the package uses these results as
 oracles for its grid and Monte Carlo routes.
+
+Every ODE here is built on the affine drift and noise rate that
+``spec.linear_system()`` gives for either kind of spec: the moment
+equations, the kinetic flow map and the one matrix Riccati equation of the
+quadratic value function.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, SpecError
-from .model import BrownianSpec, LangevinSpec, NoCirculation, partition_function
+from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import rk4_path
 
 RICCATI_BLOWUP = 1e8
-RICCATI_SUBSTEPS = 32  # RK4 substeps per knot interval of a backward Riccati solve
+RICCATI_MAX_STEP = 1.0 / 800  # largest RK4 step of a backward Riccati solve
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +183,6 @@ def gaussian_tv_1d(p: GaussianLaw, q: GaussianLaw) -> float:
 # moment propagation: overdamped linear SDEs
 # ---------------------------------------------------------------------------
 
-def _ou_system(spec: BrownianSpec):
-    """Stage coefficients (A, force, noise rate) of the linear moment ODE."""
-    if not spec.potential.is_quadratic:
-        raise SpecError("ou_moments requires a quadratic potential")
-    n = spec.dimension
-    jmat = spec.circulation.matrix(n)
-    pot = spec.potential
-    ones = np.ones(n)
-
-    def coef(s):
-        gam = spec.diffusion.gamma(s)
-        k = pot.k.value(s)
-        amat = jmat - k[..., None, None] * gam
-        force = (k * pot.mu.value(s))[..., None] * (gam @ ones)
-        return amat, force, (2.0 / spec.beta) * gam
-
-    return coef
-
-
 def _pack(mean, cov):
     return np.concatenate([mean.ravel(), cov.ravel()])
 
@@ -234,7 +220,8 @@ def _moment_path(coef, dim: int, init: GaussianLaw, times, substeps=16):
 
 def ou_moments_path(spec: BrownianSpec, init: GaussianLaw, times, substeps: int = 16):
     """Gaussian laws of the overdamped process at ``times`` (ODE-exact moments)."""
-    return _moment_path(_ou_system(spec), spec.dimension, init, _forward_times(times), substeps)
+    return _moment_path(spec.linear_system(), spec.dimension, init, _forward_times(times),
+                        substeps)
 
 
 def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 32) -> GaussianLaw:
@@ -246,36 +233,6 @@ def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 
 # ---------------------------------------------------------------------------
 # kinetic (Langevin) propagation and the fundamental matrix
 # ---------------------------------------------------------------------------
-
-def _langevin_system(spec: LangevinSpec):
-    """Stage coefficients (A, force, noise rate) of the linear kinetic dynamics.
-
-    d(q,p) = A (q,p) ds + force ds + noise on p, with
-    A = [[0, t M^-1], [-t eta(s) I, -xi M^-1]] and t = ``spec.transport``,
-    so a reversed spec flips the Hamiltonian part and reads eta at T - s.
-    """
-    if not spec.potential.is_quadratic:
-        raise SpecError("langevin propagation requires a quadratic potential")
-    n = spec.dimension
-    pot = spec.potential
-    minv = spec.mass_inv
-    sign = spec.transport
-    noise_rate = np.zeros((2 * n, 2 * n))
-    noise_rate[n:, n:] = (2.0 * spec.xi / spec.beta) * np.eye(n)
-
-    def coef(s):
-        eta = pot.k.value(s)
-        mu = pot.mu.value(s)
-        amat = np.zeros(s.shape + (2 * n, 2 * n))
-        amat[..., :n, n:] = sign * minv
-        amat[..., n:, :n] = (-sign * eta)[..., None, None] * np.eye(n)
-        amat[..., n:, n:] = -spec.xi * minv
-        force = np.zeros(s.shape + (2 * n,))
-        force[..., n:] = (sign * eta * mu)[..., None] * np.ones(n)
-        return amat, force, np.broadcast_to(noise_rate, amat.shape)
-
-    return coef
-
 
 @dataclass
 class FundamentalMatrix:
@@ -314,7 +271,7 @@ class LangevinPropagator:
         self.spec = spec
         self.times = _forward_times(times)
         self.substeps = substeps
-        self._coef = _langevin_system(spec)
+        self._coef = spec.linear_system()
 
     @cached_property
     def fundamental(self) -> FundamentalMatrix:
@@ -333,7 +290,7 @@ def langevin_propagator(spec: LangevinSpec, times, substeps: int = 16) -> Langev
 
 
 # ---------------------------------------------------------------------------
-# quadratic value function of the optimal control (overdamped, 1D)
+# quadratic value function of the optimal control
 # ---------------------------------------------------------------------------
 
 def _riccati_grid(times, horizon: float) -> np.ndarray:
@@ -346,114 +303,132 @@ def _riccati_grid(times, horizon: float) -> np.ndarray:
     return times
 
 
-def _riccati_guard(s: float, *coeffs: float):
-    if max(map(abs, coeffs)) > RICCATI_BLOWUP:
-        raise BlowUpError(f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
+def _riccati_substeps(times: np.ndarray) -> int:
+    """The fewest RK4 substeps per knot interval whose step is at most
+    RICCATI_MAX_STEP on every interval."""
+    return max(1, math.ceil(float(np.max(np.diff(times))) / RICCATI_MAX_STEP - 1e-9))
 
 
-def _riccati_solve(rhs, coef, width: int, times: np.ndarray) -> np.ndarray:
-    """Coefficients at ``times`` of the backward flow from zero data at the
-    horizon, shape (len(times), width).  The stage guard passes NaN (no
-    comparison with NaN is true), so the solved path is checked once here:
-    BlowUpError at the latest time where a coefficient is not finite."""
-    back = rk4_path(rhs, coef, np.zeros(width), times[::-1], RICCATI_SUBSTEPS)
-    bad = ~np.isfinite(back).all(axis=1)
+def _riccati_solve(rhs, coef, shape: tuple, times: np.ndarray) -> np.ndarray:
+    """Coefficients at ``times`` of the backward flow from zero data of
+    ``shape`` at the horizon.  The stage guard passes NaN (no comparison
+    with NaN is true), so the solved path is checked once here: BlowUpError
+    at the latest time where a coefficient is not finite."""
+    back = rk4_path(rhs, coef, np.zeros(shape), times[::-1], _riccati_substeps(times))
+    bad = ~np.isfinite(back.reshape(len(times), -1)).all(axis=1)
     if bad.any():
         s = times[::-1][bad.argmax()]
         raise BlowUpError(f"riccati coefficients are not finite at s={s:.6g}")
     return back[::-1]
 
 
-class BrownianRiccati:
-    """Backward quadratic solution U(x, s) = alpha s x^2 + delta x + c0.
+class QuadraticValueFunction:
+    """Backward quadratic value function U(x, s) = x^T P x / 2 + q^T x + c.
 
-    Solves the dynamic-programming equation for the work-tilted generator of
-    a one-dimensional quadratic potential; exposes the value function, the
-    optimal feedback control u*(x, s) = -2 sigma dU/dx, the positive factor
-    g = exp(-beta U) and the tilted initial law.
+    U = -ln(g)/beta for the work-tilted expectation g of a quadratic
+    potential, for either kind of spec, on the stacked states x of its
+    drift.  With z = (x, 1) and W = [[P, q], [q^T, 2c]], U = z^T W z / 2, and
+    the dynamic-programming equation of the affine drift A x + f with noise
+    sqrt(2/beta) B dw becomes one matrix Riccati equation
+
+        W' = -(A~^T W + W A~) + 2 W G~ W - Q~,  and -(2/beta) tr(G P) in the corner,
+
+    where A~ = [[A, f], [0, 0]], G~ is G = B B^T padded with zeros and Q~ is
+    dV/ds as a quadratic form in z on the position coordinates (Hartmann &
+    Schuette, J. Stat. Mech. (2012) P11004).  W(T) = 0; between knots W is
+    linear in s.  Exposes the value, g = exp(-beta U), the optimal feedback
+    u*(x, s) = -2 B(s)^T grad U and the tilted initial law.
     """
 
-    def __init__(self, spec: BrownianSpec, times):
-        if spec.dimension != 1:
-            raise SpecError("the quadratic value function solver is one-dimensional")
-        if not spec.potential.is_quadratic:
-            raise SpecError("riccati solution requires a quadratic potential")
-        if not isinstance(spec.circulation, NoCirculation):
-            raise SpecError("riccati solution assumes zero circulation")
+    def __init__(self, spec: BrownianSpec | LangevinSpec, times):
         self.spec = spec
         self.times = _riccati_grid(times, spec.horizon)
-        pot = spec.potential
+        system = spec.linear_system()
+        pot, beta, n = spec.potential, spec.beta, spec.dimension
+        width = spec.noise_factor(0.0).shape[0] + 1
 
         def coef(s):
-            return (s, spec.diffusion.gamma(s)[..., 0, 0], pot.k.value(s), pot.k.derivative(s),
-                    pot.mu.value(s), pot.mu.derivative(s))
+            amat, force, noise = system(s)
+            atil = np.zeros(s.shape + (width, width))
+            atil[..., :-1, :-1] = amat
+            atil[..., :-1, -1] = force
+            gtil = np.zeros_like(atil)
+            gtil[..., :-1, :-1] = (0.5 * beta) * noise
+            k, kd = pot.k.value(s), pot.k.derivative(s)
+            mu, mud = pot.mu.value(s), pot.mu.derivative(s)
+            qtil = np.zeros_like(atil)
+            qtil[..., range(n), range(n)] = kd[..., None]
+            qtil[..., :n, -1] = qtil[..., -1, :n] = -(kd * mu + k * mud)[..., None]
+            qtil[..., -1, -1] = 2.0 * n * (0.5 * kd * mu * mu + k * mud * mu)
+            return s, atil, gtil, qtil
 
         def rhs(c, y):
-            s, g, k, kd, mu, mud = c
-            alpha, delta, c0 = y
-            _riccati_guard(s, alpha, delta, c0)
-            da = 2.0 * g * k * alpha + 4.0 * g * alpha * alpha - 0.5 * kd
-            dd = g * k * delta + 4.0 * g * alpha * delta - 2.0 * g * k * alpha * mu \
-                + kd * mu + k * mud
-            dc = -g * k * mu * delta - 2.0 * g * alpha / spec.beta + g * delta * delta \
-                - 0.5 * kd * mu * mu - k * mud * mu
-            return da, dd, dc
+            s, atil, gtil, qtil = c
+            if max(map(abs, y)) > RICCATI_BLOWUP:
+                raise BlowUpError(
+                    f"riccati coefficients exceeded {RICCATI_BLOWUP:.0e} at s={s:.6g}")
+            w = np.array(y).reshape(width, width)
+            wg = w.dot(gtil)
+            aw = atil.T.dot(w)
+            wgw = wg.dot(w)
+            dw = wgw + wgw.T - (aw + aw.T) - qtil
+            dw[-1, -1] -= (2.0 / beta) * np.trace(wg)
+            return dw.ravel().tolist()
 
-        coeffs = _riccati_solve(rhs, coef, 3, self.times)
-        self.alpha = coeffs[:, 0].copy()
-        self.delta = coeffs[:, 1].copy()
-        self.c0 = coeffs[:, 2].copy()
+        self.w = _riccati_solve(rhs, coef, (width, width), self.times)
 
-    def _coef(self, s):
-        a = np.interp(s, self.times, self.alpha)
-        d = np.interp(s, self.times, self.delta)
-        c = np.interp(s, self.times, self.c0)
-        return a, d, c
+    def _w(self, s) -> np.ndarray:
+        """W at time s (clamped to the knots), linear between the two knots around it."""
+        times = self.times
+        s = min(max(float(s), times[0]), times[-1])
+        j = min(int(np.searchsorted(times, s, side="right")) - 1, len(times) - 2)
+        frac = (s - times[j]) / (times[j + 1] - times[j])
+        return (1.0 - frac) * self.w[j] + frac * self.w[j + 1]
 
     def value(self, x, s):
         x = np.asarray(x, dtype=float)
-        a, d, c = self._coef(s)
-        return a * x * x + d * x + c
-
-    def grad(self, x, s):
-        x = np.asarray(x, dtype=float)
-        a, d, _ = self._coef(s)
-        return 2.0 * a * x + d
+        w = self._w(s)
+        quad = np.einsum("...i,ij,...j->...", x, w[:-1, :-1], x)
+        return 0.5 * quad + x @ w[:-1, -1] + 0.5 * w[-1, -1]
 
     def g(self, x, s):
         return np.exp(-self.spec.beta * self.value(x, s))
 
     def control(self, x, s):
-        """Optimal feedback u*(x, s) = -2 sigma(s)^T dU/dx (scalar field)."""
-        sig = float(self.spec.diffusion.sigma(s)[0, 0])
-        return -2.0 * sig * self.grad(x, s)
+        """Optimal feedback u*(x, s) = -2 B(s)^T (P x + q), one row per state."""
+        w = self._w(s)
+        grad = np.asarray(x, dtype=float) @ w[:-1, :-1] + w[:-1, -1]
+        return -2.0 * grad @ self.spec.noise_factor(s)
+
+    def _tilted(self):
+        """The Gibbs law at time 0, its precision, and the precision and
+        precision @ mean of the tilted start: the Gibbs law, a Gaussian
+        exp(-beta E(., 0)) / Z(0) whose energy has its minimum 0, times
+        exp(-beta U(., 0))."""
+        gibbs = gibbs_gaussian(self.spec, 0.0)
+        prec0 = gibbs.precision()
+        beta, w0 = self.spec.beta, self.w[0]
+        prec = prec0 + beta * w0[:-1, :-1]
+        if np.linalg.eigvalsh(prec)[0] <= 0:
+            raise BlowUpError("tilted initial law is not normalisable")
+        return gibbs, prec0, prec, prec0 @ gibbs.mean - beta * w0[:-1, -1]
 
     def tilted_initial_law(self) -> GaussianLaw:
-        """Normalised law proportional to exp(-beta (V(., 0) + U(., 0)))."""
-        pot = self.spec.potential
-        k0 = float(pot.k.value(0.0))
-        mu0 = float(pot.mu.value(0.0))
-        a0, d0, _ = self.alpha[0], self.delta[0], self.c0[0]
-        prec = self.spec.beta * (k0 + 2.0 * a0)
-        if prec <= 0:
-            raise BlowUpError("tilted initial law is not normalisable")
-        var = 1.0 / prec
-        mean = -(d0 - k0 * mu0) / (k0 + 2.0 * a0)
-        return GaussianLaw(np.array([mean]), np.array([[var]]))
+        """Normalised law proportional to exp(-beta (E(., 0) + U(., 0)))."""
+        _, _, prec, shift = self._tilted()
+        cov = np.linalg.inv(prec)
+        return GaussianLaw(cov @ shift, cov)
 
     def tilted_initial_mass(self) -> float:
-        """integral of exp(-beta(V+U)) / Z(T); equals 1 when all is consistent."""
-        z_horizon = partition_function(self.spec, self.spec.horizon).z
-        pot = self.spec.potential
-        beta = self.spec.beta
-        k0 = float(pot.k.value(0.0))
-        mu0 = float(pot.mu.value(0.0))
-        a = beta * (0.5 * k0 + self.alpha[0])
-        b = beta * (self.delta[0] - k0 * mu0)
-        c = beta * (0.5 * k0 * mu0 * mu0 + self.c0[0])
-        integral = math.sqrt(math.pi / a) * math.exp(b * b / (4.0 * a) - c)
-        return integral / z_horizon
+        """integral of exp(-beta (E(., 0) + U(., 0))) / Z(T); 1 when all is consistent."""
+        gibbs, prec0, prec, shift = self._tilted()
+        m0 = gibbs.mean
+        _, logdet = np.linalg.slogdet(prec)
+        log_mass = (0.5 * len(m0) * math.log(2.0 * math.pi) - 0.5 * logdet
+                    + 0.5 * shift @ np.linalg.solve(prec, shift) - 0.5 * m0 @ prec0 @ m0
+                    - 0.5 * self.spec.beta * self.w[0, -1, -1])
+        return math.exp(log_mass) / partition_function(self.spec, self.spec.horizon).z
 
 
-def riccati_value_function(spec: BrownianSpec, times) -> BrownianRiccati:
-    return BrownianRiccati(spec, times)
+def riccati_value_function(spec: BrownianSpec | LangevinSpec, times) -> QuadraticValueFunction:
+    return QuadraticValueFunction(spec, times)

@@ -112,21 +112,34 @@ class PiecewiseFrozen(Schedule):
         return np.where(s < self.s_freeze, self.inner.derivative(np.minimum(s, self.s_freeze)), 0.0)
 
 
-def schedule_from_config(node, horizon: float) -> Schedule:
+def _config_number(value, name: str) -> float:
+    """``value`` as a float; ConfigError naming the field ``name`` unless it
+    is a finite int or float (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def schedule_from_config(node, horizon: float, name: str) -> Schedule:
+    """The schedule of the field ``name``: a number or a mapping with 'kind'."""
     if isinstance(node, (int, float)):
-        return Constant(node)
+        return Constant(_config_number(node, name))
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"schedule must be a number or a mapping with 'kind': {node!r}")
     kind = node["kind"]
-    try:
-        if kind == "constant":
-            return Constant(node["value"])
-        if kind == "linear":
-            return Linear(node["start"], node["end"], horizon)
-        if kind == "sine":
-            return Sine(node["scale"], node.get("frequency", 1.0), node.get("base", 0.0))
-    except KeyError as exc:
-        raise ConfigError(f"schedule {kind!r} is missing field {exc}") from None
+
+    def number(key, default=None):
+        if key not in node and default is None:
+            raise ConfigError(f"schedule {kind!r} is missing field {key!r}")
+        return _config_number(node.get(key, default), f"{name}.{key}")
+
+    if kind == "constant":
+        return Constant(number("value"))
+    if kind == "linear":
+        return Linear(number("start"), number("end"), horizon)
+    if kind == "sine":
+        return Sine(number("scale"), number("frequency", 1.0), number("base", 0.0))
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
@@ -392,6 +405,26 @@ class BrownianSpec:
         """B(s) = sigma(s): the noise term is sqrt(2/beta) B dw."""
         return self.diffusion.sigma(s)
 
+    def linear_system(self):
+        """Stage coefficients (A, force, noise rate) of the linear dynamics
+        dx = (A x + force) ds + noise, for a quadratic potential; the noise
+        rate is (2/beta) gamma = (2/beta) B B^T."""
+        if not self.potential.is_quadratic:
+            raise SpecError("linear dynamics require a quadratic potential")
+        n = self.dimension
+        jmat = self.circulation.matrix(n)
+        pot = self.potential
+        ones = np.ones(n)
+
+        def coef(s):
+            gam = self.diffusion.gamma(s)
+            k = pot.k.value(s)
+            amat = jmat - k[..., None, None] * gam
+            force = (k * pot.mu.value(s))[..., None] * (gam @ ones)
+            return amat, force, (2.0 / self.beta) * gam
+
+        return coef
+
     def reversed(self) -> "BrownianSpec":
         """The reverse process, as a Brownian spec in its own right.
 
@@ -542,6 +575,35 @@ class LangevinSpec:
         """B = [0; sqrt(xi) I_n]: the noise term is sqrt(2/beta) B dw."""
         n = self.dimension
         return np.vstack([np.zeros((n, n)), math.sqrt(self.xi) * np.eye(n)])
+
+    def linear_system(self):
+        """Stage coefficients (A, force, noise rate) of the linear kinetic dynamics.
+
+        d(q,p) = A (q,p) ds + force ds + noise on p, with
+        A = [[0, t M^-1], [-t eta(s) I, -xi M^-1]] and t = ``transport``,
+        so a reversed spec flips the Hamiltonian part and reads eta at T - s.
+        """
+        if not self.potential.is_quadratic:
+            raise SpecError("linear dynamics require a quadratic potential")
+        n = self.dimension
+        pot = self.potential
+        minv = self.mass_inv
+        sign = self.transport
+        noise_rate = np.zeros((2 * n, 2 * n))
+        noise_rate[n:, n:] = (2.0 * self.xi / self.beta) * np.eye(n)
+
+        def coef(s):
+            eta = pot.k.value(s)
+            mu = pot.mu.value(s)
+            amat = np.zeros(s.shape + (2 * n, 2 * n))
+            amat[..., :n, n:] = sign * minv
+            amat[..., n:, :n] = (-sign * eta)[..., None, None] * np.eye(n)
+            amat[..., n:, n:] = -self.xi * minv
+            force = np.zeros(s.shape + (2 * n,))
+            force[..., n:] = (sign * eta * mu)[..., None] * np.ones(n)
+            return amat, force, np.broadcast_to(noise_rate, amat.shape)
+
+        return coef
 
     def reversed(self) -> "LangevinSpec":
         """The reverse process, as a Langevin spec in its own right.
@@ -793,8 +855,8 @@ def spec_from_config(cfg: dict):
     if kind not in ("brownian", "langevin"):
         raise ConfigError(f"spec kind must be 'brownian' or 'langevin', got {kind!r}")
     try:
-        horizon = float(cfg["horizon"])
-        beta = float(cfg["beta"])
+        horizon = _config_number(cfg["horizon"], "horizon")
+        beta = _config_number(cfg["beta"], "beta")
     except KeyError as exc:
         raise ConfigError(f"spec is missing required field {exc}") from None
     dim = int(cfg.get("dimension", 1))
@@ -804,13 +866,15 @@ def spec_from_config(cfg: dict):
         raise ConfigError("potential must be a mapping with a 'family'")
     family = pot_cfg["family"]
     if family in ("quadratic", "translated_quadratic"):
-        stiffness = schedule_from_config(pot_cfg.get("stiffness", 1.0), horizon)
-        center = schedule_from_config(pot_cfg.get("center", 0.0), horizon)
+        stiffness = schedule_from_config(pot_cfg.get("stiffness", 1.0), horizon,
+                                         "potential.stiffness")
+        center = schedule_from_config(pot_cfg.get("center", 0.0), horizon, "potential.center")
         potential = QuadraticPotential(stiffness, center, dim)
     elif family == "tanh_perturbation":
         if dim != 1:
             raise ConfigError("tanh_perturbation potential is one-dimensional")
-        amplitude = schedule_from_config(pot_cfg.get("amplitude", 0.0), horizon)
+        amplitude = schedule_from_config(pot_cfg.get("amplitude", 0.0), horizon,
+                                         "potential.amplitude")
         potential = TanhPerturbedPotential(amplitude)
     else:
         raise ConfigError(f"unknown potential family {family!r}")
@@ -819,7 +883,7 @@ def spec_from_config(cfg: dict):
         mass = cfg.get("mass")
         mass = np.asarray(mass, dtype=float) if mass is not None else None
         return LangevinSpec(potential=potential, beta=beta, horizon=horizon,
-                            xi=float(cfg.get("friction", 1.0)), mass=mass)
+                            xi=_config_number(cfg.get("friction", 1.0), "friction"), mass=mass)
 
     circ_cfg = cfg.get("circulation", {"family": "none"})
     fam = circ_cfg.get("family", "none")
@@ -828,25 +892,30 @@ def spec_from_config(cfg: dict):
     elif fam == "rotation":
         if dim != 2:
             raise ConfigError("rotation circulation requires dimension 2")
-        circulation = RotationCirculation(float(circ_cfg.get("rate", 1.0)))
+        circulation = RotationCirculation(_config_number(circ_cfg.get("rate", 1.0),
+                                                         "circulation.rate"))
     elif fam == "radial_linear":
-        circulation = RadialLinearCirculation(float(circ_cfg.get("rate", 1.0)))
+        circulation = RadialLinearCirculation(_config_number(circ_cfg.get("rate", 1.0),
+                                                             "circulation.rate"))
     else:
         raise ConfigError(f"unknown circulation family {fam!r}")
 
     diff_cfg = cfg.get("diffusion", {"family": "constant", "value": 1.0})
     fam = diff_cfg.get("family", "constant")
     if fam == "constant":
-        diffusion = DiffusionFactor.isotropic(dim, float(diff_cfg.get("value", 1.0)))
+        diffusion = DiffusionFactor.isotropic(
+            dim, _config_number(diff_cfg.get("value", 1.0), "diffusion.value"))
     elif fam == "schedule":
         diffusion = DiffusionFactor.isotropic(
-            dim, 1.0, schedule_from_config(diff_cfg.get("value", 1.0), horizon))
+            dim, 1.0, schedule_from_config(diff_cfg.get("value", 1.0), horizon,
+                                           "diffusion.value"))
     elif fam == "matrix":
         diffusion = DiffusionFactor(np.asarray(diff_cfg["value"], dtype=float))
     else:
         raise ConfigError(f"unknown diffusion family {fam!r}")
 
     gamma_minus = cfg.get("gamma_minus")
+    if gamma_minus is not None:
+        gamma_minus = _config_number(gamma_minus, "gamma_minus")
     return BrownianSpec(potential=potential, beta=beta, horizon=horizon,
-                        circulation=circulation, diffusion=diffusion,
-                        gamma_minus=float(gamma_minus) if gamma_minus is not None else None)
+                        circulation=circulation, diffusion=diffusion, gamma_minus=gamma_minus)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GridControl1D, LangevinRiccati
+from .control import GridControl1D
 from .errors import SpecError
 from .fokker_planck import GridDensity1D, solve_fp_1d
-from .gaussian_oracle import BrownianRiccati, langevin_propagator, ou_moments_path
+from .gaussian_oracle import QuadraticValueFunction, langevin_propagator, ou_moments_path
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
 from .sde import simulate_forward, simulate_langevin
@@ -91,7 +91,7 @@ def _drift_residuals(spec, times, reverse_laws, gap) -> DriftIdentityReport:
     return DriftIdentityReport(times=times, residuals=resid)
 
 
-def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati,
+def drift_identity_check(spec: BrownianSpec, riccati: QuadraticValueFunction,
                          times) -> DriftIdentityReport:
     """Analytic check for quadratic dynamics.
 
@@ -113,7 +113,7 @@ def drift_identity_check(spec: BrownianSpec, riccati: BrownianRiccati,
     return _drift_residuals(spec, times, reverse_laws, gap)
 
 
-def kinetic_drift_identity_check(spec: LangevinSpec, riccati: LangevinRiccati,
+def kinetic_drift_identity_check(spec: LangevinSpec, riccati: QuadraticValueFunction,
                                  times) -> DriftIdentityReport:
     """Kinetic analogue of :func:`drift_identity_check` on a fixed (q, p)
     probe grid; the score correction only enters the momentum block."""
@@ -223,7 +223,7 @@ def _matched_marginals(spec, seed: int, forward, reverse) -> LawEquivalenceRepor
     return report
 
 
-def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
+def law_equivalence_test(spec: BrownianSpec, riccati: QuadraticValueFunction,
                          n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
     """Steered forward ensemble vs time-flipped reverse ensemble (overdamped).
 
@@ -241,7 +241,7 @@ def law_equivalence_test(spec: BrownianSpec, riccati: BrownianRiccati,
                                            store_times=store))
 
 
-def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: LangevinRiccati,
+def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: QuadraticValueFunction,
                                  n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
     """Kinetic version of the matched-marginal test on stacked (q, p) states."""
     return _matched_marginals(

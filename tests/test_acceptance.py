@@ -28,7 +28,6 @@ from noneq import (
     grid_drift_identity_check,
     kinetic_drift_identity_check,
     kinetic_law_equivalence_test,
-    langevin_control_solution,
     langevin_propagator,
     law_equivalence_test,
     modified_functional_trace,
@@ -215,7 +214,7 @@ def test_criterion_10_reverse_forward_equivalence():
 
     kspec = LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), dimension=1),
                          beta=1.0, horizon=1.0, xi=1.0)
-    ksol = langevin_control_solution(kspec, knots)
+    ksol = riccati_value_function(kspec, knots)
     law_k = kinetic_law_equivalence_test(kspec, ksol, n_paths=20000, dt=1e-3,
                                          seed=0)
     drift_k = kinetic_drift_identity_check(kspec, ksol, check_times).max_residual

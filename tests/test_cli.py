@@ -107,6 +107,27 @@ class TestExitCodes:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    SPEC = ("spec:\n  schema_version: 1\n  kind: brownian\n  beta: {beta}\n  horizon: 1.0\n"
+            "  potential:\n    family: quadratic\n"
+            "    stiffness: {{kind: linear, start: 1.0, end: {end}}}\n")
+
+    @pytest.mark.parametrize("experiment, payload, key", [
+        ("validate", SPEC.format(beta=1.0, end=".nan"), "'potential.stiffness.end'"),
+        ("validate", SPEC.format(beta="abc", end=2.0), "'beta'"),
+        ("simulate", "experiments:\n  simulate:\n    horizon: .nan\n", "'simulate.horizon'"),
+        ("jarzynski", "experiments:\n  jarzynski:\n    beta: .nan\n", "'jarzynski.beta'"),
+        ("zero-variance", "experiments:\n  zero-variance:\n    cv_tol: .inf\n",
+         "'zero-variance.cv_tol'"),
+    ], ids=["spec-schedule-nan", "spec-beta-text", "horizon-nan", "beta-nan", "tolerance-inf"])
+    def test_number_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, experiment,
+                                                         payload, key):
+        """A NaN, an infinity or a text where a number belongs names its field,
+        in the spec as in the experiment parameters."""
+        cfg = write_config(tmp_path, payload)
+        code = main([experiment, "--quick", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+
     def test_config_error_in_a_worker_process_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiments:\n  entropy-brownian:\n    grid_dt: 0\n")
         code = main(["all", "--quick", "--jobs", "2", "--config", cfg,
@@ -294,7 +315,7 @@ class TestStartUp:
         assert last_line_of_fresh_run(script) == "[] True"
 
 
-# Every name noneq exported when its __init__ imported each module eagerly.
+# Every name noneq exports, by home module.
 EXPORTED = {
     "errors": ["BlowUpError", "CertificateInfeasible", "ConfigError", "PositivityError",
                "QuadratureError", "SpecError"],
@@ -304,8 +325,8 @@ EXPORTED = {
               "TanhPerturbedPotential", "ValidationReport", "free_energy_difference",
               "gibbs_gaussian", "gibbs_logpdf", "gibbs_sampler", "partition_function",
               "spec_from_config", "validate_spec"],
-    "gaussian_oracle": ["BrownianRiccati", "FundamentalMatrix", "GaussianLaw",
-                        "LangevinPropagator", "gaussian_kl", "gaussian_modified_functional",
+    "gaussian_oracle": ["FundamentalMatrix", "GaussianLaw", "LangevinPropagator",
+                        "QuadraticValueFunction", "gaussian_kl", "gaussian_modified_functional",
                         "gaussian_tv_1d", "gaussian_w2", "gaussian_weighted_fisher",
                         "langevin_propagator", "ou_moments", "ou_moments_path",
                         "riccati_value_function"],
@@ -318,8 +339,7 @@ EXPORTED = {
                 "hypocoercivity_certificate", "kinetic_decay_bound",
                 "kinetic_decay_bound_time_dependent", "modified_functional_trace",
                 "optimize_omega", "pinsker_talagrand_report", "production_rate_check"],
-    "control": ["GridControl1D", "LangevinRiccati", "feynman_kac_g",
-                "langevin_control_solution", "solve_g_pde_1d"],
+    "control": ["GridControl1D", "feynman_kac_g", "solve_g_pde_1d"],
     "reversal": ["DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
                  "drift_identity_check", "grid_drift_identity_check",
                  "kinetic_drift_identity_check", "kinetic_law_equivalence_test",

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from noneq import (
     BrownianSpec,
     Constant,
+    DiffusionFactor,
     GaussianLaw,
     LangevinSpec,
     Linear,
     QuadraticPotential,
+    RotationCirculation,
     SpecError,
     TanhPerturbedPotential,
     feynman_kac_g,
@@ -229,11 +231,24 @@ class TestModifiedFunctional:
                 >= gaussian_kl(p, q))
 
 
+def rotating_spec():
+    """Rotation about the well's centre; the noise is anisotropic, so that the
+    circulation changes g (under isotropic noise U is radial and J . grad U = 0)."""
+    return BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), dimension=2), beta=1.0,
+                        horizon=1.0, circulation=RotationCirculation(0.7),
+                        diffusion=DiffusionFactor(np.array([[1.0, 0.0], [0.3, 0.8]])))
+
+
+def anisotropic_kinetic_spec():
+    return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), Linear(0.2, -0.4, 1.0), 2),
+                        beta=0.9, horizon=1.0, xi=0.7, mass=np.diag([2.0, 0.5]))
+
+
 class TestRiccatiValueFunction:
     def test_frozen_potential_gives_unit_g(self):
         spec = ou_spec()
         ric = riccati_value_function(spec, np.linspace(0.0, 1.0, 51))
-        x = np.linspace(-3.0, 3.0, 11)
+        x = np.linspace(-3.0, 3.0, 11)[:, None]
         for s in (0.0, 0.5, 1.0):
             assert_allclose(ric.g(x, s), 1.0, atol=1e-12)
             assert_allclose(ric.value(x, s), 0.0, atol=1e-12)
@@ -241,21 +256,26 @@ class TestRiccatiValueFunction:
     def test_terminal_condition(self):
         spec = ou_spec(k0=1.0, k1=2.0)
         ric = riccati_value_function(spec, np.linspace(0.0, 1.0, 101))
-        x = np.linspace(-4.0, 4.0, 9)
+        x = np.linspace(-4.0, 4.0, 9)[:, None]
         assert_allclose(ric.g(x, 1.0), 1.0, atol=1e-12)
         assert_allclose(ric.value(x, 1.0), 0.0, atol=1e-12)
 
-    def test_feynman_kac_cross_check(self):
-        spec = ou_spec(k0=1.0, k1=2.0)
+    @pytest.mark.parametrize("spec, points", [
+        (ou_spec(k0=1.0, k1=2.0), [[-1.5], [-0.5], [0.0], [0.8], [1.7]]),
+        (rotating_spec(), [[1.2, -0.4], [-0.6, 1.5]]),
+    ], ids=["ou-ramp", "rotating-2d"])
+    def test_feynman_kac_cross_check(self, spec, points):
         ric = riccati_value_function(spec, np.linspace(0.0, 1.0, 101))
-        for x0 in (-1.5, -0.5, 0.0, 0.8, 1.7):
-            est, se = feynman_kac_g(spec, np.array([x0]), 0.0, n_paths=20000,
-                                    dt=1e-3, seed=int(10 * abs(x0)) + 1)
-            exact = float(ric.g(np.array([x0]), 0.0)[0])
+        for x0 in points:
+            est, se = feynman_kac_g(spec, np.array(x0), 0.0, n_paths=20000,
+                                    dt=1e-3, seed=int(10 * abs(x0[0])) + 1)
+            exact = float(ric.g(np.array(x0), 0.0))
             assert abs(est - exact) <= 4.0 * se + 5e-3 * exact
 
-    def test_tilted_initial_law_integrates_to_one(self):
-        spec = ou_spec(k0=1.0, k1=2.0)
+    @pytest.mark.parametrize("spec", [ou_spec(k0=1.0, k1=2.0), rotating_spec(),
+                                      anisotropic_kinetic_spec()],
+                             ids=["ou-ramp", "rotating-2d", "kinetic-n2-mass"])
+    def test_tilted_initial_law_integrates_to_one(self, spec):
         ric = riccati_value_function(spec, np.linspace(0.0, 1.0, 201))
         assert abs(ric.tilted_initial_mass() - 1.0) <= 1e-6
 
@@ -266,18 +286,16 @@ class TestRiccatiValueFunction:
         z0 = partition_function(spec, 0.0).z
         zt = partition_function(spec, 1.0).z
         x = np.linspace(-8.0, 8.0, 20001)
-        dens = np.exp(-spec.potential.v(x[:, None], 0.0)) * ric.g(x, 0.0) / zt
+        dens = np.exp(-spec.potential.v(x[:, None], 0.0)) * ric.g(x[:, None], 0.0) / zt
         assert_allclose(np.trapezoid(dens, x), 1.0, atol=1e-6)
         assert_allclose(law.pdf(x[:, None]), dens, atol=1e-8)
         assert z0 != zt
 
 
 def test_langevin_riccati_time_independent_trivial():
-    from noneq import langevin_control_solution
-
     spec = kin_spec()
-    sol = langevin_control_solution(spec, np.linspace(0.0, 1.0, 51))
+    sol = riccati_value_function(spec, np.linspace(0.0, 1.0, 51))
     pts = np.array([[0.5, -0.5], [1.0, 2.0]])
     for s in (0.0, 0.4, 1.0):
-        assert_allclose(sol.value(pts[:, 0], pts[:, 1], s), 0.0, atol=1e-12)
+        assert_allclose(sol.value(pts, s), 0.0, atol=1e-12)
         assert_allclose(sol.control(pts, s), 0.0, atol=1e-12)

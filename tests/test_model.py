@@ -21,6 +21,7 @@ from noneq import (
     SpecError,
     TanhPerturbedPotential,
     Sine,
+    bakry_emery_kappa,
     free_energy_difference,
     gaussian_kl,
     gibbs_gaussian,
@@ -33,7 +34,6 @@ from noneq import (
     spec_from_config,
     validate_spec,
 )
-from noneq.gaussian_oracle import _langevin_system
 from noneq.model import Potential
 from noneq.rng import block_generator
 
@@ -281,6 +281,21 @@ def test_reversed_spec_mirrors_schedules():
     assert_allclose(rev.drift(x, 0.25), spec.reversed().drift(x, 0.25))
 
 
+def test_reversed_spec_keeps_the_contract():
+    """The reverse of a rotating 2-D spec is a well-posed spec of its own,
+    Gibbs-stationary with the negated circulation, whose convexity at s is
+    the original's at T - s."""
+    spec = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), dimension=2), beta=1.0,
+                        horizon=1.0, circulation=RotationCirculation(0.7), gamma_minus=1.0)
+    report = validate_spec(spec.reversed())
+    assert report.ok, report.messages
+    assert report.max_stationarity_residual <= 1e-12
+    for s in (0.0, 0.3, 1.0):
+        assert bakry_emery_kappa(spec.reversed(), s) == \
+            bakry_emery_kappa(spec, spec.horizon - s)
+    assert bakry_emery_kappa(spec.reversed(), 0.3) == pytest.approx(1.7, rel=1e-12)
+
+
 def kinetic_ramp(dimension=1, mass=None):
     """A moving, stiffening well, so that time mirroring changes every coefficient."""
     return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), Linear(0.2, -0.4, 1.0),
@@ -308,7 +323,7 @@ def test_langevin_drift_is_the_linear_system(reverse):
     spec = kinetic_ramp(2, np.diag([2.0, 0.5]))
     spec = spec.reversed() if reverse else spec
     x = np.random.default_rng(4).normal(size=(20, 4))
-    coef = _langevin_system(spec)
+    coef = spec.linear_system()
     for s in (0.0, 0.3, 0.8, 1.0):
         amat, force, _ = coef(np.array([s]))
         assert_allclose(spec.drift(x, s), x @ amat[0].T + force[0], rtol=1e-14, atol=1e-14)

@@ -3,7 +3,10 @@
 Every closed-form oracle integrates its ODE with ``rk4_path``, which
 evaluates the coefficients once per path on arrays of stage times.  The
 references below keep the stage-by-stage form, with each schedule evaluated
-at a scalar stage time, and the oracles must match them bit for bit.
+at a scalar stage time, and the oracles must match them bit for bit.  The
+hand-derived scalar Riccati systems of the overdamped 1-D and the centred
+kinetic value functions stay here as independent references for the one
+matrix Riccati equation that replaced them.
 """
 
 import numpy as np
@@ -19,11 +22,11 @@ from noneq import (
     QuadraticPotential,
     RotationCirculation,
     Sine,
-    langevin_control_solution,
     langevin_propagator,
     ou_moments_path,
     riccati_value_function,
 )
+from noneq.gaussian_oracle import _riccati_substeps
 from noneq.odes import cumulative_simpson, rk4_path
 
 
@@ -80,7 +83,7 @@ def rk4_stagewise(f, y0, times, substeps):
     return np.array(out)
 
 
-def brownian_riccati_stagewise(spec, times, substeps=32):
+def brownian_riccati_stagewise(spec, times, substeps):
     pot = spec.potential
 
     def rhs(s, y):
@@ -100,7 +103,7 @@ def brownian_riccati_stagewise(spec, times, substeps=32):
     return rk4_stagewise(rhs, np.zeros(3), times[::-1], substeps)[::-1]
 
 
-def langevin_riccati_stagewise(spec, times, substeps=32):
+def langevin_riccati_stagewise(spec, times, substeps):
     pot, xi, beta, n = spec.potential, spec.xi, spec.beta, spec.dimension
     m = float(spec.mass[0, 0])
 
@@ -158,6 +161,36 @@ def langevin_system_stagewise(spec, reverse):
     return amat, force, lambda s: noise_rate
 
 
+def riccati_stagewise(spec, system, times, substeps):
+    """W' = -(A~^T W + W A~) + 2 W G~ W - Q~, with -(2/beta) tr(G P) in the corner."""
+    amat, force, noise = system
+    pot, beta, n = spec.potential, spec.beta, spec.dimension
+    width = len(force(0.0)) + 1
+
+    def rhs(s, y):
+        atil = np.zeros((width, width))
+        atil[:-1, :-1] = amat(s)
+        atil[:-1, -1] = force(s)
+        gtil = np.zeros((width, width))
+        gtil[:-1, :-1] = (0.5 * beta) * noise(s)
+        k, kd = float(pot.k.value(s)), float(pot.k.derivative(s))
+        mu, mud = float(pot.mu.value(s)), float(pot.mu.derivative(s))
+        qtil = np.zeros((width, width))
+        qtil[range(n), range(n)] = kd
+        qtil[:n, -1] = qtil[-1, :n] = -(kd * mu + k * mud)
+        qtil[-1, -1] = 2.0 * n * (0.5 * kd * mu * mu + k * mud * mu)
+        w = y.reshape(width, width)
+        wg = w.dot(gtil)
+        aw = atil.T.dot(w)
+        wgw = wg.dot(w)
+        dw = wgw + wgw.T - (aw + aw.T) - qtil
+        dw[-1, -1] -= (2.0 / beta) * np.trace(wg)
+        return dw.ravel()
+
+    ws = rk4_stagewise(rhs, np.zeros(width * width), times[::-1], substeps)[::-1]
+    return ws.reshape(len(times), width, width)
+
+
 def moments_stagewise(system, init, times, substeps=16):
     amat, force, noise = system
     n = init.dim
@@ -208,25 +241,63 @@ def test_coefficients_evaluated_once_per_stage_array():
     assert_allclose(ys[:, 0], times ** 3, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("spec", [
-    BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0)), beta=1.0, horizon=1.0),
-    scheduled_spec(),
-], ids=["ou-ramp", "scheduled"])
-def test_brownian_riccati_matches_stagewise(spec):
-    times = np.linspace(0.0, 1.0, 41)
-    ric = riccati_value_function(spec, times)
-    ref = brownian_riccati_stagewise(spec, times)
-    assert_array_equal(np.stack([ric.alpha, ric.delta, ric.c0], axis=1), ref)
+def rotating_spec():
+    """A 2-D spec with circulation, a moving centre and scheduled noise."""
+    return BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), Sine(0.4), 2),
+                        beta=1.2, horizon=1.0, circulation=RotationCirculation(0.6),
+                        diffusion=DiffusionFactor.isotropic(2, 1.0, Sine(0.5, 1.0, 1.25)))
 
 
+OU_RAMP = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0)), beta=1.0, horizon=1.0)
+
+
+def centred_kinetic(stiffness):
+    return LangevinSpec(QuadraticPotential(stiffness), beta=0.9, horizon=1.0, xi=0.7)
+
+
+@pytest.mark.parametrize("knots", [11, 41, 201])
+@pytest.mark.parametrize("spec", [OU_RAMP, scheduled_spec()], ids=["ou-ramp", "scheduled"])
+def test_brownian_riccati_matches_stagewise(spec, knots):
+    """U = alpha x^2 + delta x + c0: P = 2 alpha, q = delta and W's corner 2 c0."""
+    times = np.linspace(0.0, 1.0, knots)
+    w = riccati_value_function(spec, times).w
+    ref = brownian_riccati_stagewise(spec, times, _riccati_substeps(times))
+    assert_allclose(np.stack([w[:, 0, 0] / 2.0, w[:, 0, 1], w[:, 1, 1] / 2.0], axis=1), ref,
+                    rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("knots", [11, 41, 201])
 @pytest.mark.parametrize("stiffness", [Linear(1.0, 1.5, 1.0), Sine(0.4, 2.0, 1.2)],
                          ids=["ramp", "sine"])
-def test_langevin_riccati_matches_stagewise(stiffness):
-    spec = LangevinSpec(QuadraticPotential(stiffness), beta=0.9, horizon=1.0, xi=0.7)
-    times = np.linspace(0.0, 1.0, 41)
-    sol = langevin_control_solution(spec, times)
-    ref = langevin_riccati_stagewise(spec, times)
-    assert_array_equal(np.stack([sol.lqq, sol.lqp, sol.lpp, sol.c0], axis=1), ref)
+def test_langevin_riccati_matches_stagewise(stiffness, knots):
+    """U = (Lqq q^2 + 2 Lqp q p + Lpp p^2) / 2 + c0 for a centred potential and unit mass."""
+    spec = centred_kinetic(stiffness)
+    times = np.linspace(0.0, 1.0, knots)
+    w = riccati_value_function(spec, times).w
+    ref = langevin_riccati_stagewise(spec, times, _riccati_substeps(times))
+    assert_allclose(np.stack([w[:, 0, 0], w[:, 0, 1], w[:, 1, 1], w[:, 2, 2] / 2.0], axis=1),
+                    ref, rtol=0, atol=1e-14)
+    assert np.all(w[:, :2, 2] == 0.0)
+
+
+@pytest.mark.parametrize("spec, system", [
+    (OU_RAMP, ou_system_stagewise),
+    (scheduled_spec(), ou_system_stagewise),
+    (rotating_spec().reversed(), ou_system_stagewise),
+    (centred_kinetic(Sine(0.4, 2.0, 1.2)), lambda spec: langevin_system_stagewise(spec, False)),
+    (kinetic_spec(2, np.diag([2.0, 0.5])), lambda spec: langevin_system_stagewise(spec, False)),
+], ids=["ou-ramp", "scheduled", "rotating-reversed", "kinetic-sine", "kinetic-n2-mass"])
+def test_matrix_riccati_matches_stagewise(spec, system):
+    times = np.linspace(0.0, 1.0, 21)
+    ref = riccati_stagewise(spec, system(spec), times, _riccati_substeps(times))
+    assert_array_equal(riccati_value_function(spec, times).w, ref)
+
+
+def test_riccati_step_is_at_most_the_maximum():
+    """The CLI's 201-knot grids take 4 substeps of 1/800, 1001 knots take 1."""
+    assert [_riccati_substeps(np.linspace(0.0, 1.0, k)) for k in (2, 11, 201, 1001)] == \
+        [800, 80, 4, 1]
+    assert _riccati_substeps(np.array([0.0, 0.001, 0.5, 1.0])) == 400
 
 
 @pytest.mark.parametrize("dimension, mass", [(1, None), (2, np.diag([2.0, 0.5]))],

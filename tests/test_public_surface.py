@@ -9,8 +9,9 @@ of ``noneq/__init__.py``.
 No package module other than ``model`` imports a ``_``-prefixed name from
 ``model``, so only ``model`` knows how a process is reversed.  No package
 module other than ``model`` tests whether a spec is a ``BrownianSpec`` or a
-``LangevinSpec``, so only ``model`` knows how the Gibbs family and the
-dynamics depend on the kind of spec.
+``LangevinSpec``, by ``isinstance`` or by comparing ``type(x)``, so only
+``model`` knows how the Gibbs family and the dynamics depend on the kind of
+spec.
 
 Every defaulted parameter of a public function, or of a public method or
 ``__init__`` of a public class, is passed by some call in ``src/``,
@@ -80,22 +81,54 @@ def test_only_model_uses_its_private_names():
 SPEC_CLASSES = {"BrownianSpec", "LangevinSpec"}
 
 
-def spec_kind_tests() -> list[str]:
-    """``module:line`` of each ``isinstance`` call outside ``model`` that names a spec class."""
+def is_call_of(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def spec_kind_lines(source: str) -> list[int]:
+    """Lines of ``source`` that test the kind of a spec: an ``isinstance``
+    call whose class argument names a spec class, or a comparison of a
+    ``type(x)`` call with an operand that names one (``is``, ``==``, ``in``
+    and their negations)."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "model":
+    for node in ast.walk(ast.parse(source)):
+        if is_call_of(node, "isinstance") and len(node.args) == 2:
+            names_spec = loaded_names(node.args[1]).keys() & SPEC_CLASSES
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names_spec = (any(is_call_of(o, "type") for o in operands)
+                          and any(loaded_names(o).keys() & SPEC_CLASSES for o in operands))
+        else:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2
-                    and loaded_names(node.args[1]).keys() & SPEC_CLASSES):
-                found.append(f"{path.stem}:{node.lineno}")
-    return found
+        if names_spec:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def spec_kind_tests() -> list[str]:
+    """``module:line`` of each test of the kind of a spec outside ``model``."""
+    return [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "model" for line in spec_kind_lines(path.read_text())]
 
 
 def test_only_model_tests_the_kind_of_a_spec():
     assert spec_kind_tests() == []
+
+
+def test_spec_kind_rule_sees_every_form():
+    source = ("isinstance(spec, BrownianSpec)\n"
+              "isinstance(spec, (int, model.LangevinSpec))\n"
+              "type(spec) is BrownianSpec\n"
+              "type(spec) == LangevinSpec\n"
+              "LangevinSpec is not type(spec)\n"
+              "type(spec) in (BrownianSpec, LangevinSpec)\n"
+              "if type(spec) != model.BrownianSpec:\n"
+              "    pass\n"
+              "isinstance(spec, GaussianLaw)\n"
+              "type(spec) is GaussianLaw\n"
+              "spec.kind == BrownianSpec\n"
+              "BrownianSpec(potential, beta=1.0, horizon=1.0)\n")
+    assert spec_kind_lines(source) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def public_callables() -> list:

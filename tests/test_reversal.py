@@ -17,7 +17,6 @@ from noneq import (
     grid_drift_identity_check,
     kinetic_drift_identity_check,
     kinetic_law_equivalence_test,
-    langevin_control_solution,
     law_equivalence_test,
     reverse_density_check,
     riccati_value_function,
@@ -60,7 +59,7 @@ class TestDriftIdentity:
 
     def test_kinetic_variant(self):
         spec = kinetic_spec()
-        sol = langevin_control_solution(spec, KNOTS)
+        sol = riccati_value_function(spec, KNOTS)
         rep = kinetic_drift_identity_check(spec, sol, CHECK_TIMES)
         assert rep.max_residual <= 1e-6
 
@@ -128,7 +127,7 @@ class TestLawEquivalence:
 
     def test_kinetic_matched_marginals(self):
         spec = kinetic_spec()
-        sol = langevin_control_solution(spec, KNOTS)
+        sol = riccati_value_function(spec, KNOTS)
         rep = kinetic_law_equivalence_test(spec, sol, n_paths=4000, dt=2e-3,
                                            seed=3)
         assert rep.ok, rep.summary()

@@ -28,6 +28,7 @@ from noneq import (
     gibbs_sampler,
     langevin_propagator,
     ou_moments,
+    riccati_value_function,
     simulate_forward,
     simulate_langevin,
 )
@@ -573,6 +574,24 @@ class TestBlockRunnerBitIdentity:
             ens = simulate_forward(spec, self.n_two, self.dt, seed=9, control=control)
             assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 9,
                                                      gibbs_sampler(spec), {0, 5}, control=control))
+
+    def test_two_blocks_steered_by_the_quadratic_value_function(self, cpus):
+        """The Riccati feedback on a rotating plane, from its tilted start, and on a
+        kinetic n = 2 spec with a moving centre and anisotropic mass."""
+        spec = BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 0.1), Sine(0.5, 4.0), 2),
+                            beta=1.3, horizon=0.1, circulation=RotationCirculation(0.7))
+        ric = riccati_value_function(spec, np.linspace(0.0, 0.1, 11))
+        tilted = ric.tilted_initial_law()
+        ens = simulate_forward(spec, self.n_two, self.dt, seed=9, init=tilted,
+                               control=ric.control)
+        assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 9, tilted.sample,
+                                                 {0, 5}, control=ric.control))
+        kspec = LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 0.1), Linear(0.2, -0.4, 0.1), 2),
+                             beta=1.0, horizon=0.1, xi=0.8, mass=np.diag([2.0, 0.5]))
+        kric = riccati_value_function(kspec, np.linspace(0.0, 0.1, 11))
+        ens = simulate_langevin(kspec, self.n_two, self.dt, seed=7, control=kric.control)
+        assert_same_ensemble(ens, ref_kinetic(kspec, self.n_two, self.dt, 7, {0, 5},
+                                              control=kric.control))
 
     def test_caller_arrays_are_left_unmodified(self, cpus):
         rng = np.random.default_rng(3)
