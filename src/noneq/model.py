@@ -121,6 +121,25 @@ def _config_number(value, name: str) -> float:
     return float(value)
 
 
+def _config_mapping(cfg: dict, name: str, default: dict) -> dict:
+    """The mapping ``cfg[name]``, or ``default`` when it is absent;
+    ConfigError naming the field unless it is a mapping."""
+    node = cfg.get(name, default)
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name!r} must be a mapping with a 'family', got {node!r}")
+    return node
+
+
+def _config_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a float matrix; ConfigError naming the field ``name``
+    unless it is a list of rows of finite numbers, all of one non-zero length."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(row, list) and row and len(row) == len(value[0]) for row in value)):
+        raise ConfigError(f"{name!r} must be a matrix given as rows of one length, "
+                          f"got {value!r}")
+    return np.array([[_config_number(v, name) for v in row] for row in value])
+
+
 def schedule_from_config(node, horizon: float, name: str) -> Schedule:
     """The schedule of the field ``name``: a number or a mapping with 'kind'."""
     if isinstance(node, (int, float)):
@@ -859,7 +878,9 @@ def spec_from_config(cfg: dict):
         beta = _config_number(cfg["beta"], "beta")
     except KeyError as exc:
         raise ConfigError(f"spec is missing required field {exc}") from None
-    dim = int(cfg.get("dimension", 1))
+    dim = cfg.get("dimension", 1)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+        raise ConfigError(f"'dimension' must be the integer 1 or 2, got {dim!r}")
 
     pot_cfg = cfg.get("potential")
     if not isinstance(pot_cfg, dict) or "family" not in pot_cfg:
@@ -885,7 +906,7 @@ def spec_from_config(cfg: dict):
         return LangevinSpec(potential=potential, beta=beta, horizon=horizon,
                             xi=_config_number(cfg.get("friction", 1.0), "friction"), mass=mass)
 
-    circ_cfg = cfg.get("circulation", {"family": "none"})
+    circ_cfg = _config_mapping(cfg, "circulation", {"family": "none"})
     fam = circ_cfg.get("family", "none")
     if fam == "none":
         circulation = NoCirculation()
@@ -900,7 +921,7 @@ def spec_from_config(cfg: dict):
     else:
         raise ConfigError(f"unknown circulation family {fam!r}")
 
-    diff_cfg = cfg.get("diffusion", {"family": "constant", "value": 1.0})
+    diff_cfg = _config_mapping(cfg, "diffusion", {"family": "constant", "value": 1.0})
     fam = diff_cfg.get("family", "constant")
     if fam == "constant":
         diffusion = DiffusionFactor.isotropic(
@@ -910,7 +931,7 @@ def spec_from_config(cfg: dict):
             dim, 1.0, schedule_from_config(diff_cfg.get("value", 1.0), horizon,
                                            "diffusion.value"))
     elif fam == "matrix":
-        diffusion = DiffusionFactor(np.asarray(diff_cfg["value"], dtype=float))
+        diffusion = DiffusionFactor(_config_matrix(diff_cfg.get("value"), "diffusion.value"))
     else:
         raise ConfigError(f"unknown diffusion family {fam!r}")
 

@@ -104,10 +104,8 @@ def _resolve_init(spec, init):
     return np.asarray(init, dtype=float)
 
 
-def _finalize(stored, times, seed, dt, kind):
-    states = np.concatenate([b[0] for b in stored], axis=1)
-    work = np.concatenate([b[1] for b in stored], axis=1)
-    logw = np.concatenate([b[2] for b in stored], axis=1)
+def _finalize(store, times, seed, dt, kind):
+    states, work, logw = store
     flagged = ~np.all(np.isfinite(states), axis=(0, 2))
     flagged |= ~np.isfinite(work[-1]) | ~np.isfinite(logw[-1])
     frac = flagged.mean()
@@ -133,7 +131,9 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
 
     Each block's state, stream and step are made here, on the calling thread;
     the blocks are then stepped on up to one thread per usable CPU, which
-    gives the same bits as stepping them in turn.
+    gives the same bits as stepping them in turn.  The stored states, work
+    and log-weights are allocated once per run, and each block writes its
+    columns ``[start, stop)`` of them in place.
     """
     if n_paths < 1:
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
@@ -152,6 +152,8 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     if from_array and not np.all(np.isfinite(init)):
         raise SpecError("initial state array has non-finite entries")
     build = make_step()
+    store = (np.empty((len(idx), n_paths, width)), np.empty((len(idx), n_paths)),
+             np.empty((len(idx), n_paths)))
 
     blocks = []
     for block, start, stop in rngmod.block_layout(n_paths):
@@ -159,8 +161,7 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
         gen = rngmod.block_generator(seed, block)
         x = init[start:stop] if from_array else \
             np.asarray(init(gen, nb), dtype=float).reshape(nb, width)
-        keep = (np.empty((len(idx), nb, width)), np.empty((len(idx), nb)),
-                np.empty((len(idx), nb)))
+        keep = tuple(a[:, start:stop] for a in store)
         blocks.append((start, stop, gen, x, np.zeros(nb), np.zeros(nb),
                        np.empty((nb, m)) if noise is None else None, keep, build(nb)))
 
@@ -170,16 +171,19 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
             if k in slot:
                 keep[0][slot[k]], keep[1][slot[k]], keep[2][slot[k]] = x, w, g
             if k == n_steps:
-                return keep
+                return
             z = gen.standard_normal(out=z) if noise is None else noise[k, start:stop]
             x = step(x, z, s0 + k * dt, w, g)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(blocks), cpus or 1)
     if workers == 1:
-        return _finalize(list(map(march, blocks)), times, seed, dt, kind)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _finalize(list(pool.map(march, blocks)), times, seed, dt, kind)
+        for block in blocks:
+            march(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(march, blocks))
+    return _finalize(store, times, seed, dt, kind)
 
 
 def _block_step(pot, dt, n, width, move):

@@ -128,6 +128,33 @@ class TestExitCodes:
         assert code == 2
         assert f"config error: {key} must be a finite number" in capsys.readouterr().err
 
+    FIELD = ("spec:\n  schema_version: 1\n  kind: brownian\n  beta: 1.0\n  horizon: 1.0\n"
+             "  potential:\n    family: quadratic\n  {field}\n")
+
+    @pytest.mark.parametrize("field, key", [
+        ("circulation: [1, 2]", "'circulation'"),
+        ("diffusion: constant", "'diffusion'"),
+        ("dimension: 3", "'dimension'"),
+        ("dimension: abc", "'dimension'"),
+        ("dimension: 1.7", "'dimension'"),
+        ("diffusion: {family: matrix}", "'diffusion.value'"),
+        ("diffusion: {family: matrix, value: [[1, 0], [0]]}", "'diffusion.value'"),
+    ], ids=["circulation-list", "diffusion-text", "dimension-3", "dimension-text",
+            "dimension-float", "matrix-missing", "matrix-ragged"])
+    def test_malformed_spec_field_is_a_config_error(self, tmp_path, capsys, field, key):
+        """A spec field of the wrong shape names itself and exits 2, before
+        any spec is built; the dimension is the integer 1 or 2."""
+        cfg = write_config(tmp_path, self.FIELD.format(field=field))
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        "dimension: 2", "diffusion: {family: matrix, value: [[0.5]]}"])
+    def test_well_formed_spec_field_passes(self, tmp_path, field):
+        cfg = write_config(tmp_path, self.FIELD.format(field=field))
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+
     def test_config_error_in_a_worker_process_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiments:\n  entropy-brownian:\n    grid_dt: 0\n")
         code = main(["all", "--quick", "--jobs", "2", "--config", cfg,

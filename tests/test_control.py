@@ -26,7 +26,7 @@ from noneq import (
     solve_g_pde_1d,
 )
 from noneq.entropy import derivative_uniform
-from noneq.fokker_planck import MARCH_BLOCK, GridDensity1D, _generator_rates
+from noneq.fokker_planck import MARCH_BLOCK, GridDensity1D, _dgtsv, _generator_rates
 from noneq.model import PiecewiseFrozen, Schedule
 
 
@@ -219,8 +219,10 @@ class TestResidualByBlocks:
         self.assert_matches_full_grid(grid)
         self.assert_matches_full_grid(fine_grid)
 
-    # 65 and 129 rows end on a last block of one row, 69 on one of five
-    @pytest.mark.parametrize("n_steps", [4, 64, 68, 128])
+    # 4 B + 1 and 8 B + 1 rows end on a last block of one row, 4 B + 5 on one
+    # of five, for the block B = MARCH_BLOCK
+    @pytest.mark.parametrize("n_steps", [4, 4 * MARCH_BLOCK, 4 * MARCH_BLOCK + 4,
+                                         8 * MARCH_BLOCK])
     def test_short_last_block(self, n_steps):
         grid = solve_g_pde_1d(moving_spec(), dt=1.0 / n_steps, cells=120, theta=1.0)
         assert len(grid.times) == n_steps + 1
@@ -234,6 +236,23 @@ class TestResidualByBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * fine_grid.g.nbytes
+
+
+def test_g_march_holds_g_and_a_few_blocks():
+    """The backward march allocates g and the coefficients of a block or two
+    of MARCH_BLOCK steps: on reversal-test's grid (800 cells, dt 1e-3,
+    theta 0.5) what it holds beyond g stays under a third of g's bytes.
+    Blocks of 64 steps held almost as much again as g."""
+    spec = moving_spec()
+    _dgtsv()  # imports scipy.linalg on first use; not part of the march
+    tracemalloc.start()
+    try:
+        grid = solve_g_pde_1d(spec, dt=1e-3, cells=800, theta=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.g.shape == (1001, 800)
+    assert peak - grid.g.nbytes < grid.g.nbytes / 3
 
 
 class EarlyKink(Schedule):

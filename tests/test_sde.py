@@ -7,6 +7,7 @@ and the runner must match them bit for bit.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -604,6 +605,23 @@ class TestBlockRunnerBitIdentity:
         simulate_langevin(self.heavy(), self.n_two, self.dt, init=phase, noise=noise)
         for got, want in zip((init, noise, phase), copies):
             assert_array_equal(got, want)
+
+    def test_two_blocks_store_one_copy(self, cpus):
+        """The blocks write their columns of one store in place: with five
+        store times the traced peak of a two-block run stays under twice the
+        stored bytes, which a second copy of the store alone would reach."""
+        spec = self.spec()
+        times = [0.0, 0.02, 0.04, 0.06, 0.1]
+        simulate_forward(spec, 10, self.dt, seed=5)  # first-use imports, untraced
+        tracemalloc.start()
+        try:
+            ens = simulate_forward(spec, self.n_two, self.dt, seed=5, store_times=times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = ens.states.nbytes + ens.work.nbytes + ens.log_weight.nbytes
+        assert ens.states.shape == (5, self.n_two, 1)
+        assert peak < 2 * stored
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         """Three blocks on three threads, switching every microsecond, give the
