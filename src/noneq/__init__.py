@@ -36,8 +36,8 @@ _EXPORTS = {
     "control": ("GridControl1D", "feynman_kac_g", "solve_g_pde_1d"),
     "reversal": ("DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
                  "drift_identity_check", "grid_drift_identity_check",
-                 "kinetic_drift_identity_check", "kinetic_law_equivalence_test",
-                 "law_equivalence_test", "reverse_density_check"),
+                 "kinetic_law_equivalence_test", "law_equivalence_test",
+                 "reverse_density_check"),
     "jarzynski": ("EstimatorReport", "VarianceReport", "estimate_free_energy_is",
                   "estimate_free_energy_vanilla", "variance_report"),
 }

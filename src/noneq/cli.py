@@ -41,8 +41,7 @@ _LIBRARY = {
                   "variance_report"),
     "odes": ("_step_count",),
     "reversal": ("_grid_reversal_reports", "drift_identity_check",
-                 "kinetic_drift_identity_check", "kinetic_law_equivalence_test",
-                 "law_equivalence_test"),
+                 "kinetic_law_equivalence_test", "law_equivalence_test"),
     "sde": ("simulate_forward",),
 }
 _library_bound = False
@@ -232,9 +231,8 @@ def run_entropy_brownian(p, out, seed, meta):
 def run_entropy_langevin(p, out, seed, meta):
     spec = _kin_spec(eta0=1.0, eta1=1.25, horizon=p["horizon"], beta=p["beta"])
     times = np.linspace(0.0, spec.horizon, p["n_times"])
-    prop = langevin_propagator(spec, times, substeps=32)
     init = GaussianLaw(np.array([1.2, -0.6]), np.array([[0.6, 0.1], [0.1, 1.4]]))
-    laws = prop.push(init)
+    laws = ou_moments_path(spec, init, times, substeps=32)
     trace = production_rate_check(spec, laws, times)
     _write_csv(out / "kinetic_trace.csv", meta,
                ["time", "divergence", "d_divergence_ds", "production_rhs", "residual"],
@@ -294,7 +292,7 @@ def run_bound_kinetic(p, out, seed, meta):
                           grid_points=p["grid_points"], refine_starts=p["refine_starts"])
     times = np.linspace(0.0, spec.horizon, p["n_times"])
     init = GaussianLaw(np.array([1.0, -0.5]), np.array([[0.5, 0.05], [0.05, 1.5]]))
-    laws = langevin_propagator(spec, times, substeps=32).push(init)
+    laws = ou_moments_path(spec, init, times, substeps=32)
     energy = modified_functional_trace(spec, laws, times, cert.a, cert.b, cert.c)
     envelope = kinetic_decay_bound(cert, energy[0], times)
     _write_csv(out / "energy_trace.csv", meta,
@@ -380,7 +378,7 @@ def run_reversal_test(p, out, seed, meta):
 
     kspec = _kin_spec(eta0=1.0, eta1=1.5, horizon=p["horizon"], beta=p["beta"])
     kric = riccati_value_function(kspec, np.linspace(0.0, kspec.horizon, 201))
-    kdrift_rep = kinetic_drift_identity_check(kspec, kric, probe_times)
+    kdrift_rep = drift_identity_check(kspec, kric, probe_times)
     klaw_rep = kinetic_law_equivalence_test(kspec, kric, p["n_paths"], p["dt"],
                                             seed=seed + 1)
 

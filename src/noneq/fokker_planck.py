@@ -119,9 +119,6 @@ class GridDensity2D:
     def p(self) -> np.ndarray:
         return GridDensity1D.centers(self.plo, self.phi, self.values.shape[1])
 
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.hq * self.hp)
-
     def moments(self):
         """mean (2,) and covariance (2, 2) of (q, p)."""
         w = self.values / np.sum(self.values)

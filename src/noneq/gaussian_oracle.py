@@ -7,8 +7,8 @@ in closed (or ODE-exact) form.  The rest of the package uses these results as
 oracles for its grid and Monte Carlo routes.
 
 Every ODE here is built on the affine drift and noise rate that
-``spec.linear_system()`` gives for either kind of spec: the moment
-equations, the kinetic flow map and the one matrix Riccati equation of the
+``spec.linear_system()`` gives for either kind of spec: the one moment
+equation, the kinetic flow map and the one matrix Riccati equation of the
 quadratic value function.
 """
 
@@ -180,7 +180,7 @@ def gaussian_tv_1d(p: GaussianLaw, q: GaussianLaw) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moment propagation: overdamped linear SDEs
+# moment propagation: linear SDEs of either kind
 # ---------------------------------------------------------------------------
 
 def _pack(mean, cov):
@@ -207,21 +207,17 @@ def _forward_times(times) -> np.ndarray:
     return times
 
 
-def _moment_path(coef, dim: int, init: GaussianLaw, times, substeps=16):
+def ou_moments_path(spec: BrownianSpec | LangevinSpec, init: GaussianLaw, times,
+                    substeps: int = 16):
+    """Gaussian laws at ``times`` (ODE-exact moments) of the linear dynamics of
+    either kind of spec, on the stacked states of its drift, starting from
+    ``init`` at times[0]."""
+    coef, times = spec.linear_system(), _forward_times(times)
+    dim = spec.noise_factor(0.0).shape[0]
     if init.dim != dim:
         raise SpecError(f"initial law has dimension {init.dim}, the dynamics {dim}")
     ys = rk4_path(_moment_rhs, coef, _pack(init.mean, init.cov), times, substeps)
-    laws = []
-    for y in ys:
-        m, c = _unpack(y, init.dim)
-        laws.append(GaussianLaw(m, 0.5 * (c + c.T)))
-    return laws
-
-
-def ou_moments_path(spec: BrownianSpec, init: GaussianLaw, times, substeps: int = 16):
-    """Gaussian laws of the overdamped process at ``times`` (ODE-exact moments)."""
-    return _moment_path(spec.linear_system(), spec.dimension, init, _forward_times(times),
-                        substeps)
+    return [GaussianLaw(m, 0.5 * (c + c.T)) for m, c in (_unpack(y, dim) for y in ys)]
 
 
 def ou_moments(spec: BrownianSpec, init: GaussianLaw, s: float, substeps: int = 32) -> GaussianLaw:
@@ -282,7 +278,7 @@ class LangevinPropagator:
 
     def push(self, init: GaussianLaw):
         """Laws at every grid time, starting from ``init`` at times[0]."""
-        return _moment_path(self._coef, 2 * self.spec.dimension, init, self.times, self.substeps)
+        return ou_moments_path(self.spec, init, self.times, self.substeps)
 
 
 def langevin_propagator(spec: LangevinSpec, times, substeps: int = 16) -> LangevinPropagator:

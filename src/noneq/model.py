@@ -43,9 +43,6 @@ class Schedule:
     def derivative(self, s):
         raise NotImplementedError
 
-    def __call__(self, s):
-        return self.value(s)
-
 
 class Constant(Schedule):
     def __init__(self, value: float):
@@ -130,6 +127,13 @@ def _config_mapping(cfg: dict, name: str, default: dict) -> dict:
     return node
 
 
+def _config_keys(node: dict, allowed: tuple, name: str) -> None:
+    """ConfigError naming the keys of the mapping ``name`` that are not in ``allowed``."""
+    stray = set(node) - set(allowed)
+    if stray:
+        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(map(str, stray))}")
+
+
 def _config_matrix(value, name: str) -> np.ndarray:
     """``value`` as a float matrix; ConfigError naming the field ``name``
     unless it is a list of rows of finite numbers, all of one non-zero length."""
@@ -154,10 +158,13 @@ def schedule_from_config(node, horizon: float, name: str) -> Schedule:
         return _config_number(node.get(key, default), f"{name}.{key}")
 
     if kind == "constant":
+        _config_keys(node, ("kind", "value"), name)
         return Constant(number("value"))
     if kind == "linear":
+        _config_keys(node, ("kind", "start", "end"), name)
         return Linear(number("start"), number("end"), horizon)
     if kind == "sine":
+        _config_keys(node, ("kind", "scale", "frequency", "base"), name)
         return Sine(number("scale"), number("frequency", 1.0), number("base", 0.0))
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
@@ -873,6 +880,9 @@ def spec_from_config(cfg: dict):
     kind = cfg.get("kind")
     if kind not in ("brownian", "langevin"):
         raise ConfigError(f"spec kind must be 'brownian' or 'langevin', got {kind!r}")
+    _config_keys(cfg, ("schema_version", "kind", "horizon", "beta", "dimension", "potential")
+                 + (("circulation", "diffusion", "gamma_minus") if kind == "brownian"
+                    else ("friction", "mass")), "spec")
     try:
         horizon = _config_number(cfg["horizon"], "horizon")
         beta = _config_number(cfg["beta"], "beta")
@@ -887,6 +897,7 @@ def spec_from_config(cfg: dict):
         raise ConfigError("potential must be a mapping with a 'family'")
     family = pot_cfg["family"]
     if family in ("quadratic", "translated_quadratic"):
+        _config_keys(pot_cfg, ("family", "stiffness", "center"), "potential")
         stiffness = schedule_from_config(pot_cfg.get("stiffness", 1.0), horizon,
                                          "potential.stiffness")
         center = schedule_from_config(pot_cfg.get("center", 0.0), horizon, "potential.center")
@@ -894,6 +905,7 @@ def spec_from_config(cfg: dict):
     elif family == "tanh_perturbation":
         if dim != 1:
             raise ConfigError("tanh_perturbation potential is one-dimensional")
+        _config_keys(pot_cfg, ("family", "amplitude"), "potential")
         amplitude = schedule_from_config(pot_cfg.get("amplitude", 0.0), horizon,
                                          "potential.amplitude")
         potential = TanhPerturbedPotential(amplitude)
@@ -902,12 +914,13 @@ def spec_from_config(cfg: dict):
 
     if kind == "langevin":
         mass = cfg.get("mass")
-        mass = np.asarray(mass, dtype=float) if mass is not None else None
+        mass = _config_matrix(mass, "mass") if mass is not None else None
         return LangevinSpec(potential=potential, beta=beta, horizon=horizon,
                             xi=_config_number(cfg.get("friction", 1.0), "friction"), mass=mass)
 
     circ_cfg = _config_mapping(cfg, "circulation", {"family": "none"})
     fam = circ_cfg.get("family", "none")
+    _config_keys(circ_cfg, ("family",) if fam == "none" else ("family", "rate"), "circulation")
     if fam == "none":
         circulation = NoCirculation()
     elif fam == "rotation":
@@ -923,6 +936,7 @@ def spec_from_config(cfg: dict):
 
     diff_cfg = _config_mapping(cfg, "diffusion", {"family": "constant", "value": 1.0})
     fam = diff_cfg.get("family", "constant")
+    _config_keys(diff_cfg, ("family", "value"), "diffusion")
     if fam == "constant":
         diffusion = DiffusionFactor.isotropic(
             dim, _config_number(diff_cfg.get("value", 1.0), "diffusion.value"))
@@ -931,7 +945,11 @@ def spec_from_config(cfg: dict):
             dim, 1.0, schedule_from_config(diff_cfg.get("value", 1.0), horizon,
                                            "diffusion.value"))
     elif fam == "matrix":
-        diffusion = DiffusionFactor(_config_matrix(diff_cfg.get("value"), "diffusion.value"))
+        base = _config_matrix(diff_cfg.get("value"), "diffusion.value")
+        if base.shape[0] != dim or base.shape[1] < dim:
+            raise ConfigError(f"'diffusion.value' must have {dim} row(s) and at least {dim} "
+                              f"column(s), got shape {base.shape}")
+        diffusion = DiffusionFactor(base)
     else:
         raise ConfigError(f"unknown diffusion family {fam!r}")
 

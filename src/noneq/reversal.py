@@ -21,7 +21,7 @@ import numpy as np
 from .control import GridControl1D
 from .errors import SpecError
 from .fokker_planck import GridDensity1D, solve_fp_1d
-from .gaussian_oracle import QuadraticValueFunction, langevin_propagator, ou_moments_path
+from .gaussian_oracle import QuadraticValueFunction, ou_moments_path
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
 from .sde import simulate_forward, simulate_langevin
@@ -91,13 +91,16 @@ def _drift_residuals(spec, times, reverse_laws, gap) -> DriftIdentityReport:
     return DriftIdentityReport(times=times, residuals=resid)
 
 
-def drift_identity_check(spec: BrownianSpec, riccati: QuadraticValueFunction,
+def drift_identity_check(spec: BrownianSpec | LangevinSpec, riccati: QuadraticValueFunction,
                          times) -> DriftIdentityReport:
-    """Analytic check for quadratic dynamics.
+    """Analytic check for quadratic dynamics of either kind.
 
     The reverse-process law is transported exactly (Gaussian moments), its
     score is closed-form, and the steering field comes from the quadratic
-    value flow.
+    value flow.  At each time s the probes form a tensor grid over the Gibbs
+    law's mean +- 6 standard deviations on each stacked coordinate; the
+    residual is affine in the state, so 5 points per coordinate reach its
+    maximum.
     """
 
     def reverse_laws(rev_times):
@@ -105,29 +108,10 @@ def drift_identity_check(spec: BrownianSpec, riccati: QuadraticValueFunction,
                                substeps=64)
 
     def gap(law, s):
-        center, std = spec.potential.envelope(s, spec.beta)
-        pts = np.linspace(center - 6.0 * std, center + 6.0 * std, 41)[:, None]
-        return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
-                - steered_drift(spec, riccati.control, pts, s))
-
-    return _drift_residuals(spec, times, reverse_laws, gap)
-
-
-def kinetic_drift_identity_check(spec: LangevinSpec, riccati: QuadraticValueFunction,
-                                 times) -> DriftIdentityReport:
-    """Kinetic analogue of :func:`drift_identity_check` on a fixed (q, p)
-    probe grid; the score correction only enters the momentum block."""
-    if spec.dimension != 1:
-        raise SpecError("the kinetic drift check probes a 1D position grid")
-    axis = np.linspace(-5.0, 5.0, 13)
-    qq, pp = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
-
-    def reverse_laws(rev_times):
-        prop = langevin_propagator(spec.reversed(), rev_times, substeps=64)
-        return prop.push(gibbs_gaussian(spec, spec.horizon))
-
-    def gap(law, s):
+        gibbs = gibbs_gaussian(spec, s)
+        axes = [np.linspace(m - 6.0 * sd, m + 6.0 * sd, 5)
+                for m, sd in zip(gibbs.mean, np.sqrt(np.diag(gibbs.cov)))]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         return (rereversed_drift(spec, lambda x, _u: law.score(x), pts, s)
                 - steered_drift(spec, riccati.control, pts, s))
 

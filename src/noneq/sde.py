@@ -1,6 +1,6 @@
 """Path simulation for the overdamped and kinetic dynamics.
 
-Euler-Maruyama is the base integrator.  Work is accumulated with the midpoint
+Euler-Maruyama is the integrator.  Work is accumulated with the midpoint
 rule on the explicit time derivative of the potential; the change-of-measure
 exponent of a controlled run is accumulated from the *realised* noise
 increments, so
@@ -309,45 +309,27 @@ def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
 # kinetic dynamics
 # ---------------------------------------------------------------------------
 
-def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[Callable],
-                  method: str):
-    """The euler or BAOAB step of the kinetic dynamics."""
+def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[Callable]):
+    """The Euler-Maruyama step of the kinetic dynamics, optionally controlled."""
     n, pot, sign, minv = spec.dimension, spec.potential, spec.transport, spec.mass_inv
+    amp = math.sqrt(2.0 * spec.xi * dt / spec.beta)
+    sqxi = math.sqrt(spec.xi)
 
-    if method == "euler":
-        amp = math.sqrt(2.0 * spec.xi * dt / spec.beta)
-        sqxi = math.sqrt(spec.xi)
-
-        def move(x, z, s, g, out, f):
-            q, p = x[:, :n], x[:, n:]
-            v = _mul_t(p, minv, out=f)                   # M^-1 p
-            np.multiply(v, sign * dt, out=out[:, :n])
-            out[:, :n] += q
-            force = _force(pot, q, s, out[:, n:], sign)
-            v *= spec.xi
-            force -= v
-            if control is not None:
-                u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
-                force += sqxi * u
-                _girsanov(g, u, z, spec.beta, dt)
-            force *= dt
-            force += p
-            force += np.multiply(z, amp, out=f)
-    else:
-        evals, evecs = np.linalg.eigh(spec.mass)
-        decay = evecs @ np.diag(np.exp(-spec.xi * dt / evals)) @ evecs.T
-        mb = spec.mass / spec.beta
-        ou_cov = mb - decay @ mb @ decay.T
-        ou_chol = np.linalg.cholesky(ou_cov + 1e-300 * np.eye(n))
-        half = 0.5 * dt
-
-        def move(x, z, s, g, out, f):
-            q, p = x[:, :n], x[:, n:]
-            p1 = p - half * sign * pot.grad(q, s)
-            q_half = q + half * sign * (p1 @ minv.T)
-            p2 = p1 @ decay.T + z @ ou_chol.T
-            out[:, :n] = q_half + half * sign * (p2 @ minv.T)
-            out[:, n:] = p2 - half * sign * pot.grad(out[:, :n], s + dt)
+    def move(x, z, s, g, out, f):
+        q, p = x[:, :n], x[:, n:]
+        v = _mul_t(p, minv, out=f)                   # M^-1 p
+        np.multiply(v, sign * dt, out=out[:, :n])
+        out[:, :n] += q
+        force = _force(pot, q, s, out[:, n:], sign)
+        v *= spec.xi
+        force -= v
+        if control is not None:
+            u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
+            force += sqxi * u
+            _girsanov(g, u, z, spec.beta, dt)
+        force *= dt
+        force += p
+        force += np.multiply(z, amp, out=f)
 
     # work along the process: time derivative of its own Hamiltonian
     return _block_step(pot, dt, n, 2 * n, move)
@@ -356,21 +338,15 @@ def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[Callable],
 def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,
                       init=None, store_times=None,
                       control: Optional[Callable] = None,
-                      noise: Optional[np.ndarray] = None,
-                      method: str = "euler") -> TrajectoryEnsemble:
-    """Ensemble of the kinetic dynamics on [0, T].
+                      noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
+    """Euler-Maruyama ensemble of the kinetic dynamics on [0, T].
 
     States are stacked (q, p).  The reverse process is ``spec.reversed()``;
     its default initial law is the Gibbs law at the horizon.  ``control`` is a
     feedback ``u(x, s)`` on the momentum channel, valued in R^n; as in
     :func:`simulate_forward`, the path blocks may call it from several threads
-    at once, so it must not mutate shared state.  The optional ``baoab``
-    splitting is available for uncontrolled runs.
+    at once, so it must not mutate shared state.
     """
-    if method not in ("euler", "baoab"):
-        raise SpecError(f"unknown integrator {method!r}")
-    if method == "baoab" and control is not None:
-        raise SpecError("the change-of-measure bookkeeping requires the euler integrator")
-    return _run_blocks(lambda: _kinetic_step(spec, dt, control, method),
+    return _run_blocks(lambda: _kinetic_step(spec, dt, control),
                        spec.horizon, n_paths, dt, seed, _resolve_init(spec, init),
                        2 * spec.dimension, spec.dimension, "langevin", store_times, noise)

@@ -26,7 +26,6 @@ from noneq import (
     estimate_free_energy_vanilla,
     free_energy_difference,
     grid_drift_identity_check,
-    kinetic_drift_identity_check,
     kinetic_law_equivalence_test,
     langevin_propagator,
     law_equivalence_test,
@@ -217,7 +216,7 @@ def test_criterion_10_reverse_forward_equivalence():
     ksol = riccati_value_function(kspec, knots)
     law_k = kinetic_law_equivalence_test(kspec, ksol, n_paths=20000, dt=1e-3,
                                          seed=0)
-    drift_k = kinetic_drift_identity_check(kspec, ksol, check_times).max_residual
+    drift_k = drift_identity_check(kspec, ksol, check_times).max_residual
 
     grid = solve_g_pde_1d(spec, dt=1e-3, cells=800)
     drift_g = grid_drift_identity_check(spec, grid, dt=1e-3,

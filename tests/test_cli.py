@@ -139,8 +139,10 @@ class TestExitCodes:
         ("dimension: 1.7", "'dimension'"),
         ("diffusion: {family: matrix}", "'diffusion.value'"),
         ("diffusion: {family: matrix, value: [[1, 0], [0]]}", "'diffusion.value'"),
+        ("dimension: 2\n  diffusion: {family: matrix, value: [[1.0], [0.5]]}",
+         "'diffusion.value'"),
     ], ids=["circulation-list", "diffusion-text", "dimension-3", "dimension-text",
-            "dimension-float", "matrix-missing", "matrix-ragged"])
+            "dimension-float", "matrix-missing", "matrix-ragged", "matrix-too-few-columns"])
     def test_malformed_spec_field_is_a_config_error(self, tmp_path, capsys, field, key):
         """A spec field of the wrong shape names itself and exits 2, before
         any spec is built; the dimension is the integer 1 or 2."""
@@ -150,10 +152,46 @@ class TestExitCodes:
         assert f"config error: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", [
-        "dimension: 2", "diffusion: {family: matrix, value: [[0.5]]}"])
+        "dimension: 2", "diffusion: {family: matrix, value: [[0.5]]}",
+        "diffusion: {family: matrix, value: [[1.0, 0.5]]}"])
     def test_well_formed_spec_field_passes(self, tmp_path, field):
+        """A matrix diffusion has n rows and at least n columns (noise channels)."""
         cfg = write_config(tmp_path, self.FIELD.format(field=field))
         assert main(["validate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+
+    KINETIC = FIELD.replace("brownian", "langevin")
+
+    @pytest.mark.parametrize("field", ["mass: abc", "mass: {a: 1}", "mass: [[.inf]]",
+                                       "mass: [[.nan]]"],
+                             ids=["text", "mapping", "infinite", "nan"])
+    def test_malformed_mass_is_a_config_error(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, self.KINETIC.format(field=field))
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "config error: 'mass'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, field, key", [
+        (FIELD, "foo: 1", "'foo'"),
+        (FIELD.replace("quadratic", "quadratic\n    foo: 1"), "", "'foo'"),
+        (FIELD, "friction: 1.0", "'friction'"),
+        (FIELD, "mass: [[1.0]]", "'mass'"),
+        (KINETIC, "diffusion: {family: constant}", "'diffusion'"),
+        (KINETIC, "gamma_minus: 0.5", "'gamma_minus'"),
+        (KINETIC, "circulation: {family: rotation}", "'circulation'"),
+        (FIELD, "circulation: {family: none, rate: 1.0}", "'rate'"),
+        (FIELD, "diffusion: {value: 1.0, scale: 2.0}", "'scale'"),
+        (FIELD.replace("quadratic", "quadratic\n    stiffness: {{kind: sine, frequncy: 2.0}}"),
+         "", "'frequncy'"),
+    ], ids=["spec", "potential", "brownian-friction", "brownian-mass", "langevin-diffusion",
+            "langevin-gamma-minus", "langevin-circulation", "circulation", "diffusion",
+            "schedule"])
+    def test_unknown_spec_key_is_a_config_error(self, tmp_path, capsys, template, field, key):
+        """Each mapping of a spec refuses the keys it does not read, by name."""
+        cfg = write_config(tmp_path, template.format(field=field))
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "a")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key") and key in err
 
     def test_config_error_in_a_worker_process_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiments:\n  entropy-brownian:\n    grid_dt: 0\n")
@@ -369,8 +407,8 @@ EXPORTED = {
     "control": ["GridControl1D", "feynman_kac_g", "solve_g_pde_1d"],
     "reversal": ["DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
                  "drift_identity_check", "grid_drift_identity_check",
-                 "kinetic_drift_identity_check", "kinetic_law_equivalence_test",
-                 "law_equivalence_test", "reverse_density_check"],
+                 "kinetic_law_equivalence_test", "law_equivalence_test",
+                 "reverse_density_check"],
     "jarzynski": ["EstimatorReport", "VarianceReport", "estimate_free_energy_is",
                   "estimate_free_energy_vanilla", "variance_report"],
 }

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from noneq import (
     BrownianSpec,
@@ -115,6 +115,17 @@ class TestLangevinPropagator:
                         mass=np.diag([2.0, 0.5]))
         prop = langevin_propagator(spec, np.linspace(0.0, 2.0, 161))
         assert prop.fundamental.det_identity_residual() <= 1e-8
+
+    def test_push_is_the_moment_path(self):
+        """A propagator's push is ou_moments_path on the same spec, bit for bit."""
+        spec = anisotropic_kinetic_spec().reversed()
+        times = np.linspace(0.0, 1.0, 11)
+        init = GaussianLaw(np.array([0.6, -0.3, 0.2, 0.1]), np.diag([0.5, 0.8, 1.2, 0.7]))
+        pushed = langevin_propagator(spec, times, substeps=8).push(init)
+        direct = ou_moments_path(spec, init, times, substeps=8)
+        for a, b in zip(pushed, direct, strict=True):
+            assert_array_equal(a.mean, b.mean)
+            assert_array_equal(a.cov, b.cov)
 
     def test_stationary_pushforward(self):
         spec = kin_spec(eta0=1.3, beta=0.8)

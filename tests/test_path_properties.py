@@ -2,7 +2,7 @@
 
 Hypothesis draws time steps, path counts, seeds, initial-state arrays and
 injected noise for ``simulate_forward``, ``simulate_langevin`` (a kinetic spec
-and its reversal, euler and BAOAB) and ``feynman_kac_g``.  Every call must
+and its reversal) and ``feynman_kac_g``.  Every call must
 return or raise one of the six errors of ``noneq.errors``, never a bare numpy
 exception.  Valid arguments with a finite start must return; a non-finite
 start, a bad step, path count, seed, initial-state shape or noise shape must
@@ -51,8 +51,7 @@ shapes = st.lists(st.integers(0, 22), min_size=1, max_size=4).map(tuple)
 
 # The state width of each runner: the kinetic state stacks (q, p).  Every
 # runner draws one noise column.
-WIDTH = {"forward": 1, "langevin-euler": 2, "langevin-baoab": 2, "reversed-euler": 2,
-         "reversed-baoab": 2}
+WIDTH = {"forward": 1, "langevin": 2, "reversed": 2}
 RUNNERS = list(WIDTH)
 
 
@@ -70,10 +69,8 @@ def run(runner, n_paths, dt, seed, init=None, noise=None):
     if runner == "forward":
         return simulate_forward(brownian_spec(), n_paths, dt, seed=seed, init=init,
                                 noise=noise)
-    direction, method = runner.split("-")
-    spec = kinetic_spec().reversed() if direction == "reversed" else kinetic_spec()
-    return simulate_langevin(spec, n_paths, dt, seed=seed, init=init, noise=noise,
-                             method=method)
+    spec = kinetic_spec().reversed() if runner == "reversed" else kinetic_spec()
+    return simulate_langevin(spec, n_paths, dt, seed=seed, init=init, noise=noise)
 
 
 def outcome(call):

@@ -1,5 +1,6 @@
 """The time-flipped reverse process against the steered forward process."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,12 +11,13 @@ from scipy.stats import ks_2samp
 from noneq import (
     BrownianSpec,
     Constant,
+    DiffusionFactor,
     LangevinSpec,
     Linear,
     QuadraticPotential,
+    RotationCirculation,
     drift_identity_check,
     grid_drift_identity_check,
-    kinetic_drift_identity_check,
     kinetic_law_equivalence_test,
     law_equivalence_test,
     reverse_density_check,
@@ -43,6 +45,24 @@ def kinetic_spec():
                         beta=1.0, horizon=1.0, xi=1.0)
 
 
+def rotating_spec():
+    """Rotation about the well's centre under anisotropic noise, so that the
+    circulation changes the control."""
+    return BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), dimension=2), beta=1.0,
+                        horizon=1.0, circulation=RotationCirculation(0.7),
+                        diffusion=DiffusionFactor(np.array([[1.0, 0.0], [0.3, 0.8]])))
+
+
+def kinetic_plane_spec():
+    return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), Linear(0.2, -0.4, 1.0), 2),
+                        beta=0.9, horizon=1.0, xi=0.7, mass=np.diag([2.0, 0.5]))
+
+
+MOVING_SPECS = pytest.mark.parametrize(
+    "make", [moving_spec, kinetic_spec, rotating_spec, kinetic_plane_spec],
+    ids=["overdamped", "kinetic", "rotating-plane", "kinetic-plane"])
+
+
 class TestDriftIdentity:
     def test_frozen_case_is_exact(self):
         spec = frozen_spec()
@@ -50,24 +70,29 @@ class TestDriftIdentity:
         rep = drift_identity_check(spec, ric, CHECK_TIMES)
         assert rep.max_residual == 0.0
 
-    def test_moving_schedule(self):
-        spec = moving_spec()
+    @MOVING_SPECS
+    def test_moving_schedule(self, make):
+        spec = make()
         ric = riccati_value_function(spec, KNOTS)
         rep = drift_identity_check(spec, ric, CHECK_TIMES)
         assert rep.max_residual <= 1e-6
         assert rep.times.shape == rep.residuals.shape
 
-    def test_kinetic_variant(self):
-        spec = kinetic_spec()
-        sol = riccati_value_function(spec, KNOTS)
-        rep = kinetic_drift_identity_check(spec, sol, CHECK_TIMES)
-        assert rep.max_residual <= 1e-6
+    def test_unflipped_circulation_fails(self, monkeypatch):
+        """A reverse process that keeps the circulation's sign breaks the
+        identity on the rotating plane by far more than the tolerance."""
+        spec = rotating_spec()
+        ric = riccati_value_function(spec, KNOTS)
+        unflipped = replace(spec.reversed(), circulation=spec.circulation)
+        monkeypatch.setattr(spec, "reversed", lambda: unflipped)
+        assert drift_identity_check(spec, ric, CHECK_TIMES).max_residual > 1.0
 
-    def test_residual_reflects_knot_interpolation(self):
+    @MOVING_SPECS
+    def test_residual_reflects_knot_interpolation(self, make):
         """Between value-function knots the identity only holds to the
         interpolation error, so off-knot probes must sit well above the
         on-knot floor while still shrinking with the knot spacing."""
-        spec = moving_spec()
+        spec = make()
         off = np.linspace(0.0, 1.0, 9)  # multiples of 0.125, off the knots
         coarse = drift_identity_check(spec, riccati_value_function(spec, KNOTS),
                                       off).max_residual

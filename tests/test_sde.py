@@ -281,19 +281,6 @@ class TestLangevin:
         dr = r.states_at(dt)[0] - x0[0]
         assert_allclose(df + dr, [0.0, -2.0 * dt * x0[0, 1]], atol=1e-14)
 
-    def test_baoab_stationary_and_rejects_control(self):
-        spec = self.spec()
-        n = 20000
-        ens = simulate_langevin(spec, n, dt=5e-3, seed=41, method="baoab",
-                                store_times=[0.0, 1.0])
-        x = ens.states_at(1.0)
-        # splitting integrator samples the Gibbs law without O(dt) variance bias
-        for col in range(2):
-            assert abs(x[:, col].var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / n) + 1e-3
-        with pytest.raises(SpecError):
-            simulate_langevin(spec, 8, dt=5e-3, method="baoab",
-                              control=lambda x, s: np.zeros((len(x), 1)))
-
     def test_langevin_girsanov_normalized(self):
         spec = self.spec(eta1=1.5)
         n = 50000
@@ -398,17 +385,13 @@ def ref_overdamped(spec, n_paths, dt, seed, init, store, control=None, noise=Non
     return stack_blocks(blocks)
 
 
-def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False, method="euler"):
-    """Reference: the euler and BAOAB block loop of simulate_langevin, Gibbs start."""
+def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False):
+    """Reference: the Euler-Maruyama block loop of simulate_langevin, Gibbs start."""
     n_steps = int(round(spec.horizon / dt))
     n, minv = spec.dimension, spec.mass_inv
     xi, beta, T = spec.xi, spec.beta, spec.horizon
     sign = -1.0 if reverse else 1.0
     amp, sqxi = math.sqrt(2.0 * xi * dt / beta), math.sqrt(xi)
-    evals, evecs = np.linalg.eigh(spec.mass)
-    decay = evecs @ np.diag(np.exp(-xi * dt / evals)) @ evecs.T
-    mb = spec.mass / beta
-    ou_chol = np.linalg.cholesky(mb - decay @ mb @ decay.T + 1e-300 * np.eye(n))
     init = gibbs_sampler(spec, T if reverse else 0.0)
 
     def pot_time(s):
@@ -426,23 +409,15 @@ def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False, met
             t = pot_time(s)
             q, p = x[:, :n], x[:, n:]
             z = gen.standard_normal((nb, n))
-            if method == "euler":
-                gradv = spec.potential.grad(q, t)
-                q_new = q + dt * sign * (p @ minv.T)
-                p_drift = -sign * gradv - xi * (p @ minv.T)
-                if control is not None:
-                    u = control(x, s).reshape(nb, n)
-                    p_drift = p_drift + sqxi * u
-                    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
-                    g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
-                p_new = p + dt * p_drift + amp * z
-            else:
-                half = 0.5 * dt
-                p1 = p - half * sign * spec.potential.grad(q, t)
-                q_half = q + half * sign * (p1 @ minv.T)
-                p2 = p1 @ decay.T + z @ ou_chol.T
-                q_new = q_half + half * sign * (p2 @ minv.T)
-                p_new = p2 - half * sign * spec.potential.grad(q_new, pot_time(s + dt))
+            gradv = spec.potential.grad(q, t)
+            q_new = q + dt * sign * (p @ minv.T)
+            p_drift = -sign * gradv - xi * (p @ minv.T)
+            if control is not None:
+                u = control(x, s).reshape(nb, n)
+                p_drift = p_drift + sqxi * u
+                g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
+                g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
+            p_new = p + dt * p_drift + amp * z
             dv = spec.potential.dv_ds(0.5 * (q + q_new), pot_time(s + 0.5 * dt))
             w += dt * (-dv if reverse else dv)
             x = np.concatenate([q_new, p_new], axis=1)
@@ -507,11 +482,6 @@ class TestBlockRunnerBitIdentity:
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 5},
                                               control=field))
 
-    def test_baoab(self):
-        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=8, method="baoab")
-        assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 8, {0, 5},
-                                              method="baoab"))
-
     # Two blocks, stepped on one thread and on two, against the serial loops:
     # the 1 x 1 factors are scalars in the step, so they are not all 1 here.
 
@@ -546,14 +516,12 @@ class TestBlockRunnerBitIdentity:
         assert_same_ensemble(ens, ref_overdamped(rev, self.n_two, self.dt, 6, gibbs_sampler(rev),
                                                  {0, 3, 5}))
 
-    @pytest.mark.parametrize("method, reverse", [("euler", False), ("euler", True),
-                                                 ("baoab", False)])
-    def test_two_blocks_kinetic(self, cpus, method, reverse):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_blocks_kinetic(self, cpus, reverse):
         spec = self.heavy().reversed() if reverse else self.heavy()
-        ens = simulate_langevin(spec, self.n_two, self.dt, seed=7, method=method,
-                                store_times=[0.0, 0.04, 0.1])
+        ens = simulate_langevin(spec, self.n_two, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
         assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 2, 5},
-                                              reverse=reverse, method=method))
+                                              reverse=reverse))
 
     def test_two_blocks_kinetic_controlled(self, cpus):
         field = lambda x, s: 0.6 * np.tanh(x[:, :1])
