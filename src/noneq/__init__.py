@@ -24,7 +24,7 @@ _EXPORTS = {
                         "gaussian_tv_1d", "gaussian_w2", "gaussian_weighted_fisher",
                         "langevin_propagator", "ou_moments", "ou_moments_path",
                         "riccati_value_function"),
-    "sde": ("TrajectoryEnsemble", "simulate_forward", "simulate_langevin"),
+    "sde": ("TrajectoryEnsemble", "simulate_forward"),
     "fokker_planck": ("FPSolution1D", "FPSolution2D", "GridDensity1D", "GridDensity2D",
                       "fisher_and_rate_terms", "gibbs_grid", "relative_entropy_grid",
                       "solve_fp_1d", "solve_kinetic_fp_2d"),
@@ -36,8 +36,7 @@ _EXPORTS = {
     "control": ("GridControl1D", "feynman_kac_g", "solve_g_pde_1d"),
     "reversal": ("DriftIdentityReport", "LawEquivalenceReport", "ReverseDensityReport",
                  "drift_identity_check", "grid_drift_identity_check",
-                 "kinetic_law_equivalence_test", "law_equivalence_test",
-                 "reverse_density_check"),
+                 "law_equivalence_test", "reverse_density_check"),
     "jarzynski": ("EstimatorReport", "VarianceReport", "estimate_free_energy_is",
                   "estimate_free_energy_vanilla", "variance_report"),
 }

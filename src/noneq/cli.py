@@ -40,8 +40,7 @@ _LIBRARY = {
     "jarzynski": ("estimate_free_energy_is", "estimate_free_energy_vanilla",
                   "variance_report"),
     "odes": ("_step_count",),
-    "reversal": ("_grid_reversal_reports", "drift_identity_check",
-                 "kinetic_law_equivalence_test", "law_equivalence_test"),
+    "reversal": ("_grid_reversal_reports", "drift_identity_check", "law_equivalence_test"),
     "sde": ("simulate_forward",),
 }
 _library_bound = False
@@ -379,8 +378,7 @@ def run_reversal_test(p, out, seed, meta):
     kspec = _kin_spec(eta0=1.0, eta1=1.5, horizon=p["horizon"], beta=p["beta"])
     kric = riccati_value_function(kspec, np.linspace(0.0, kspec.horizon, 201))
     kdrift_rep = drift_identity_check(kspec, kric, probe_times)
-    klaw_rep = kinetic_law_equivalence_test(kspec, kric, p["n_paths"], p["dt"],
-                                            seed=seed + 1)
+    klaw_rep = law_equivalence_test(kspec, kric, p["n_paths"], p["dt"], seed=seed + 1)
 
     gcontrol = solve_g_pde_1d(spec, p["grid_dt"], cells=p["cells"], theta=0.5)
     gdrift_rep, dens_rep = _grid_reversal_reports(spec, gcontrol, p["grid_dt"], p["cells"])

@@ -29,7 +29,7 @@ from .errors import PositivityError, SpecError
 from .fokker_planck import (MARCH_BLOCK, GridDensity1D, _box_from_spec, _generator_rates,
                             _grid_steps, _march, _theta_solve)
 from .model import BrownianSpec, partition_function
-from .sde import _overdamped_step, _run_blocks
+from .sde import _run_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,8 @@ def feynman_kac_g(spec: BrownianSpec, x0, s0: float, n_paths: int, dt: float,
         raise SpecError(f"x0 must have shape ({d},)")
     if not np.all(np.isfinite(x0)):
         raise SpecError("x0 must be finite")
-    ens = _run_blocks(lambda: _overdamped_step(spec, dt), spec.horizon - s0, n_paths, dt,
-                      seed, lambda gen, size: np.tile(x0, (size, 1)), d,
-                      spec.diffusion.shape[1], "brownian", s0=s0)
+    ens = _run_blocks(spec, None, spec.horizon - s0, n_paths, dt, seed,
+                      lambda gen, size: np.tile(x0, (size, 1)), s0=s0)
     vals = np.exp(-spec.beta * ens.terminal_work[ens.finite()])
     if len(vals) < 2:
         raise SpecError("need at least two finite paths")

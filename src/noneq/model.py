@@ -389,9 +389,31 @@ class DiffusionFactor:
 # specifications
 # ---------------------------------------------------------------------------
 
+def _mul_t(a, mat, out=None):
+    """``a @ mat.T``, into ``out`` when it is given; a 1 x 1 ``mat`` multiplies
+    by its entry, the same bits without a matmul."""
+    if mat.shape == (1, 1):
+        return np.multiply(a, mat[0, 0], out=out)
+    return np.dot(a, mat.T, out=out)
+
+
+def _force(pot, x, s, out, sign=1.0):
+    """``-sign * grad V(x, s)``, into ``out`` when it is given, for ``sign`` =
+    +1 or -1.  A quadratic V is read as floats at time s, in the operation
+    order of its methods: the bits are the same, and a path step running on a
+    worker thread calls no method of V."""
+    if not pot.is_quadratic:
+        return np.multiply(pot.grad(x, s), -sign, out=out)
+    out = np.subtract(x, float(pot.mu.value(s)), out=out)
+    out *= -sign * float(pot.k.value(s))
+    return out
+
+
 @dataclass
 class BrownianSpec:
     """Overdamped diffusion on R^n with a time-dependent confining potential."""
+
+    kind = "brownian"
 
     potential: Potential
     beta: float
@@ -421,11 +443,14 @@ class BrownianSpec:
         """E = V(x, s); the Gibbs law at time s is exp(-beta E) / Z(s)."""
         return self.potential.v(x, s)
 
-    def drift(self, x, s):
-        """J - gamma grad V, batched over x."""
-        g = self.diffusion.gamma(s)
-        gv = np.asarray(self.potential.grad(x, s))
-        return self.circulation.j(x, s) - gv @ g.T
+    def drift(self, x, s, out=None):
+        """J - gamma grad V, batched over x; into ``out`` when it is given."""
+        sig = self.diffusion.sigma(s)
+        force = _force(self.potential, x, s, out)
+        drift = _mul_t(force, sig @ sig.T, out=force)
+        if not self.circulation.is_zero:
+            drift += self.circulation.j(x, s)
+        return drift
 
     def noise_factor(self, s) -> np.ndarray:
         """B(s) = sigma(s): the noise term is sqrt(2/beta) B dw."""
@@ -552,6 +577,7 @@ class LangevinSpec:
     xi: float = 1.0
     mass: np.ndarray | None = None
 
+    kind = "langevin"
     #: +1 runs the Hamiltonian transport forwards; only reversed() flips it.
     transport = 1.0
 
@@ -574,6 +600,8 @@ class LangevinSpec:
         if eigs.min() <= 0:
             raise SpecError("mass matrix must be positive definite")
         self.mass_inv = np.linalg.inv(self.mass)
+        self._noise = np.vstack([np.zeros((n, n)), math.sqrt(self.xi) * np.eye(n)])
+        self._noise.flags.writeable = False
 
     @property
     def dimension(self) -> int:
@@ -587,20 +615,22 @@ class LangevinSpec:
         kinetic = 0.5 * np.einsum("...i,ij,...j->...", p, self.mass_inv, p)
         return self.potential.v(x[..., :n], s) + kinetic
 
-    def drift(self, x, s):
+    def drift(self, x, s, out=None):
         """(t M^-1 p, -t grad V(q, s) - xi M^-1 p) on stacked states x = (q, p),
-        batched over x, with t = ``transport``."""
+        batched over x, with t = ``transport``; into ``out`` when it is given."""
         n = self.dimension
         x = np.asarray(x, dtype=float)
-        velocity = x[..., n:] @ self.mass_inv.T
-        force = -self.transport * self.potential.grad(x[..., :n], s)
-        return np.concatenate([self.transport * velocity, force - self.xi * velocity],
-                              axis=-1)
+        out = np.empty(x.shape) if out is None else out
+        velocity = _mul_t(x[..., n:], self.mass_inv)
+        np.multiply(velocity, self.transport, out=out[..., :n])
+        force = _force(self.potential, x[..., :n], s, out[..., n:], self.transport)
+        velocity *= self.xi
+        force -= velocity
+        return out
 
     def noise_factor(self, s) -> np.ndarray:
-        """B = [0; sqrt(xi) I_n]: the noise term is sqrt(2/beta) B dw."""
-        n = self.dimension
-        return np.vstack([np.zeros((n, n)), math.sqrt(self.xi) * np.eye(n)])
+        """B = [0; sqrt(xi) I_n], read-only: the noise term is sqrt(2/beta) B dw."""
+        return self._noise
 
     def linear_system(self):
         """Stage coefficients (A, force, noise rate) of the linear kinetic dynamics.

@@ -24,7 +24,7 @@ from .fokker_planck import GridDensity1D, solve_fp_1d
 from .gaussian_oracle import QuadraticValueFunction, ou_moments_path
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
-from .sde import simulate_forward, simulate_langevin
+from .sde import simulate_forward
 
 
 def _sidak_ks_coefficient(level: float, rows: int) -> float:
@@ -190,14 +190,22 @@ def _compare_samples(rows, t, fwd: np.ndarray, rev: np.ndarray):
                                        ks_stat=ks, ks_crit=ks_crit))
 
 
-def _matched_marginals(spec, seed: int, forward, reverse) -> LawEquivalenceReport:
-    """Match the finite paths of ``forward(store_times, seed)`` at each forward
-    time s = T/5, 2T/5, ..., T against those of
-    ``reverse(store_times, seed + 104729)`` at T - s."""
+def law_equivalence_test(spec: BrownianSpec | LangevinSpec, riccati: QuadraticValueFunction,
+                         n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
+    """Steered forward ensemble vs time-flipped reverse ensemble, of either kind.
+
+    The forward run (stream ``seed``) starts from the tilted initial law and
+    follows the optimal feedback; the reverse run (stream ``seed + 104729``)
+    starts from the horizon Gibbs law and is uncontrolled.  The finite paths
+    at forward times s = T/5, 2T/5, ..., T are matched against the reverse
+    ones at T - s, coordinate by coordinate of the stacked state.
+    """
     T = spec.horizon
     times = np.linspace(0.0, T, 6)[1:]
-    fwd = forward(list(times), seed)
-    rev = reverse([T - t for t in times], seed + 104729)
+    fwd = simulate_forward(spec, n_paths, dt, seed=seed, init=riccati.tilted_initial_law(),
+                           store_times=list(times), control=riccati.control)
+    rev = simulate_forward(spec.reversed(), n_paths, dt, seed=seed + 104729,
+                           store_times=[T - t for t in times])
     report = LawEquivalenceReport(n_forward=int(fwd.finite().sum()),
                                   n_reverse=int(rev.finite().sum()))
     for t in times:
@@ -205,36 +213,6 @@ def _matched_marginals(spec, seed: int, forward, reverse) -> LawEquivalenceRepor
         b = rev.states_at(float(T - t))[rev.finite()]
         _compare_samples(report.rows, t, a, b)
     return report
-
-
-def law_equivalence_test(spec: BrownianSpec, riccati: QuadraticValueFunction,
-                         n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
-    """Steered forward ensemble vs time-flipped reverse ensemble (overdamped).
-
-    The forward run starts from the tilted initial law and follows the
-    optimal feedback; the reverse run starts from the horizon Gibbs law and
-    is uncontrolled.  Marginals at forward time s are matched against reverse
-    marginals at T - s.
-    """
-    return _matched_marginals(
-        spec, seed,
-        lambda store, sd: simulate_forward(spec, n_paths, dt, seed=sd,
-                                           init=riccati.tilted_initial_law(), store_times=store,
-                                           control=riccati.control),
-        lambda store, sd: simulate_forward(spec.reversed(), n_paths, dt, seed=sd,
-                                           store_times=store))
-
-
-def kinetic_law_equivalence_test(spec: LangevinSpec, riccati: QuadraticValueFunction,
-                                 n_paths: int, dt: float, seed: int = 0) -> LawEquivalenceReport:
-    """Kinetic version of the matched-marginal test on stacked (q, p) states."""
-    return _matched_marginals(
-        spec, seed,
-        lambda store, sd: simulate_langevin(spec, n_paths, dt, seed=sd,
-                                            init=riccati.tilted_initial_law(), store_times=store,
-                                            control=riccati.control),
-        lambda store, sd: simulate_langevin(spec.reversed(), n_paths, dt, seed=sd,
-                                            store_times=store))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Path simulation for the overdamped and kinetic dynamics.
 
-Euler-Maruyama is the integrator.  Work is accumulated with the midpoint
+Both kinds are one SDE, dx = (b + B u) ds + sqrt(2/beta) B dw, with the
+drift b = ``spec.drift`` and the noise factor B = ``spec.noise_factor``, and
+one Euler-Maruyama step moves either.  Work is accumulated with the midpoint
 rule on the explicit time derivative of the potential; the change-of-measure
 exponent of a controlled run is accumulated from the *realised* noise
 increments, so
@@ -117,15 +119,17 @@ def _finalize(store, times, seed, dt, kind):
                               flagged=flagged, seed=seed, dt=dt, kind=kind)
 
 
-def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
-                store_times=None, noise=None, s0=0.0) -> TrajectoryEnsemble:
-    """Step every path block over ``span`` from time ``s0``.
+def _run_blocks(spec, control, span, n_paths, dt, seed, init, store_times=None,
+                noise=None, s0=0.0) -> TrajectoryEnsemble:
+    """Step every path block of ``spec``, under the feedback ``control`` or
+    none, over ``span`` from time ``s0``.
 
     ``init`` is a sampler ``(gen, size) -> states`` or an ``(n_paths, width)``
-    array whose rows ``init[start:stop]`` start the block [start, stop).
-    ``make_step()`` is called only after the arguments are checked, so a bad
-    ``dt`` or ``noise`` shape raises ``SpecError`` before any arithmetic uses
-    it; it returns a builder ``nb -> step`` (see ``_block_step``).  Noise is
+    array whose rows ``init[start:stop]`` start the block [start, stop); the
+    state width and the noise channel count m are the shape of
+    ``spec.noise_factor``.  The step (see ``_step``) is made only after the
+    arguments are checked, so a bad ``dt`` or ``noise`` shape raises
+    ``SpecError`` before any arithmetic uses it.  Noise is
     ``noise[k, start:stop]`` when injected, else drawn from the block's own
     stream.  A non-finite initial-state array raises ``SpecError``.
 
@@ -139,6 +143,7 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
     if seed < 0:
         raise SpecError(f"seed must be non-negative, got {seed}")
+    width, m = spec.noise_factor(0.0).shape
     n_steps = _step_count(span, dt)
     if noise is not None and np.shape(noise) != (n_steps, n_paths, m):
         raise SpecError(f"noise array has shape {np.shape(noise)}, "
@@ -151,7 +156,7 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
                         f"expected ({n_paths}, {width})")
     if from_array and not np.all(np.isfinite(init)):
         raise SpecError("initial state array has non-finite entries")
-    build = make_step()
+    build = _step(spec, dt, control)
     store = (np.empty((len(idx), n_paths, width)), np.empty((len(idx), n_paths)),
              np.empty((len(idx), n_paths)))
 
@@ -183,39 +188,15 @@ def _run_blocks(make_step, span, n_paths, dt, seed, init, width, m, kind,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(march, blocks))
-    return _finalize(store, times, seed, dt, kind)
-
-
-def _block_step(pot, dt, n, width, move):
-    """The builder ``nb -> step`` around ``move(x, z, s, g, out, f)``, which
-    writes the next state to ``out``, adds its change-of-measure exponent to
-    ``g`` and may use ``f`` as scratch.  The step adds the midpoint work of
-    the positions, the first ``n`` coordinates, to ``w``; it reuses the
-    buffers allocated by ``build``, two of them alternating as ``out``."""
-    def build(nb):
-        states = [np.empty((nb, width)), np.empty((nb, width))]
-        f, e = np.empty((nb, n)), np.empty(nb)
-
-        def step(x, z, s, w, g):
-            out = states[0]
-            states.reverse()
-            move(x, z, s, g, out, f)
-            mid = np.add(x[:, :n], out[:, :n], out=f)
-            mid *= 0.5
-            w += np.multiply(_power(pot, mid, s + 0.5 * dt, e), dt, out=e)
-            return out
-
-        return step
-
-    return build
+    return _finalize(store, times, seed, dt, spec.kind)
 
 
 def _mul_t(a, mat, out=None):
-    """``a @ mat.T``; for a 1 x 1 ``mat`` the product with its entry, into ``out``
-    (the same bits, without a matmul)."""
+    """``a @ mat.T``, into ``out`` when it is given; a 1 x 1 ``mat`` multiplies
+    by its entry, the same bits without a matmul."""
     if mat.shape == (1, 1):
         return np.multiply(a, mat[0, 0], out=out)
-    return a @ mat.T
+    return np.dot(a, mat.T, out=out)
 
 
 def _rowsum(a):
@@ -223,22 +204,11 @@ def _rowsum(a):
     return a[:, 0] if a.shape[1] == 1 else np.sum(a, axis=1)
 
 
-# _force and _power read a quadratic V as floats at time s, in the operation
-# order of its methods: the bits are the same, and a step running on a worker
-# thread calls no method of V.
-
-def _force(pot, x, s, out, sign=1.0):
-    """``-sign * grad V(x, s)`` into ``out``, for ``sign`` = +1 or -1."""
-    if not pot.is_quadratic:
-        return np.multiply(pot.grad(x, s), -sign, out=out)
-    np.subtract(x, float(pot.mu.value(s)), out=out)
-    out *= -sign * float(pot.k.value(s))
-    return out
-
-
 def _power(pot, x, s, out):
     """dV/ds at the points ``x``, which it may overwrite; for a quadratic V
-    with one coordinate, into ``out``."""
+    with one coordinate, into ``out``.  A quadratic V is read as floats at
+    time s, in the operation order of its methods: the bits are the same, and
+    a step running on a worker thread calls no method of V."""
     if not pot.is_quadratic:
         return pot.dv_ds(x, s)
     c1 = 0.5 * float(pot.k.derivative(s))
@@ -260,93 +230,62 @@ def _girsanov(g, u, z, beta, dt):
     g -= 0.25 * beta * dt * _rowsum(u * u)
 
 
-# ---------------------------------------------------------------------------
-# overdamped dynamics
-# ---------------------------------------------------------------------------
+def _step(spec, dt: float, control: Optional[Callable]):
+    """The builder ``nb -> step`` of the Euler-Maruyama step of either kind
+    of spec, optionally controlled:
 
-def _overdamped_step(spec: BrownianSpec, dt: float, control: Optional[Callable] = None):
-    """The Euler-Maruyama step of the overdamped dynamics, optionally controlled."""
-    n, m = spec.diffusion.shape
+        x' = x + (b(x, s) + B(s) u) dt + sqrt(2 dt / beta) B(s) z,
+
+    with b = ``spec.drift`` and B = ``spec.noise_factor``.  The step writes
+    the next state to one of two buffers that alternate, adds its
+    change-of-measure exponent to ``g``, and adds the midpoint work of the
+    positions, the first ``spec.dimension`` coordinates, to ``w``.
+    """
+    pot, n = spec.potential, spec.dimension
+    width, m = spec.noise_factor(0.0).shape
     amp = math.sqrt(2.0 * dt / spec.beta)
-    pot, circ = spec.potential, spec.circulation
 
-    def move(x, z, s, g, out, f):
-        sig = spec.diffusion.sigma(s)
-        drift = _mul_t(_force(pot, x, s, out), sig @ sig.T, out=out)  # -gamma grad V
-        if not circ.is_zero:
-            drift = drift + circ.j(x, s)
-        if control is not None:
-            u = np.asarray(control(x, s), dtype=float).reshape(len(x), m)
-            drift = drift + _mul_t(u, sig)
-            _girsanov(g, u, z, spec.beta, dt)
-        drift *= dt
-        np.add(x, drift, out=out)
-        kick = _mul_t(z, sig, out=f)
-        kick *= amp
-        out += kick
+    def build(nb):
+        states = [np.empty((nb, width)), np.empty((nb, width))]
+        f, e = np.empty((nb, width)), np.empty(nb)
 
-    return _block_step(pot, dt, n, n, move)
+        def step(x, z, s, w, g):
+            out = states[0]
+            states.reverse()
+            b = spec.noise_factor(s)
+            drift = spec.drift(x, s, out=out)
+            if control is not None:
+                u = np.asarray(control(x, s), dtype=float).reshape(nb, m)
+                drift += _mul_t(u, b)
+                _girsanov(g, u, z, spec.beta, dt)
+            drift *= dt
+            np.add(x, drift, out=out)
+            kick = _mul_t(z, b, out=f)
+            kick *= amp
+            out += kick
+            mid = np.add(x[:, :n], out[:, :n], out=f[:, :n])
+            mid *= 0.5
+            w += np.multiply(_power(pot, mid, s + 0.5 * dt, e), dt, out=e)
+            return out
+
+        return step
+
+    return build
 
 
-def simulate_forward(spec: BrownianSpec, n_paths: int, dt: float, seed: int = 0,
+def simulate_forward(spec: BrownianSpec | LangevinSpec, n_paths: int, dt: float, seed: int = 0,
                      init=None, store_times=None, control: Optional[Callable] = None,
                      noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
-    """Euler-Maruyama ensemble of the overdamped SDE on [0, T].
+    """Euler-Maruyama ensemble of either kind of spec on [0, T].
 
-    ``control`` is a feedback ``u(x, s)`` valued in the noise space R^m.  The
-    path blocks of a run may call it from several threads at once, so it must
-    not mutate shared state.  ``noise`` may inject standard-normal increments
-    of shape (K, N, m) for reproducibility experiments; otherwise each path
-    block draws its own counter-based stream.  The reverse process is
-    ``spec.reversed()``.
+    A kinetic state is stacked (q, p).  ``control`` is a feedback ``u(x, s)``
+    valued in the noise space R^m, m the column count of
+    ``spec.noise_factor``; the path blocks of a run may call it from several
+    threads at once, so it must not mutate shared state.  ``noise`` may
+    inject standard-normal increments of shape (K, N, m) for reproducibility
+    experiments; otherwise each path block draws its own counter-based
+    stream.  The reverse process is ``spec.reversed()``; its default initial
+    law is the Gibbs law at the horizon.
     """
-    return _run_blocks(lambda: _overdamped_step(spec, dt, control), spec.horizon,
-                       n_paths, dt, seed, _resolve_init(spec, init), spec.dimension,
-                       spec.diffusion.shape[1], "brownian", store_times, noise)
-
-
-# ---------------------------------------------------------------------------
-# kinetic dynamics
-# ---------------------------------------------------------------------------
-
-def _kinetic_step(spec: LangevinSpec, dt: float, control: Optional[Callable]):
-    """The Euler-Maruyama step of the kinetic dynamics, optionally controlled."""
-    n, pot, sign, minv = spec.dimension, spec.potential, spec.transport, spec.mass_inv
-    amp = math.sqrt(2.0 * spec.xi * dt / spec.beta)
-    sqxi = math.sqrt(spec.xi)
-
-    def move(x, z, s, g, out, f):
-        q, p = x[:, :n], x[:, n:]
-        v = _mul_t(p, minv, out=f)                   # M^-1 p
-        np.multiply(v, sign * dt, out=out[:, :n])
-        out[:, :n] += q
-        force = _force(pot, q, s, out[:, n:], sign)
-        v *= spec.xi
-        force -= v
-        if control is not None:
-            u = np.asarray(control(x, s), dtype=float).reshape(len(x), n)
-            force += sqxi * u
-            _girsanov(g, u, z, spec.beta, dt)
-        force *= dt
-        force += p
-        force += np.multiply(z, amp, out=f)
-
-    # work along the process: time derivative of its own Hamiltonian
-    return _block_step(pot, dt, n, 2 * n, move)
-
-
-def simulate_langevin(spec: LangevinSpec, n_paths: int, dt: float, seed: int = 0,
-                      init=None, store_times=None,
-                      control: Optional[Callable] = None,
-                      noise: Optional[np.ndarray] = None) -> TrajectoryEnsemble:
-    """Euler-Maruyama ensemble of the kinetic dynamics on [0, T].
-
-    States are stacked (q, p).  The reverse process is ``spec.reversed()``;
-    its default initial law is the Gibbs law at the horizon.  ``control`` is a
-    feedback ``u(x, s)`` on the momentum channel, valued in R^n; as in
-    :func:`simulate_forward`, the path blocks may call it from several threads
-    at once, so it must not mutate shared state.
-    """
-    return _run_blocks(lambda: _kinetic_step(spec, dt, control),
-                       spec.horizon, n_paths, dt, seed, _resolve_init(spec, init),
-                       2 * spec.dimension, spec.dimension, "langevin", store_times, noise)
+    return _run_blocks(spec, control, spec.horizon, n_paths, dt, seed,
+                       _resolve_init(spec, init), store_times, noise)

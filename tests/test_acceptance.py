@@ -26,7 +26,6 @@ from noneq import (
     estimate_free_energy_vanilla,
     free_energy_difference,
     grid_drift_identity_check,
-    kinetic_law_equivalence_test,
     langevin_propagator,
     law_equivalence_test,
     modified_functional_trace,
@@ -214,7 +213,7 @@ def test_criterion_10_reverse_forward_equivalence():
     kspec = LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), dimension=1),
                          beta=1.0, horizon=1.0, xi=1.0)
     ksol = riccati_value_function(kspec, knots)
-    law_k = kinetic_law_equivalence_test(kspec, ksol, n_paths=20000, dt=1e-3,
+    law_k = law_equivalence_test(kspec, ksol, n_paths=20000, dt=1e-3,
                                          seed=0)
     drift_k = drift_identity_check(kspec, ksol, check_times).max_residual
 

@@ -22,7 +22,7 @@ from noneq import (
     gibbs_gaussian,
     gibbs_grid,
     riccati_value_function,
-    simulate_langevin,
+    simulate_forward,
     solve_g_pde_1d,
 )
 from noneq.entropy import derivative_uniform
@@ -325,7 +325,7 @@ class TestKineticSolution:
                             beta=1.0, horizon=1.0, xi=1.0)
         sol = riccati_value_function(spec, np.linspace(0.0, 1.0, 21))
         init = GaussianLaw(np.array([0.7, -0.2]), np.diag([1e-20, 1e-20]))
-        res = simulate_langevin(spec, n_paths=40000, dt=1e-3, seed=5, init=init)
+        res = simulate_forward(spec, n_paths=40000, dt=1e-3, seed=5, init=init)
         vals = np.exp(-spec.beta * res.work[-1])
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))

@@ -28,7 +28,7 @@ from noneq import (
     ou_moments_path,
     partition_function,
     riccati_value_function,
-    simulate_langevin,
+    simulate_forward,
 )
 
 
@@ -139,7 +139,7 @@ class TestLangevinPropagator:
         spec = kin_spec(eta1=1.5)
         init = GaussianLaw(np.array([0.4, -0.6]), np.diag([0.8, 1.1]))
         n, dt = 30000, 1e-3
-        ens = simulate_langevin(spec, n, dt=dt, seed=2, init=init,
+        ens = simulate_forward(spec, n, dt=dt, seed=2, init=init,
                                 store_times=[1.0])
         law = langevin_propagator(spec, [0.0, 1.0]).push(init)[-1]
         x = ens.states_at(1.0)

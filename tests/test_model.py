@@ -30,7 +30,7 @@ from noneq import (
     gibbs_sampler,
     partition_function,
     relative_entropy_grid,
-    simulate_langevin,
+    simulate_forward,
     spec_from_config,
     validate_spec,
 )
@@ -329,9 +329,31 @@ def test_langevin_drift_is_the_linear_system(reverse):
         assert_allclose(spec.drift(x, s), x @ amat[0].T + force[0], rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [
+    BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 1.0), Sine(0.4), 2), beta=1.2,
+                 horizon=1.0, circulation=RotationCirculation(0.6),
+                 diffusion=DiffusionFactor(np.array([[1.0, 0.3, 0.2], [0.0, 0.8, -0.4]]),
+                                           Linear(1.0, 1.5, 1.0))),
+    kinetic_ramp(2, np.diag([2.0, 0.5])).reversed(),
+    tanh_ramp("brownian"),
+    tanh_ramp("langevin", mass=np.array([[2.0]])),
+], ids=["rotating-plane", "kinetic-plane-reversed", "tanh-brownian", "tanh-langevin"])
+def test_drift_into_a_buffer(spec):
+    """``drift(x, s, out=buf)`` writes the bits of ``drift(x, s)`` into buf and
+    returns it; neither call modifies x."""
+    width = spec.noise_factor(0.0).shape[0]
+    x = np.random.default_rng(5).normal(size=(20, width))
+    x_before = x.copy()
+    for s in (0.0, 0.3, 1.0):
+        buf = np.full_like(x, np.nan)
+        assert spec.drift(x, s, out=buf) is buf
+        assert_array_equal(buf, spec.drift(x, s))
+        assert_array_equal(x, x_before)
+
+
 def test_reversed_langevin_starts_from_the_horizon_gibbs_law():
     spec = kinetic_ramp()
-    ens = simulate_langevin(spec.reversed(), 64, 0.5, seed=3, store_times=[0.0])
+    ens = simulate_forward(spec.reversed(), 64, 0.5, seed=3, store_times=[0.0])
     start = ens.states_at(0.0)
     for s, same in ((spec.horizon, True), (0.0, False)):
         draw = gibbs_gaussian(spec, s).sample(block_generator(3, 0), 64)

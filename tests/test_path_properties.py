@@ -1,7 +1,7 @@
 """Property tests: the path runners return or raise one of the typed errors.
 
 Hypothesis draws time steps, path counts, seeds, initial-state arrays and
-injected noise for ``simulate_forward``, ``simulate_langevin`` (a kinetic spec
+injected noise for ``simulate_forward`` (a brownian spec, a kinetic spec
 and its reversal) and ``feynman_kac_g``.  Every call must
 return or raise one of the six errors of ``noneq.errors``, never a bare numpy
 exception.  Valid arguments with a finite start must return; a non-finite
@@ -29,7 +29,6 @@ from noneq import (
     SpecError,
     feynman_kac_g,
     simulate_forward,
-    simulate_langevin,
 )
 
 TYPED = (BlowUpError, CertificateInfeasible, ConfigError, PositivityError, QuadratureError,
@@ -66,11 +65,9 @@ def kinetic_spec():
 
 
 def run(runner, n_paths, dt, seed, init=None, noise=None):
-    if runner == "forward":
-        return simulate_forward(brownian_spec(), n_paths, dt, seed=seed, init=init,
-                                noise=noise)
-    spec = kinetic_spec().reversed() if runner == "reversed" else kinetic_spec()
-    return simulate_langevin(spec, n_paths, dt, seed=seed, init=init, noise=noise)
+    spec = {"forward": brownian_spec, "langevin": kinetic_spec,
+            "reversed": lambda: kinetic_spec().reversed()}[runner]()
+    return simulate_forward(spec, n_paths, dt, seed=seed, init=init, noise=noise)
 
 
 def outcome(call):

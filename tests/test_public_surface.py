@@ -11,7 +11,9 @@ No package module other than ``model`` imports a ``_``-prefixed name from
 module other than ``model`` tests whether a spec is a ``BrownianSpec`` or a
 ``LangevinSpec``, by ``isinstance`` or by comparing ``type(x)``, so only
 ``model`` knows how the Gibbs family and the dynamics depend on the kind of
-spec.
+spec.  No package module other than ``model`` reads or sets the
+``transport`` sign of a kinetic spec, which is how a kinetic process is
+reversed; the others step and transport a spec through its ``drift``.
 
 Every defaulted parameter of a public function, or of a public method or
 ``__init__`` of a public class, is passed by some call in ``src/``,
@@ -129,6 +131,31 @@ def test_spec_kind_rule_sees_every_form():
               "spec.kind == BrownianSpec\n"
               "BrownianSpec(potential, beta=1.0, horizon=1.0)\n")
     assert spec_kind_lines(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def transport_lines(source: str) -> list[int]:
+    """Lines of ``source`` that read or set a ``.transport`` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "transport")
+
+
+def transport_uses() -> list[str]:
+    """``module:line`` of each use of ``.transport`` outside ``model``."""
+    return [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "model" for line in transport_lines(path.read_text())]
+
+
+def test_only_model_uses_the_transport_sign():
+    assert transport_uses() == []
+
+
+def test_transport_rule_sees_reads_and_writes():
+    source = ("sign = spec.transport\n"
+              "rev.transport = -1.0\n"
+              "f(model.LangevinSpec.transport)\n"
+              "transport = 1.0\n"
+              "spec.transports\n")
+    assert transport_lines(source) == [1, 2, 3]
 
 
 def public_callables() -> list:

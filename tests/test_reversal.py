@@ -18,7 +18,6 @@ from noneq import (
     RotationCirculation,
     drift_identity_check,
     grid_drift_identity_check,
-    kinetic_law_equivalence_test,
     law_equivalence_test,
     reverse_density_check,
     riccati_value_function,
@@ -153,7 +152,7 @@ class TestLawEquivalence:
     def test_kinetic_matched_marginals(self):
         spec = kinetic_spec()
         sol = riccati_value_function(spec, KNOTS)
-        rep = kinetic_law_equivalence_test(spec, sol, n_paths=4000, dt=2e-3,
+        rep = law_equivalence_test(spec, sol, n_paths=4000, dt=2e-3,
                                            seed=3)
         assert rep.ok, rep.summary()
         assert len(rep.rows) == 10  # position and momentum at five times

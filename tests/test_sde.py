@@ -25,13 +25,13 @@ from noneq import (
     RotationCirculation,
     Sine,
     SpecError,
+    TanhPerturbedPotential,
     feynman_kac_g,
     gibbs_sampler,
     langevin_propagator,
     ou_moments,
     riccati_value_function,
     simulate_forward,
-    simulate_langevin,
 )
 from noneq import sde
 from noneq.model import Potential
@@ -241,7 +241,7 @@ class TestLangevin:
     def test_stationary_start_stays_stationary(self):
         spec = self.spec()
         n, dt = 30000, 1e-3
-        ens = simulate_langevin(spec, n, dt=dt, seed=31,
+        ens = simulate_forward(spec, n, dt=dt, seed=31,
                                 store_times=[0.0, 0.5, 1.0])
         for t in (0.5, 1.0):
             x = ens.states_at(t)
@@ -255,7 +255,7 @@ class TestLangevin:
         spec = self.spec(eta1=1.5)
         init = GaussianLaw(np.array([0.5, -0.2]), np.diag([0.7, 1.3]))
         n, dt = 40000, 1e-3
-        ens = simulate_langevin(spec, n, dt=dt, seed=37, init=init,
+        ens = simulate_forward(spec, n, dt=dt, seed=37, init=init,
                                 store_times=[1.0])
         law = langevin_propagator(spec, [0.0, 1.0]).push(init)[-1]
         x = ens.states_at(1.0)
@@ -273,9 +273,9 @@ class TestLangevin:
         x0 = np.array([[0.8, -0.5]])
         dt = 1e-3
         short = LangevinSpec(spec.potential, beta=1.0, horizon=dt, xi=1.0)
-        f = simulate_langevin(short, 1, dt=dt, seed=0, init=x0,
+        f = simulate_forward(short, 1, dt=dt, seed=0, init=x0,
                               noise=np.zeros((1, 1, 1)))
-        r = simulate_langevin(short.reversed(), 1, dt=dt, seed=0, init=x0,
+        r = simulate_forward(short.reversed(), 1, dt=dt, seed=0, init=x0,
                               noise=np.zeros((1, 1, 1)))
         df = f.states_at(dt)[0] - x0[0]
         dr = r.states_at(dt)[0] - x0[0]
@@ -285,7 +285,7 @@ class TestLangevin:
         spec = self.spec(eta1=1.5)
         n = 50000
         field = lambda x, s: 0.6 * np.tanh(x[:, :1])
-        ens = simulate_langevin(spec, n, dt=2e-3, seed=43, control=field)
+        ens = simulate_forward(spec, n, dt=2e-3, seed=43, control=field)
         w = np.exp(ens.terminal_log_weight)
         se = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean() - 1.0) <= 4.0 * se
@@ -319,8 +319,8 @@ def kinetic_spec():
     lambda: simulate_forward(ou_spec(), 4, 0.0),
     lambda: simulate_forward(ou_spec(), 4, float("nan")),
     lambda: simulate_forward(ou_spec(), 4, 1e-2, init=np.zeros((4, 2))),
-    lambda: simulate_langevin(kinetic_spec(), 4, 0.0),
-    lambda: simulate_langevin(kinetic_spec(), 4, 1e-2, init=np.zeros((4, 3))),
+    lambda: simulate_forward(kinetic_spec(), 4, 0.0),
+    lambda: simulate_forward(kinetic_spec(), 4, 1e-2, init=np.zeros((4, 3))),
     lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 4, 0.0),
     lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 0, 1e-2),
     lambda: feynman_kac_g(ou_spec(), 0.3, 0.0, 1, 0.1),
@@ -386,12 +386,14 @@ def ref_overdamped(spec, n_paths, dt, seed, init, store, control=None, noise=Non
 
 
 def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False):
-    """Reference: the Euler-Maruyama block loop of simulate_langevin, Gibbs start."""
+    """Reference: the Euler-Maruyama block loop of a kinetic spec on explicit
+    positions and momenta, Gibbs start.  The noise kick is sqrt(xi) z scaled
+    by sqrt(2 dt / beta), in the rounding of the step's B z."""
     n_steps = int(round(spec.horizon / dt))
     n, minv = spec.dimension, spec.mass_inv
     xi, beta, T = spec.xi, spec.beta, spec.horizon
     sign = -1.0 if reverse else 1.0
-    amp, sqxi = math.sqrt(2.0 * xi * dt / beta), math.sqrt(xi)
+    amp, sqxi = math.sqrt(2.0 * dt / beta), math.sqrt(xi)
     init = gibbs_sampler(spec, T if reverse else 0.0)
 
     def pot_time(s):
@@ -417,7 +419,7 @@ def ref_kinetic(spec, n_paths, dt, seed, store, control=None, reverse=False):
                 p_drift = p_drift + sqxi * u
                 g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * np.sum(u * z, axis=1)
                 g -= 0.25 * beta * dt * np.sum(u * u, axis=1)
-            p_new = p + dt * p_drift + amp * z
+            p_new = p + dt * p_drift + (z * sqxi) * amp
             dv = spec.potential.dv_ds(0.5 * (q + q_new), pot_time(s + 0.5 * dt))
             w += dt * (-dv if reverse else dv)
             x = np.concatenate([q_new, p_new], axis=1)
@@ -472,13 +474,13 @@ class TestBlockRunnerBitIdentity:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_langevin_euler(self, reverse):
         spec = self.kinetic().reversed() if reverse else self.kinetic()
-        ens = simulate_langevin(spec, 300, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
+        ens = simulate_forward(spec, 300, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 2, 5},
                                               reverse=reverse))
 
     def test_langevin_controlled(self):
         field = lambda x, s: 0.6 * np.tanh(x[:, :1])
-        ens = simulate_langevin(self.kinetic(), 300, self.dt, seed=7, control=field)
+        ens = simulate_forward(self.kinetic(), 300, self.dt, seed=7, control=field)
         assert_same_ensemble(ens, ref_kinetic(self.kinetic(), 300, self.dt, 7, {0, 5},
                                               control=field))
 
@@ -519,13 +521,13 @@ class TestBlockRunnerBitIdentity:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_two_blocks_kinetic(self, cpus, reverse):
         spec = self.heavy().reversed() if reverse else self.heavy()
-        ens = simulate_langevin(spec, self.n_two, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
+        ens = simulate_forward(spec, self.n_two, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
         assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 2, 5},
                                               reverse=reverse))
 
     def test_two_blocks_kinetic_controlled(self, cpus):
         field = lambda x, s: 0.6 * np.tanh(x[:, :1])
-        ens = simulate_langevin(self.heavy(), self.n_two, self.dt, seed=7, control=field)
+        ens = simulate_forward(self.heavy(), self.n_two, self.dt, seed=7, control=field)
         assert_same_ensemble(ens, ref_kinetic(self.heavy(), self.n_two, self.dt, 7, {0, 5},
                                               control=field))
 
@@ -558,9 +560,32 @@ class TestBlockRunnerBitIdentity:
         kspec = LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 0.1), Linear(0.2, -0.4, 0.1), 2),
                              beta=1.0, horizon=0.1, xi=0.8, mass=np.diag([2.0, 0.5]))
         kric = riccati_value_function(kspec, np.linspace(0.0, 0.1, 11))
-        ens = simulate_langevin(kspec, self.n_two, self.dt, seed=7, control=kric.control)
+        ens = simulate_forward(kspec, self.n_two, self.dt, seed=7, control=kric.control)
         assert_same_ensemble(ens, ref_kinetic(kspec, self.n_two, self.dt, 7, {0, 5},
                                               control=kric.control))
+
+    # A non-quadratic V is stepped through its methods, not read as floats.
+
+    def tanh_ramp(self):
+        return TanhPerturbedPotential(Linear(0.2, 1.5, 0.1))
+
+    def test_two_blocks_tanh_reversed(self, cpus):
+        rev = BrownianSpec(self.tanh_ramp(), beta=1.3, horizon=0.1,
+                           diffusion=DiffusionFactor.isotropic(1, 0.8, Linear(1.0, 1.5, 0.1))
+                           ).reversed()
+        ens = simulate_forward(rev, self.n_two, self.dt, seed=6, store_times=[0.0, 0.06, 0.1])
+        assert_same_ensemble(ens, ref_overdamped(rev, self.n_two, self.dt, 6, gibbs_sampler(rev),
+                                                 {0, 3, 5}))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_blocks_tanh_kinetic(self, cpus, reverse):
+        spec = LangevinSpec(self.tanh_ramp(), beta=1.0, horizon=0.1, xi=0.8,
+                            mass=np.array([[2.0]]))
+        run = spec.reversed() if reverse else spec
+        ens = simulate_forward(run, self.n_two, self.dt, seed=7, store_times=[0.0, 0.04, 0.1])
+        assert ens.kind == "langevin"
+        assert_same_ensemble(ens, ref_kinetic(spec, self.n_two, self.dt, 7, {0, 2, 5},
+                                              reverse=reverse))
 
     def test_caller_arrays_are_left_unmodified(self, cpus):
         rng = np.random.default_rng(3)
@@ -570,7 +595,7 @@ class TestBlockRunnerBitIdentity:
         ens = simulate_forward(self.moving(), self.n_two, self.dt, init=init, noise=noise)
         assert_same_ensemble(ens, ref_overdamped(self.moving(), self.n_two, self.dt, 0, init,
                                                  {0, 5}, noise=noise))
-        simulate_langevin(self.heavy(), self.n_two, self.dt, init=phase, noise=noise)
+        simulate_forward(self.heavy(), self.n_two, self.dt, init=phase, noise=noise)
         for got, want in zip((init, noise, phase), copies):
             assert_array_equal(got, want)
 
