@@ -25,9 +25,8 @@ _EXPORTS = {
                         "langevin_propagator", "ou_moments", "ou_moments_path",
                         "riccati_value_function"),
     "sde": ("TrajectoryEnsemble", "simulate_forward"),
-    "fokker_planck": ("FPSolution1D", "FPSolution2D", "GridDensity1D", "GridDensity2D",
-                      "fisher_and_rate_terms", "gibbs_grid", "relative_entropy_grid",
-                      "solve_fp_1d", "solve_kinetic_fp_2d"),
+    "fokker_planck": ("FPSolution", "GridDensity", "fisher_and_rate_terms", "gibbs_grid",
+                      "relative_entropy_grid", "solve_fp_1d", "solve_kinetic_fp_2d"),
     "entropy": ("DecayBound", "EntropyTrace", "HypocoercivityCertificate", "InequalityReport",
                 "bakry_emery_kappa", "decay_bound_lipschitz", "decay_bound_supremum",
                 "hypocoercivity_certificate", "kinetic_decay_bound",

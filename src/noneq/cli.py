@@ -34,7 +34,7 @@ _LIBRARY = {
                 "hypocoercivity_certificate", "kinetic_decay_bound",
                 "kinetic_decay_bound_time_dependent", "modified_functional_trace",
                 "optimize_omega", "production_rate_check"),
-    "fokker_planck": ("GridDensity1D", "_box_from_spec", "gibbs_grid", "solve_fp_1d"),
+    "fokker_planck": ("GridDensity", "_box_from_spec", "gibbs_grid", "solve_fp_1d"),
     "gaussian_oracle": ("GaussianLaw", "langevin_propagator", "ou_moments_path",
                         "riccati_value_function"),
     "jarzynski": ("estimate_free_energy_is", "estimate_free_energy_vanilla",
@@ -252,7 +252,7 @@ def run_entropy_langevin(p, out, seed, meta):
 def run_bound_overdamped(p, out, seed, meta):
     spec = _tanh_spec(amplitude=p["amplitude"], horizon=p["horizon"], beta=p["beta"])
     lo, hi = _box_from_spec(spec, 10.0)
-    init = gibbs_grid(spec, 0.0, GridDensity1D(lo, hi, np.zeros(p["cells"])))
+    init = gibbs_grid(spec, 0.0, GridDensity(((lo, hi),), np.zeros(p["cells"])))
     n_steps = _step_count(spec.horizon, p["dt"])
     sol = solve_fp_1d(spec, init, p["dt"], cells=p["cells"], radius_std=10.0,
                       record_every=max(1, n_steps // 100), theta=0.5)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError, SpecError
-from .fokker_planck import (MARCH_BLOCK, GridDensity1D, _box_from_spec, _generator_rates,
-                            _grid_steps, _march, _theta_solve)
+from .fokker_planck import (MARCH_BLOCK, GridDensity, _box_from_spec, _centers,
+                            _generator_rates, _grid_steps, _march, _theta_solve)
 from .model import BrownianSpec, partition_function
 from .sde import _run_blocks
 
@@ -80,7 +80,7 @@ class GridControl1D:
 
     @property
     def x(self) -> np.ndarray:
-        return GridDensity1D.centers(self.lo, self.hi, self.g.shape[1])
+        return _centers(self.lo, self.hi, self.g.shape[1])
 
     def _value_rows(self, rows: slice) -> np.ndarray:
         """U = -ln(g)/beta on the time rows ``rows`` of the grid."""
@@ -133,13 +133,13 @@ class GridControl1D:
         :meth:`control_grid` around s, which each call computes afresh."""
         return lambda x, s: self._interp(self._control_rows, x, s)[:, None]
 
-    def _tilted(self) -> GridDensity1D:
+    def _tilted(self) -> GridDensity:
         """exp(-beta V(., 0)) g(., 0) on the grid, unnormalised."""
         vals = np.exp(-self.spec.beta * self.spec.potential.v(self.x[:, None], 0.0)) \
             * self.g[0]
-        return GridDensity1D(self.lo, self.hi, vals, 0.0)
+        return GridDensity(((self.lo, self.hi),), vals, 0.0)
 
-    def tilted_initial_density(self) -> GridDensity1D:
+    def tilted_initial_density(self) -> GridDensity:
         """Normalised optimal starting density exp(-beta V(., 0)) g(., 0) / Z(T)."""
         return self._tilted().normalized()
 
@@ -199,7 +199,7 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     n_steps = _grid_steps(spec.horizon, dt, cells, theta)
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
-    x = GridDensity1D.centers(lo, hi, cells)
+    x = _centers(lo, hi, cells)
     g = np.empty((n_steps + 1, cells))
     g[n_steps] = 1.0
     for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=True):

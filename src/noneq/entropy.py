@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateInfeasible, QuadratureError, SpecError
-from .fokker_planck import (FPSolution1D, FPSolution2D, GridDensity1D, _cubic_weights,
-                            _rate_terms, gibbs_grid, relative_entropy_grid)
+from .fokker_planck import (FPSolution, GridDensity, _cubic_weights, _rate_terms, gibbs_grid,
+                            relative_entropy_grid)
 from .gaussian_oracle import (GaussianLaw, gaussian_kl, gaussian_modified_functional,
                               gaussian_tv_1d, gaussian_w2, gaussian_weighted_fisher)
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian
@@ -139,7 +139,7 @@ def production_rate_check(spec, states, times=None) -> EntropyTrace:
     on a grid solution: 1D for overdamped dynamics, 2D phase space for
     kinetic ones, where the Fisher form only sees the momentum block,
     weighted by xi."""
-    if isinstance(states, (FPSolution1D, FPSolution2D)):
+    if isinstance(states, FPSolution):
         return _grid_trace(spec, states)
     return _gaussian_trace(spec, states, times)
 
@@ -523,9 +523,9 @@ def pinsker_talagrand_report(p, q, kappa: float) -> InequalityReport:
         kl = gaussian_kl(p, q)
         w2 = gaussian_w2(p, q)
         tv = gaussian_tv_1d(p, q) if p.dim == 1 else math.nan
-    elif isinstance(p, GridDensity1D) and isinstance(q, GridDensity1D):
+    elif isinstance(p, GridDensity) and isinstance(q, GridDensity):
         kl = relative_entropy_grid(p, q)
-        tv = 0.5 * float(np.sum(np.abs(p.values - q.values)) * p.h)
+        tv = 0.5 * float(np.sum(np.abs(p.values - q.values)) * math.prod(p.spacings))
         w2 = _grid_w2_1d(p, q)
     else:
         raise SpecError("pinsker_talagrand_report expects two Gaussian laws or two 1D grids")
@@ -538,6 +538,6 @@ def pinsker_talagrand_report(p, q, kappa: float) -> InequalityReport:
     )
 
 
-def _grid_w2_1d(p: GridDensity1D, q: GridDensity1D, n_quantiles: int = 20001) -> float:
+def _grid_w2_1d(p: GridDensity, q: GridDensity, n_quantiles: int = 20001) -> float:
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
     return math.sqrt(float(np.mean((p.quantile(u) - q.quantile(u)) ** 2)))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -42,110 +41,84 @@ MARCH_BLOCK = 16
 # grid densities
 # ---------------------------------------------------------------------------
 
+def _centers(lo: float, hi: float, cells: int) -> np.ndarray:
+    h = (hi - lo) / cells
+    return lo + h * (np.arange(cells) + 0.5)
+
+
 @dataclass
-class GridDensity1D:
-    lo: float
-    hi: float
+class GridDensity:
+    """Cell values of a density on a box of one or two axes: ``box`` holds one
+    (lo, hi) pair per axis of ``values``.  A one-axis grid is also a start
+    law, with ``sample`` and ``logpdf`` as a GaussianLaw has them."""
+
+    box: tuple
     values: np.ndarray
     s: float = 0.0
 
-    @staticmethod
-    def centers(lo: float, hi: float, cells: int) -> np.ndarray:
-        h = (hi - lo) / cells
-        return lo + h * (np.arange(cells) + 0.5)
+    @property
+    def axes(self) -> list:
+        """Cell-centre coordinates along each axis."""
+        return [_centers(lo, hi, n) for (lo, hi), n in zip(self.box, self.values.shape)]
 
     @property
-    def h(self) -> float:
-        return (self.hi - self.lo) / len(self.values)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.centers(self.lo, self.hi, len(self.values))
+    def spacings(self) -> list:
+        """Cell widths along each axis."""
+        return [(hi - lo) / n for (lo, hi), n in zip(self.box, self.values.shape)]
 
     def mass(self) -> float:
-        return float(np.sum(self.values) * self.h)
+        return float(np.sum(self.values) * math.prod(self.spacings))
 
-    def mean(self) -> float:
-        return float(np.sum(self.x * self.values) * self.h / self.mass())
+    def normalized(self) -> "GridDensity":
+        return replace(self, values=self.values / self.mass())
 
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.sum((self.x - m) ** 2 * self.values) * self.h / self.mass())
+    def moments(self):
+        """Mean (d,) and covariance (d, d) over the d = 1 or 2 axes."""
+        w = self.values / np.sum(self.values)
+        marginals = [w.sum(axis=tuple(j for j in range(w.ndim) if j != i))
+                     for i in range(w.ndim)]
+        mean = np.array([float(np.sum(m * a)) for m, a in zip(marginals, self.axes)])
+        devs = [a - m for a, m in zip(self.axes, mean)]
+        cov = np.diag([float(np.sum(m * d * d)) for m, d in zip(marginals, devs)])
+        if w.ndim == 2:
+            cov[0, 1] = cov[1, 0] = float(devs[0] @ w @ devs[1])
+        return mean, cov
 
-    def normalized(self) -> "GridDensity1D":
-        return GridDensity1D(self.lo, self.hi, self.values / self.mass(), self.s)
+    def _line(self):
+        """(lo, hi) of a one-axis grid; SpecError on two axes."""
+        if self.values.ndim != 1:
+            raise SpecError("quantile, sample and logpdf need a one-axis grid density")
+        return self.box[0]
 
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF at ``u`` in [0, 1), linear within each cell; ``u`` falls
         in the cell i with F_i <= u < F_{i+1}, so never in an empty one."""
-        cdf = np.concatenate([[0.0], np.cumsum(self.values) * self.h])
+        lo, hi = self._line()
+        cdf = np.concatenate([[0.0], np.cumsum(self.values) * self.spacings[0]])
         cdf /= cdf[-1]
-        edges = np.linspace(self.lo, self.hi, len(self.values) + 1)
+        edges = np.linspace(lo, hi, len(self.values) + 1)
         i = np.minimum(np.searchsorted(cdf, u, side="right") - 1, len(self.values) - 1)
         slope = (edges[i + 1] - edges[i]) / (cdf[i + 1] - cdf[i])
         return slope * (u - cdf[i]) + edges[i]
 
-    def sampler(self) -> Callable[[np.random.Generator, int], np.ndarray]:
-        """Inverse-CDF sampler (piecewise-linear within cells)."""
-        return lambda gen, size: self.quantile(gen.random(size))[:, None]
+    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` states (size, 1) drawn by the inverse CDF."""
+        return self.quantile(gen.random(size))[:, None]
 
-    def logpdf_interp(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.interp(pts, self.x, np.log(np.maximum(self.values, TINY)))
-        return vals
-
-
-@dataclass
-class GridDensity2D:
-    qlo: float
-    qhi: float
-    plo: float
-    phi: float
-    values: np.ndarray  # (nq, np)
-    s: float = 0.0
-
-    @property
-    def hq(self) -> float:
-        return (self.qhi - self.qlo) / self.values.shape[0]
-
-    @property
-    def hp(self) -> float:
-        return (self.phi - self.plo) / self.values.shape[1]
-
-    @property
-    def q(self) -> np.ndarray:
-        return GridDensity1D.centers(self.qlo, self.qhi, self.values.shape[0])
-
-    @property
-    def p(self) -> np.ndarray:
-        return GridDensity1D.centers(self.plo, self.phi, self.values.shape[1])
-
-    def moments(self):
-        """mean (2,) and covariance (2, 2) of (q, p)."""
-        w = self.values / np.sum(self.values)
-        q, p = self.q, self.p
-        mq = float(np.sum(w.sum(axis=1) * q))
-        mp = float(np.sum(w.sum(axis=0) * p))
-        dq = q - mq
-        dp = p - mp
-        vq = float(np.sum(w.sum(axis=1) * dq * dq))
-        vp = float(np.sum(w.sum(axis=0) * dp * dp))
-        cqp = float(dq @ w @ dp)
-        return np.array([mq, mp]), np.array([[vq, cqp], [cqp, vp]])
+    def logpdf(self, x) -> np.ndarray:
+        """Log density of the normalised grid at states ``x`` (..., 1): the log
+        cell values, linear between cell centres and held past the end ones."""
+        self._line()
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (1,):
+            raise SpecError(f"a one-axis grid density takes states (..., 1), got {x.shape}")
+        logv = np.log(np.maximum(self.values, TINY))
+        return np.interp(x[..., 0], self.axes[0], logv) - math.log(self.mass())
 
 
 # ---------------------------------------------------------------------------
 # entropy functionals on grids
 # ---------------------------------------------------------------------------
-
-def _axes(density) -> list:
-    """Cell-centre axes of a 1D or 2D grid density."""
-    return [density.x] if isinstance(density, GridDensity1D) else [density.q, density.p]
-
-
-def _spacings(density) -> list:
-    """Cell widths along the axes of a 1D or 2D grid density."""
-    return [density.h] if isinstance(density, GridDensity1D) else [density.hq, density.hp]
-
 
 def _same_grid(axes: list, other: list) -> bool:
     """Whether two lists of cell-centre axes agree, to a billionth of a cell."""
@@ -160,9 +133,9 @@ def relative_entropy_grid(density, reference) -> float:
     Both inputs are renormalized internally, so the result only depends on
     the probability measures the grids represent.
     """
-    if not _same_grid(_axes(density), _axes(reference)):
+    if not _same_grid(density.axes, reference.axes):
         raise SpecError("the two densities are not on the same grid")
-    vol = math.prod(_spacings(density))
+    vol = math.prod(density.spacings)
     rho, ref = density.values, reference.values
     mask = rho > TINY
     if np.any(mask & (ref <= 0)):
@@ -201,9 +174,9 @@ def _log_ratio_gradient(rho: np.ndarray, ref: np.ndarray, h: float, axis: int = 
 def gibbs_grid(spec, s: float, like):
     """Discrete Gibbs density exp(-beta E(., s)) / Z on the cell-centre mesh of
     ``like``: a 1D grid for a Brownian spec, a (q, p) grid for a Langevin one."""
-    mesh = np.stack(np.meshgrid(*_axes(like), indexing="ij"), axis=-1)
+    mesh = np.stack(np.meshgrid(*like.axes, indexing="ij"), axis=-1)
     vals = np.exp(-spec.beta * spec.energy(mesh, s))
-    vals /= np.sum(vals) * math.prod(_spacings(like))
+    vals /= np.sum(vals) * math.prod(like.spacings)
     return replace(like, values=vals, s=s)
 
 
@@ -217,15 +190,15 @@ def fisher_and_rate_terms(spec, density, s: float) -> RateTerms:
 
 def _rate_terms(spec, density, s: float, gibbs: np.ndarray) -> RateTerms:
     """``fisher_and_rate_terms`` against the grid Gibbs values ``gibbs`` at s."""
-    vol = math.prod(_spacings(density))
+    vol = math.prod(density.spacings)
     rho = density.values
     b = spec.noise_factor(s)
     fisher = 0.0
-    for axis, (h, weight) in enumerate(zip(_spacings(density), np.diag(b @ b.T).tolist())):
+    for axis, (h, weight) in enumerate(zip(density.spacings, np.diag(b @ b.T).tolist())):
         grad = _log_ratio_gradient(rho, gibbs, h, axis)
         fisher += weight * float(np.sum(grad * grad * rho) * vol)
     # dV/ds on the position axis (axis 0), constant along a momentum axis
-    dv = spec.potential.dv_ds(_axes(density)[0][:, None], s)
+    dv = spec.potential.dv_ds(density.axes[0][:, None], s)
     dv = dv.reshape(dv.shape + (1,) * (rho.ndim - 1))
     return RateTerms(
         gibbs_term=float(np.sum(dv * gibbs) * vol),
@@ -351,28 +324,58 @@ def _grid_steps(horizon: float, dt: float, cells, theta: float = 1.0, axes: int 
     return _step_count(horizon, dt)
 
 
-def _record_count(n_steps: int, record_every: int) -> int:
-    """Snapshots of a march that records its start, every ``record_every``-th
-    step and its last step."""
-    return 1 + n_steps // record_every + (n_steps % record_every > 0)
+@dataclass
+class FPSolution:
+    """Recorded slices of a density march on a fixed box."""
+
+    times: np.ndarray       # recorded times (M,)
+    snapshots: np.ndarray   # (M, *cells)
+    box: tuple              # one (lo, hi) pair per grid axis
+    mass_drift: float       # max |mass - 1| observed before renormalisation
+
+    def density(self, t: float) -> GridDensity:
+        idx = _time_index(self.times, t)
+        return GridDensity(self.box, self.snapshots[idx].copy(), float(self.times[idx]))
+
+
+class _Recorder:
+    """Snapshot store of a march of ``n_steps`` steps of ``dt`` on a grid of
+    ``shape``: it records the start, every ``every``-th step and the last
+    step.  ``every`` None is the stride that keeps about ``default_records``
+    snapshots; SpecError if it is below 1."""
+
+    def __init__(self, n_steps: int, dt: float, every, default_records: int, shape: tuple):
+        if every is None:
+            every = max(1, n_steps // default_records)
+        elif every < 1:
+            raise SpecError(f"record_every must be at least 1, got {every}")
+        self.n_steps, self.dt, self.every, self.n = n_steps, dt, every, 0
+        records = 1 + n_steps // every + (n_steps % every > 0)
+        self.times = np.zeros(records)
+        self.snaps = np.empty((records,) + shape)
+
+    def record(self, k: int, values: np.ndarray) -> bool:
+        """Store ``values`` as the state after step k (k = -1: the start) if
+        that step is recorded; whether it was."""
+        if (k + 1) % self.every and k + 1 != self.n_steps:
+            return False
+        self.times[self.n] = (k + 1) * self.dt
+        self.snaps[self.n] = values
+        self.n += 1
+        return True
+
+
+def _clamp(rho: np.ndarray, k: int) -> None:
+    """Zero the roundoff negatives of the density after step k, in place;
+    PositivityError if a cell is below -1e-12 times the largest."""
+    if rho.min() < -1e-12 * rho.max():
+        raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
+    np.maximum(rho, 0.0, out=rho)
 
 
 # ---------------------------------------------------------------------------
 # overdamped solver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FPSolution1D:
-    times: np.ndarray       # recorded times (M,)
-    snapshots: np.ndarray   # (M, cells)
-    lo: float
-    hi: float
-    mass_drift: float       # max |mass - 1| observed before renormalisation
-
-    def density(self, t: float) -> GridDensity1D:
-        idx = _time_index(self.times, t)
-        return GridDensity1D(self.lo, self.hi, self.snapshots[idx].copy(), float(self.times[idx]))
-
 
 def _box_from_spec(spec, radius_std: float):
     """Position box holding the Gibbs envelope within ``radius_std`` standard
@@ -396,8 +399,8 @@ def _init_values(init, axes: list, vol: float) -> np.ndarray:
     volume."""
     from .gaussian_oracle import GaussianLaw
 
-    if isinstance(init, (GridDensity1D, GridDensity2D)):
-        if not _same_grid(_axes(init), axes):
+    if isinstance(init, GridDensity):
+        if not _same_grid(init.axes, axes):
             raise SpecError("initial grid density is not on the solver grid")
         vals = init.values.copy()
     elif isinstance(init, GaussianLaw):
@@ -413,7 +416,7 @@ def _init_values(init, axes: list, vol: float) -> np.ndarray:
 
 def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
                 radius_std: float = 10.0, record_every: int | None = None,
-                theta: float = 1.0) -> FPSolution1D:
+                theta: float = 1.0) -> FPSolution:
     """March the overdamped density on a fixed box with zero-flux boundaries.
 
     ``theta`` = 1 is the robust implicit step (positivity + discrete entropy
@@ -423,60 +426,30 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     if spec.dimension != 1:
         raise SpecError("solve_fp_1d is one-dimensional")
     n_steps = _grid_steps(spec.horizon, dt, cells, theta)
-    if record_every is None:
-        record_every = max(1, n_steps // 800)
-    elif record_every < 1:
-        raise SpecError(f"record_every must be at least 1, got {record_every}")
+    rec = _Recorder(n_steps, dt, record_every, 800, (cells,))
     lo, hi = _box_from_spec(spec, radius_std)
     h = (hi - lo) / cells
-    x = GridDensity1D.centers(lo, hi, cells)
+    x = _centers(lo, hi, cells)
     rho = _init_values(init, [x], h)
-
-    records = _record_count(n_steps, record_every)
-    times = np.zeros(records)
-    snaps = np.empty((records, cells))
-    snaps[0] = rho
-    n_rec = 1
+    rec.record(-1, rho)
     mass_drift = abs(np.sum(rho) * h - 1.0)
 
     for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=False):
         rho = _theta_solve(implicit, explicit, rho)
-        if rho.min() < -1e-12 * rho.max():
-            raise PositivityError(f"density lost positivity at step {k}: min={rho.min():.3e}")
-        np.maximum(rho, 0.0, out=rho)
+        _clamp(rho, k)
         mass = rho.sum() * h
         mass_drift = max(mass_drift, abs(mass - 1.0))
         if abs(mass - 1.0) > 1e-8:
             raise QuadratureError(f"mass leaked beyond tolerance at step {k}: {mass - 1.0:.3e}")
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            if max(rho[0], rho[-1]) > 1e-9 * max(rho.max(), TINY):
-                raise QuadratureError("solver box too small: boundary density is not negligible")
-            times[n_rec] = (k + 1) * dt
-            snaps[n_rec] = rho
-            n_rec += 1
+        if rec.record(k, rho) and max(rho[0], rho[-1]) > 1e-9 * max(rho.max(), TINY):
+            raise QuadratureError("solver box too small: boundary density is not negligible")
 
-    return FPSolution1D(times=times, snapshots=snaps, lo=lo, hi=hi, mass_drift=mass_drift)
+    return FPSolution(rec.times, rec.snaps, ((lo, hi),), mass_drift)
 
 
 # ---------------------------------------------------------------------------
 # kinetic solver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FPSolution2D:
-    times: np.ndarray
-    snapshots: np.ndarray   # (M, nq, np)
-    qlo: float
-    qhi: float
-    plo: float
-    phi: float
-    mass_drift: float
-
-    def density(self, t: float) -> GridDensity2D:
-        idx = _time_index(self.times, t)
-        return GridDensity2D(self.qlo, self.qhi, self.plo, self.phi,
-                             self.snapshots[idx].copy(), float(self.times[idx]))
-
 
 def _cubic_weights(frac: np.ndarray):
     """4-point Lagrange weights for samples at offsets (-1, 0, 1, 2)."""
@@ -532,7 +505,7 @@ def _normalized_init(vals: np.ndarray, shape: tuple, vol: float) -> np.ndarray:
 def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
                         cells: tuple[int, int] = (128, 128),
                         radius_std: float = 10.0,
-                        record_every: int | None = None) -> FPSolution2D:
+                        record_every: int | None = None) -> FPSolution:
     """Strang-split kinetic solver: half friction-diffusion, transport, half.
 
     Transport is semi-Lagrangian on the ratio w = rho / gibbs(s_mid), split
@@ -540,29 +513,25 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     stream in q, a full kick in p under the frozen potential and a second half
     stream.  The Hamiltonian is separable, so each sub-step is the exact flow
     of its part, and it moves every line of the grid by one shift: a 1-D cubic
-    Lagrange interpolation per line.  Lookups past the box hold the edge value
-    of each tap.  The four weights of a line sum to 1, so a constant ratio
-    stays constant to roundoff, and for a frozen quadratic or perturbed
-    potential the Gibbs state is a fixed point of the full step up to
-    roundoff.  A step may move the mass by at most ``KINETIC_LEAK_RATE * dt``
-    before it is renormalised; a larger defect raises QuadratureError.
+    Lagrange interpolation per line.  Both velocities are read from
+    ``spec.drift``, so a reversed spec streams and kicks backwards.  Lookups
+    past the box hold the edge value of each tap.  The four weights of a line
+    sum to 1, so a constant ratio stays constant to roundoff, and for a frozen
+    quadratic or perturbed potential the Gibbs state is a fixed point of the
+    full step up to roundoff.  A step may move the mass by at most
+    ``KINETIC_LEAK_RATE * dt`` before it is renormalised; a larger defect
+    raises QuadratureError.
     """
     if spec.dimension != 1:
         raise SpecError("solve_kinetic_fp_2d expects one position dimension")
     n_steps = _grid_steps(spec.horizon, dt, cells, axes=2)
-    if record_every is None:
-        record_every = max(1, n_steps // 400)
-    elif record_every < 1:
-        raise SpecError(f"record_every must be at least 1, got {record_every}")
+    rec = _Recorder(n_steps, dt, record_every, 400, tuple(cells))
     nq, npp = cells
-    qlo, qhi = _box_from_spec(spec, radius_std)
     m_scalar = float(spec.mass[0, 0])
-    p_std = math.sqrt(m_scalar / spec.beta)
-    plo, phi = -radius_std * p_std, radius_std * p_std
-    hq = (qhi - qlo) / nq
-    hp = (phi - plo) / npp
-    qs = GridDensity1D.centers(qlo, qhi, nq)
-    ps = GridDensity1D.centers(plo, phi, npp)
+    p_max = radius_std * math.sqrt(m_scalar / spec.beta)
+    grid = GridDensity((_box_from_spec(spec, radius_std), (-p_max, p_max)), np.zeros(cells))
+    qs, ps = grid.axes
+    hq, hp = grid.spacings
     vol = hq * hp
     rho = _init_values(init, [qs, ps], vol)
 
@@ -577,40 +546,32 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
     def diffusion_half(r: np.ndarray) -> np.ndarray:
         return _theta_solve(implicit, None, r.T).T
 
-    # The free stream q' = p / m shifts each momentum column by a fixed
-    # amount, so its half-step taps are built once; the kick p' = -dV/dq
-    # shifts each position row by an amount that follows the potential.
-    stream = _shift_taps(-0.5 * dt * ps / (m_scalar * hq), (nq, npp), 0)
+    # A sub-step of dt shifts a line by -dt * velocity / h cells.  The stream
+    # velocity, the q-part of the drift on the line q = 0, moves each momentum
+    # column by a fixed amount, so its half-step taps are built once; the kick,
+    # the p-part on the line p = 0, moves each position row with the potential.
+    stream_v = spec.drift(np.stack([np.zeros(npp), ps], axis=-1), 0.0)[:, 0]
+    stream = _shift_taps(-(0.5 * dt) * stream_v / hq, (nq, npp), 0)
+    on_q = np.stack([qs, np.zeros(nq)], axis=-1)
     maxwell = np.exp(-0.5 * beta * ps * ps / m_scalar)
     q_col = qs[:, None]
 
-    records = _record_count(n_steps, record_every)
-    times = np.zeros(records)
-    snaps = np.empty((records, nq, npp))
-    snaps[0] = rho
-    n_rec = 1
+    rec.record(-1, rho)
     mass_drift = 0.0
-
     for k in range(n_steps):
         s_mid = (k + 0.5) * dt
         rho = diffusion_half(rho)
         # transport on the density/Gibbs ratio: half stream, kick, half stream
         gibbs = np.multiply.outer(np.exp(-beta * spec.potential.v(q_col, s_mid)), maxwell)
-        kick = _shift_taps(dt * spec.potential.grad(q_col, s_mid)[:, 0] / hp, (nq, npp), 1)
+        kick = _shift_taps(-dt * spec.drift(on_q, s_mid)[:, 1] / hp, (nq, npp), 1)
         w = _shift(_shift(_shift(rho / gibbs, stream), kick), stream)
         rho = diffusion_half(gibbs * w)
-        if rho.min() < -1e-12 * rho.max():
-            raise PositivityError(f"kinetic density lost positivity at step {k}")
-        np.clip(rho, 0.0, None, out=rho)
+        _clamp(rho, k)
         mass = np.sum(rho) * vol
         mass_drift = max(mass_drift, abs(mass - 1.0))
         if abs(mass - 1.0) > KINETIC_LEAK_RATE * dt:
             raise QuadratureError(f"kinetic mass leaked at step {k}: {mass - 1.0:.3e}")
         rho /= mass
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times[n_rec] = (k + 1) * dt
-            snaps[n_rec] = rho
-            n_rec += 1
+        rec.record(k, rho)
 
-    return FPSolution2D(times=times, snapshots=snaps,
-                        qlo=qlo, qhi=qhi, plo=plo, phi=phi, mass_drift=mass_drift)
+    return FPSolution(rec.times, rec.snaps, grid.box, mass_drift)

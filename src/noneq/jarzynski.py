@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .fokker_planck import GridDensity1D
-from .gaussian_oracle import GaussianLaw
 from .model import gibbs_logpdf
 from .sde import TrajectoryEnsemble
 
@@ -80,18 +78,6 @@ def estimate_free_energy_vanilla(spec, ensemble: TrajectoryEnsemble) -> Estimato
     return _finalize_report(log_vals, spec.beta, "vanilla", ensemble.dt, ensemble.seed)
 
 
-def _initial_logpdf(initial_law, x0: np.ndarray) -> np.ndarray:
-    if isinstance(initial_law, GaussianLaw):
-        return initial_law.logpdf(x0)
-    if isinstance(initial_law, GridDensity1D):
-        if x0.shape[1] != 1:
-            raise SpecError("grid initial laws are one-dimensional")
-        return initial_law.logpdf_interp(x0[:, 0])
-    if hasattr(initial_law, "logpdf"):
-        return np.asarray(initial_law.logpdf(x0), dtype=float)
-    raise SpecError("initial law must expose a log density")
-
-
 def estimate_free_energy_is(spec, ensemble: TrajectoryEnsemble,
                             initial_law=None) -> EstimatorReport:
     """Reweighted estimator for controlled ensembles from an arbitrary start.
@@ -100,14 +86,18 @@ def estimate_free_energy_is(spec, ensemble: TrajectoryEnsemble,
     exp(Girsanov log-weight).  With ``initial_law`` None the start is taken
     to be the Gibbs law itself and the density ratio is identically zero in
     the log, so an uncontrolled ensemble reproduces the vanilla estimator
-    bit for bit.
+    bit for bit.  Otherwise ``initial_law`` is the start law, such as a
+    GaussianLaw or a one-axis GridDensity, and its ``logpdf`` gives the start
+    density.
     """
     mask = ensemble.finite()
     log_vals = -spec.beta * ensemble.terminal_work[mask]
     log_vals = log_vals + ensemble.terminal_log_weight[mask]
     if initial_law is not None:
         x0 = ensemble.states_at(0.0)[mask]
-        start_log = _initial_logpdf(initial_law, x0)
+        if not hasattr(initial_law, "logpdf"):
+            raise SpecError("initial law must expose a log density")
+        start_log = np.asarray(initial_law.logpdf(x0), dtype=float)
         if np.any(~np.isfinite(start_log)):
             raise SpecError("start density vanishes at a sampled initial state")
         log_vals = log_vals + gibbs_logpdf(spec, x0, 0.0) - start_log

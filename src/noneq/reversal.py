@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import GridControl1D
 from .errors import SpecError
-from .fokker_planck import GridDensity1D, solve_fp_1d
+from .fokker_planck import _centers, solve_fp_1d
 from .gaussian_oracle import QuadraticValueFunction, ou_moments_path
 from .model import BrownianSpec, LangevinSpec, gibbs_gaussian, partition_function
 from .odes import _step_count
@@ -266,13 +266,13 @@ def reverse_density_check(spec: BrownianSpec, control: GridControl1D, dt: float,
 
 def _density_report(spec, control, march) -> ReverseDensityReport:
     sol, z_t, rev_times, slices = march
-    cells = sol.snapshots.shape[1]
-    x = GridDensity1D.centers(sol.lo, sol.hi, cells)
+    ((lo, hi),), cells = sol.box, sol.snapshots.shape[1]
+    x = _centers(lo, hi, cells)
     errs = np.empty(len(rev_times))
     for i, (s, rho) in enumerate(slices):
         predicted = np.exp(-spec.beta * spec.potential.v(x[:, None], s)) \
             * control.g_at(x, s) / z_t
-        errs[i] = float(np.sum(np.abs(rho - predicted)) * (sol.hi - sol.lo) / cells)
+        errs[i] = float(np.sum(np.abs(rho - predicted)) * (hi - lo) / cells)
     return ReverseDensityReport(times=rev_times, l1_errors=errs)
 
 
@@ -290,9 +290,9 @@ def grid_drift_identity_check(spec: BrownianSpec, control: GridControl1D, dt: fl
 
 def _grid_drift_report(spec, control, march) -> DriftIdentityReport:
     sol, _, _, slices = march
-    cells = sol.snapshots.shape[1]
-    x = GridDensity1D.centers(sol.lo, sol.hi, cells)
-    h = (sol.hi - sol.lo) / cells
+    ((lo, hi),), cells = sol.box, sol.snapshots.shape[1]
+    x = _centers(lo, hi, cells)
+    h = (hi - lo) / cells
     steer = control.control_field()
     rho_at = {spec.horizon - s: rho for s, rho in slices}
 

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, SpecError
-from .gaussian_oracle import GaussianLaw
 from .model import BrownianSpec, LangevinSpec, gibbs_sampler
 from .odes import _step_count, _time_index
 from . import rng as rngmod
@@ -95,12 +94,13 @@ def _resolve_init(spec, init):
     """A sampler ``(gen, size) -> states`` of the initial law, or an array of states.
 
     The default is the Gibbs law at time 0; for a reversed spec that is the
-    Gibbs law of the original potential at the horizon.
+    Gibbs law of the original potential at the horizon.  A start law, such as
+    a GaussianLaw or a one-axis GridDensity, is drawn by its ``sample``.
     """
     if init is None:
         return gibbs_sampler(spec)
-    if isinstance(init, GaussianLaw):
-        return lambda gen, size: init.sample(gen, size)
+    if hasattr(init, "sample"):
+        return init.sample
     if callable(init):
         return init
     return np.asarray(init, dtype=float)

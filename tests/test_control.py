@@ -26,7 +26,7 @@ from noneq import (
     solve_g_pde_1d,
 )
 from noneq.entropy import derivative_uniform
-from noneq.fokker_planck import MARCH_BLOCK, GridDensity1D, _dgtsv, _generator_rates
+from noneq.fokker_planck import MARCH_BLOCK, _dgtsv, _generator_rates
 from noneq.model import PiecewiseFrozen, Schedule
 
 
@@ -78,8 +78,7 @@ class TestGridSolution:
         assert grid.tilted_initial_mass() == pytest.approx(1.0, abs=1e-10)
         dens = grid.tilted_initial_density()
         ref = gibbs_grid(spec, 0.0, dens)
-        h = GridDensity1D.centers(dens.lo, dens.hi, len(dens.values))
-        l1 = float(np.sum(np.abs(dens.values - ref.values)) * (h[1] - h[0]))
+        l1 = float(np.sum(np.abs(dens.values - ref.values)) * dens.spacings[0])
         assert l1 <= 1e-10
 
     def test_value_function_matches_quadratic_solution(self, grid_and_riccati):
@@ -94,7 +93,7 @@ class TestGridSolution:
         assert grid.tilted_initial_mass() == pytest.approx(1.0, abs=1e-6)
         dens = grid.tilted_initial_density()
         assert dens.mass() == pytest.approx(1.0, abs=1e-12)
-        x = GridDensity1D.centers(dens.lo, dens.hi, len(dens.values))
+        x = dens.axes[0]
         pdf = np.exp(ric.tilted_initial_law().logpdf(x[:, None]))
         l1 = float(np.sum(np.abs(dens.values - pdf)) * (x[1] - x[0]))
         assert l1 <= 1e-4

@@ -11,7 +11,7 @@ from noneq import (
     CertificateInfeasible,
     Constant,
     GaussianLaw,
-    GridDensity1D,
+    GridDensity,
     LangevinSpec,
     Linear,
     QuadraticPotential,
@@ -537,17 +537,18 @@ class TestInequalityToolkit:
         """Uniform on [0, 1] u [3, 4] against uniform on [1, 3]: the quantiles
         differ by exactly 1 everywhere, so W2 = 1.  Interpolating the inverse
         CDF across the empty cells would shrink it."""
-        p = GridDensity1D(0.0, 4.0, np.array([1.0, 0.0, 0.0, 1.0]))
-        q = GridDensity1D(0.0, 4.0, np.array([0.0, 1.0, 1.0, 0.0]))
+        p = GridDensity(((0.0, 4.0),), np.array([1.0, 0.0, 0.0, 1.0]))
+        q = GridDensity(((0.0, 4.0),), np.array([0.0, 1.0, 1.0, 0.0]))
         assert_allclose(pinsker_talagrand_report(p, q, kappa=1.0).w2, 1.0, rtol=1e-12)
 
     def test_grid_branch_matches_gaussian_branch(self):
         """N(0.3, 0.8) against N(0, 1), as Gaussian laws and as 2000-cell grids."""
         p = GaussianLaw(np.array([0.3]), np.array([[0.8]]))
         q = GaussianLaw(np.array([0.0]), np.array([[1.0]]))
-        x = GridDensity1D.centers(-10.0, 10.0, 2000)[:, None]
-        grid = pinsker_talagrand_report(GridDensity1D(-10.0, 10.0, p.pdf(x)),
-                                        GridDensity1D(-10.0, 10.0, q.pdf(x)), kappa=1.0)
+        box = ((-10.0, 10.0),)
+        x = GridDensity(box, np.zeros(2000)).axes[0][:, None]
+        grid = pinsker_talagrand_report(GridDensity(box, p.pdf(x)),
+                                        GridDensity(box, q.pdf(x)), kappa=1.0)
         exact = pinsker_talagrand_report(p, q, kappa=1.0)
         assert abs(grid.tv - gaussian_tv_1d(p, q)) <= 1e-5
         assert abs(grid.w2 - gaussian_w2(p, q)) <= 1e-5

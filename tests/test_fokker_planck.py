@@ -12,8 +12,7 @@ from noneq import (
     Constant,
     DiffusionFactor,
     GaussianLaw,
-    GridDensity1D,
-    GridDensity2D,
+    GridDensity,
     LangevinSpec,
     Linear,
     PositivityError,
@@ -40,8 +39,8 @@ from noneq import (
     solve_kinetic_fp_2d,
 )
 from noneq.cli import _ou_spec
-from noneq.fokker_planck import (KINETIC_LEAK_RATE, MARCH_BLOCK, _box_from_spec, _dgtsv,
-                                 _fitted_rates, _init_values, _shift, _shift_taps,
+from noneq.fokker_planck import (KINETIC_LEAK_RATE, MARCH_BLOCK, _box_from_spec, _centers,
+                                 _dgtsv, _fitted_rates, _init_values, _shift, _shift_taps,
                                  _theta_bands, _theta_solve)
 
 EPS = np.finfo(float).eps
@@ -62,7 +61,7 @@ def gaussian_grid(lo, hi, cells, mean, var, s=0.0):
     x = (np.arange(cells) + 0.5) * (hi - lo) / cells + lo
     vals = np.exp(-0.5 * (x - mean) ** 2 / var)
     vals /= np.sum(vals) * (hi - lo) / cells
-    return GridDensity1D(lo, hi, vals, s)
+    return GridDensity(((lo, hi),), vals, s)
 
 
 class TestOverdampedSolver:
@@ -70,9 +69,9 @@ class TestOverdampedSolver:
         spec = ou_spec()
         sol = solve_fp_1d(spec, GaussianLaw(np.zeros(1), np.eye(1)), dt=1e-3,
                           cells=800)
-        first, last = sol.density(0.0), sol.density(1.0)
-        assert abs(last.mean() - first.mean()) <= 1e-8
-        assert abs(last.var() - first.var()) <= 1e-8
+        (m0, c0), (m1, c1) = sol.density(0.0).moments(), sol.density(1.0).moments()
+        assert abs(m1[0] - m0[0]) <= 1e-8
+        assert abs(c1[0, 0] - c0[0, 0]) <= 1e-8
 
     def test_moments_track_analytic_law(self):
         spec = ou_spec(k0=1.0, k1=2.0)
@@ -80,9 +79,9 @@ class TestOverdampedSolver:
         sol = solve_fp_1d(spec, init, dt=5e-4, cells=1200, theta=0.5)
         for t in (0.5, 1.0):
             law = ou_moments(spec, init, t)
-            snap = sol.density(t)
-            assert abs(snap.mean() - law.mean[0]) <= 2e-4
-            assert abs(snap.var() - law.cov[0, 0]) <= 2e-4
+            mean, cov = sol.density(t).moments()
+            assert abs(mean[0] - law.mean[0]) <= 2e-4
+            assert abs(cov[0, 0] - law.cov[0, 0]) <= 2e-4
 
     def test_mass_conserved_over_many_steps(self):
         spec = ou_spec(k0=1.0, k1=1.5)
@@ -105,7 +104,7 @@ class TestOverdampedSolver:
         errs = []
         for cells in (150, 300):
             sol = solve_fp_1d(spec, init, dt=2e-4, cells=cells, theta=0.5)
-            errs.append(abs(sol.density(1.0).var() - exact.cov[0, 0]))
+            errs.append(abs(sol.density(1.0).moments()[1][0, 0] - exact.cov[0, 0]))
         assert errs[0] / errs[1] >= 3.0
 
     def test_box_too_small_rejected(self):
@@ -127,9 +126,9 @@ def test_sampler_never_lands_in_empty_cells():
     flat stretches of the CDF; the inverse-CDF sampler places no point in
     them, and each cell with mass gets its share."""
     values = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    dens = GridDensity1D(-4.0, 5.0, values)
-    x = dens.sampler()(np.random.default_rng(3), 40000)[:, 0]
-    counts = np.bincount(np.floor(x - dens.lo).astype(int), minlength=len(values))
+    dens = GridDensity(((-4.0, 5.0),), values)
+    x = dens.sample(np.random.default_rng(3), 40000)[:, 0]
+    counts = np.bincount(np.floor(x + 4.0).astype(int), minlength=len(values))
     assert np.all(counts[values == 0] == 0)
     assert_allclose(counts / len(x), values / values.sum(), atol=0.01)
 
@@ -141,7 +140,7 @@ class TestFittedFluxOperator:
 
     def frozen_rates(self, beta=1.5):
         pot = TanhPerturbedPotential(Constant(0.8))
-        x = GridDensity1D.centers(-6.0, 6.0, self.CELLS)
+        x = _centers(-6.0, 6.0, self.CELLS)
         v_c = pot.v(x[:, None], 0.0)
         v_f = pot.v(0.5 * (x[:-1] + x[1:])[:, None], 0.0)
         return v_c, _fitted_rates(v_c, v_f, 0.7, beta, 12.0 / self.CELLS)
@@ -254,7 +253,7 @@ def reference_rates(spec, x, h, dt, k):
 def reference_grid(spec, cells, radius_std):
     """Cell width and cell centres of the solvers' box."""
     lo, hi = _box_from_spec(spec, radius_std)
-    return (hi - lo) / cells, GridDensity1D.centers(lo, hi, cells)
+    return (hi - lo) / cells, _centers(lo, hi, cells)
 
 
 def reference_density_march(spec, init, dt, cells, theta, record_every, radius_std=10.0):
@@ -400,14 +399,14 @@ class TestEntropyQuadrature:
     def test_dominates_half_tv_squared(self):
         p = gaussian_grid(-10, 10, 3000, 0.9, 1.1)
         q = gaussian_grid(-10, 10, 3000, 0.0, 1.0)
-        tv = 0.5 * float(np.sum(np.abs(p.values - q.values)) * p.h)
+        tv = 0.5 * float(np.sum(np.abs(p.values - q.values)) * p.spacings[0])
         assert relative_entropy_grid(p, q) >= 0.5 * tv * tv
 
     def test_invariant_under_joint_rescaling(self):
         p = gaussian_grid(-10, 10, 2000, 0.5, 1.0)
         q = gaussian_grid(-10, 10, 2000, 0.0, 1.0)
-        p3 = GridDensity1D(p.lo, p.hi, 3.0 * p.values, p.s)
-        q3 = GridDensity1D(q.lo, q.hi, 3.0 * q.values, q.s)
+        p3 = GridDensity(p.box, 3.0 * p.values, p.s)
+        q3 = GridDensity(q.box, 3.0 * q.values, q.s)
         assert_allclose(relative_entropy_grid(p3, q3),
                         relative_entropy_grid(p, q), rtol=1e-12)
 
@@ -472,6 +471,17 @@ class TestKineticSolver:
             assert np.max(np.abs(m - law.mean)) <= 5e-4
             assert np.max(np.abs(c - law.cov)) <= 5e-4
 
+    def test_reversed_moments_match_propagator(self):
+        """A reversed spec streams and kicks backwards: its moments follow the
+        moment ODE of the reversed spec at the forward tolerance."""
+        rev = self.kin_spec(eta1=1.5).reversed()
+        init = GaussianLaw(np.array([0.6, -0.3]), np.diag([0.5, 0.8]))
+        sol = solve_kinetic_fp_2d(rev, init, dt=2e-3, cells=(96, 96), radius_std=9.0)
+        for t, law in zip(sol.times, ou_moments_path(rev, init, sol.times)):
+            m, c = sol.density(float(t)).moments()
+            assert np.max(np.abs(m - law.mean)) <= 5e-4
+            assert np.max(np.abs(c - law.cov)) <= 5e-4
+
     def test_momentum_marginal_is_maxwellian(self):
         beta = 2.0
         spec = LangevinSpec(QuadraticPotential(Constant(1.0), dimension=1),
@@ -480,12 +490,13 @@ class TestKineticSolver:
             spec, GaussianLaw(np.zeros(2), np.diag([1.0 / beta, 1.0 / beta])),
             dt=1e-3, cells=(96, 96), radius_std=9.0).density(0.5)
         gibbs = gibbs_grid(spec, 0.5, like)
-        p_axis = gibbs.p
-        marginal = np.sum(gibbs.values, axis=0) * gibbs.hq
+        p_axis = gibbs.axes[1]
+        hq, hp = gibbs.spacings
+        marginal = np.sum(gibbs.values, axis=0) * hq
         maxwell = np.exp(-0.5 * beta * p_axis ** 2)
-        maxwell /= np.sum(maxwell) * gibbs.hp
+        maxwell /= np.sum(maxwell) * hp
         assert np.max(np.abs(marginal - maxwell)) <= 1e-8
-        var = float(np.sum(marginal * p_axis ** 2) * gibbs.hp)
+        var = float(np.sum(marginal * p_axis ** 2) * hp)
         assert abs(var - 1.0 / beta) <= 1e-6
 
     def test_mass_conserved(self):
@@ -495,7 +506,7 @@ class TestKineticSolver:
         sol = solve_kinetic_fp_2d(spec, GaussianLaw(np.zeros(2), np.eye(2)),
                                   dt=1e-3, cells=(96, 96), radius_std=9.0)
         assert sol.mass_drift <= 1e-6
-        vol = sol.density(1.0).hq * sol.density(1.0).hp
+        vol = math.prod(sol.density(1.0).spacings)
         for snap in sol.snapshots:
             assert abs(np.sum(snap) * vol - 1.0) <= 1e-12
 
@@ -588,6 +599,7 @@ def kinetic_spec():
 
 STD_LAW = GaussianLaw(np.zeros(1), np.eye(1))
 STD_PHASE_LAW = GaussianLaw(np.zeros(2), np.eye(2))
+PHASE_GRID = GridDensity(((-4.0, 4.0), (-4.0, 4.0)), np.ones((8, 8)))
 HAND_CERTIFICATE = hypocoercivity_certificate(0.05, 0.04, 0.05, xi=1.0, beta=1.0,
                                               hessian_bound=0.0, lsi_kappa=1.0)
 
@@ -613,7 +625,7 @@ def unit_rate(s):
     lambda: solve_kinetic_fp_2d(kinetic_spec(), STD_PHASE_LAW, 1e-2, cells=(20, 20),
                                 record_every=0),
     lambda: solve_kinetic_fp_2d(kinetic_spec(),
-                                GridDensity2D(-40.0, 40.0, -40.0, 40.0, np.ones((20, 20))),
+                                GridDensity(((-40.0, 40.0), (-40.0, 40.0)), np.ones((20, 20))),
                                 1e-2, cells=(20, 20)),
     lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50.5),
     lambda: solve_fp_1d(ou_spec(), STD_LAW, 1e-2, cells=50, radius_std=math.inf),
@@ -653,6 +665,9 @@ def unit_rate(s):
                                                unit_rate, unit_rate, unit_rate),
     lambda: decay_bound_supremum([0.0, 0.5, 1.0], -0.1, 1.0, 1.0, unit_rate, unit_rate),
     lambda: decay_bound_lipschitz([0.0, 0.5, 1.0], -1e-300, 1.0, 1.0, unit_rate, unit_rate),
+    lambda: PHASE_GRID.sample(np.random.default_rng(0), 4),
+    lambda: PHASE_GRID.logpdf(np.zeros((4, 2))),
+    lambda: gaussian_grid(-5.0, 5.0, 10, 0.0, 1.0).logpdf(np.zeros((4, 2))),
 ], ids=["fp-no-cells", "fp-zero-dt", "fp-nan-dt", "fp-zero-init", "fp-nan-init",
         "fp-theta-2", "fp-record-0", "fp-init-off-grid", "g-theta-2", "g-zero-dt",
         "g-no-cells", "kinetic-zero-dt", "kinetic-two-cells", "kinetic-record-0",
@@ -667,7 +682,8 @@ def unit_rate(s):
         "propagator-push-decreasing-times", "propagator-flow-decreasing-times",
         "envelope-decreasing-times", "envelope-negative-time",
         "kinetic-envelope-decreasing-times", "envelope-negative-divergence",
-        "lipschitz-envelope-negative-divergence"])
+        "lipschitz-envelope-negative-divergence", "grid-2d-sample", "grid-2d-logpdf",
+        "grid-logpdf-2d-states"])
 def test_bad_grid_arguments_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()

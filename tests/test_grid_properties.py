@@ -19,7 +19,7 @@ from noneq import (
     BrownianSpec,
     CertificateInfeasible,
     ConfigError,
-    GridDensity1D,
+    GridDensity,
     LangevinSpec,
     Linear,
     PositivityError,
@@ -138,6 +138,6 @@ def test_bad_march_raises_spec_error(solver, dt, cells, theta, fill, odd):
 @PROPERTY
 @given(cells=st.tuples(st.integers(1, 40), st.integers(1, 40)))
 def test_grid_relative_entropy(cells):
-    p, q = (GridDensity1D(-5.0, 5.0, np.full(n, 0.1)) for n in cells)
+    p, q = (GridDensity(((-5.0, 5.0),), np.full(n, 0.1)) for n in cells)
     returns_or_raises_typed(lambda: relative_entropy_grid(p, q),
                             SpecError if cells[0] != cells[1] else None)

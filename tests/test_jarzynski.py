@@ -13,11 +13,13 @@ from noneq import (
     Linear,
     QuadraticPotential,
     SpecError,
+    TanhPerturbedPotential,
     estimate_free_energy_is,
     estimate_free_energy_vanilla,
     free_energy_difference,
     riccati_value_function,
     simulate_forward,
+    solve_g_pde_1d,
     variance_report,
 )
 from noneq.jarzynski import _logsumexp
@@ -130,6 +132,25 @@ class TestReweightedEstimator:
         cv_is = variance_report(
             estimate_free_energy_is(spec, steered, initial_law=tilted)).cv
         assert cv_is < cv_vanilla / 10.0
+
+    def test_grid_start_law_steers_a_tanh_ramp(self):
+        """The grid value function's tilted start, drawn and evaluated as a start
+        law, with its feedback: on this non-quadratic ramp the weights flatten
+        to the time-discretisation floor.  Over seeds 0-49 the CV at dt 4e-3
+        reads at most 1.48e-2; 0.9x feedback reads 4.6e-2 and 0.5x 0.24."""
+        spec = BrownianSpec(TanhPerturbedPotential(Linear(0.0, 1.5, 1.0)), beta=1.0, horizon=1.0)
+        ctl = solve_g_pde_1d(spec, 1e-3, cells=800)
+        start = ctl.tilted_initial_density()
+        exact = free_energy_difference(spec)
+        cvs = []
+        for dt in (4e-3, 2e-3):
+            ens = simulate_forward(spec, 1000, dt, seed=7, init=start,
+                                   control=ctl.control_field())
+            rep = estimate_free_energy_is(spec, ens, initial_law=start)
+            cvs.append(variance_report(rep).cv)
+            assert abs(rep.value - exact) <= 5.0 * dt
+        assert cvs[0] <= 2e-2
+        assert cvs[1] < cvs[0]
 
 
 class TestVarianceReport:

@@ -11,7 +11,7 @@ from noneq import (
     ConfigError,
     Constant,
     DiffusionFactor,
-    GridDensity1D,
+    GridDensity,
     LangevinSpec,
     Linear,
     NoCirculation,
@@ -149,17 +149,16 @@ class TestGibbsDensities:
             gibbs_gaussian(spec, 0.0)
 
     def test_grid_density_normalized(self):
-        like = GridDensity1D(-10.0, 10.0, np.ones(2000))
+        like = GridDensity(((-10.0, 10.0),), np.ones(2000))
         dens = gibbs_grid(quadratic_spec(), 0.0, like)
-        assert abs(np.sum(dens.values) * dens.h - 1.0) <= 1e-10
+        assert abs(np.sum(dens.values) * dens.spacings[0] - 1.0) <= 1e-10
 
     def test_grid_and_gaussian_agree_in_kl(self):
         spec = quadratic_spec(k0=1.5, beta=1.0)
-        like = GridDensity1D(-10.0, 10.0, np.ones(4000))
+        like = GridDensity(((-10.0, 10.0),), np.ones(4000))
         grid = gibbs_grid(spec, 0.0, like)
         law = gibbs_gaussian(spec, 0.0)
-        gauss_on_grid = GridDensity1D(like.lo, like.hi,
-                                      law.pdf(grid.x[:, None]), 0.0)
+        gauss_on_grid = GridDensity(like.box, law.pdf(grid.axes[0][:, None]), 0.0)
         assert relative_entropy_grid(grid, gauss_on_grid) <= 1e-8
 
 

@@ -13,7 +13,8 @@ module other than ``model`` tests whether a spec is a ``BrownianSpec`` or a
 ``model`` knows how the Gibbs family and the dynamics depend on the kind of
 spec.  No package module other than ``model`` reads or sets the
 ``transport`` sign of a kinetic spec, which is how a kinetic process is
-reversed; the others step and transport a spec through its ``drift``.
+reversed, or reads a potential's ``grad``: the others step and transport a
+spec through its ``drift``, so a reversed spec moves the right way.
 
 Every defaulted parameter of a public function, or of a public method or
 ``__init__`` of a public class, is passed by some call in ``src/``,
@@ -133,20 +134,20 @@ def test_spec_kind_rule_sees_every_form():
     assert spec_kind_lines(source) == [1, 2, 3, 4, 5, 6, 7]
 
 
-def transport_lines(source: str) -> list[int]:
-    """Lines of ``source`` that read or set a ``.transport`` attribute."""
+def attribute_lines(source: str, attr: str) -> list[int]:
+    """Lines of ``source`` that read or set an attribute named ``attr``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "transport")
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
 
 
-def transport_uses() -> list[str]:
-    """``module:line`` of each use of ``.transport`` outside ``model``."""
+def attribute_uses(attr: str) -> list[str]:
+    """``module:line`` of each use of an attribute ``attr`` outside ``model``."""
     return [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
-            if path.stem != "model" for line in transport_lines(path.read_text())]
+            if path.stem != "model" for line in attribute_lines(path.read_text(), attr)]
 
 
 def test_only_model_uses_the_transport_sign():
-    assert transport_uses() == []
+    assert attribute_uses("transport") == []
 
 
 def test_transport_rule_sees_reads_and_writes():
@@ -155,7 +156,22 @@ def test_transport_rule_sees_reads_and_writes():
               "f(model.LangevinSpec.transport)\n"
               "transport = 1.0\n"
               "spec.transports\n")
-    assert transport_lines(source) == [1, 2, 3]
+    assert attribute_lines(source, "transport") == [1, 2, 3]
+
+
+def test_only_model_calls_a_potential_gradient():
+    assert attribute_uses("grad") == []
+
+
+def test_gradient_rule_sees_calls_and_reads():
+    source = ("kick = dt * spec.potential.grad(q, s)[:, 0]\n"
+              "force = -pot.grad(x, s)\n"
+              "g = self.inner.grad\n"
+              "np.gradient(u, h)\n"
+              "def grad(self, x, s):\n"
+              "    grad = 1.0\n"
+              "spec.drift(x, s)\n")
+    assert attribute_lines(source, "grad") == [1, 2, 3]
 
 
 def public_callables() -> list:

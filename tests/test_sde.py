@@ -355,7 +355,9 @@ def stack_blocks(blocks):
 
 
 def ref_overdamped(spec, n_paths, dt, seed, init, store, control=None, noise=None, s0=0.0):
-    """Reference: the block loop of simulate_forward and of feynman_kac_g."""
+    """Reference: the block loop of simulate_forward and of feynman_kac_g, with
+    the drift -grad V (sigma sigma^T)^T + J built from the potential, the
+    diffusion factor and the circulation rather than read from ``spec.drift``."""
     n_steps = int(round((spec.horizon - s0) / dt))
     m = spec.diffusion.shape[1]
     amp = math.sqrt(2.0 * dt / spec.beta)
@@ -370,7 +372,7 @@ def ref_overdamped(spec, n_paths, dt, seed, init, store, control=None, noise=Non
             s = s0 + k * dt
             z = gen.standard_normal((nb, m)) if noise is None else noise[k, start:stop]
             sig = spec.diffusion.sigma(s)
-            drift = spec.drift(x, s)
+            drift = -spec.potential.grad(x, s) @ (sig @ sig.T).T + spec.circulation.j(x, s)
             if control is not None:
                 u = control(x, s).reshape(nb, m)
                 drift = drift + u @ sig.T
