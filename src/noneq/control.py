@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PositivityError, SpecError
 from .fokker_planck import (MARCH_BLOCK, GridDensity, _box_from_spec, _centers,
-                            _generator_rates, _grid_steps, _march, _theta_solve)
+                            _generator_rates, _grid_steps, _march)
 from .model import BrownianSpec, partition_function
 from .sde import _run_blocks
 
@@ -202,8 +202,8 @@ def solve_g_pde_1d(spec: BrownianSpec, dt: float, cells: int = 800,
     x = _centers(lo, hi, cells)
     g = np.empty((n_steps + 1, cells))
     g[n_steps] = 1.0
-    for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=True):
-        g[k] = _theta_solve(implicit, explicit, g[k + 1])
+    for k, g_k in _march(spec, x, h, dt, n_steps, theta, g[n_steps], adjoint=True):
+        g[k] = g_k
         if g[k].min() <= 0.0:
             raise PositivityError(f"g lost positivity at s={k * dt:.6g}: min={g[k].min():.3e}")
     times = dt * np.arange(n_steps + 1)

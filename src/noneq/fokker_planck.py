@@ -246,68 +246,145 @@ def _generator_rates(spec, x: np.ndarray, h: float, s: np.ndarray):
 def _theta_bands(sup: np.ndarray, sub: np.ndarray, diag: np.ndarray, dt: float, theta: float):
     """Band rows of the step (I - theta dt A) r' = (I + (1 - theta) dt A) r with
     A = tridiag(sub, diag, sup), over any leading axes: the implicit matrix's
-    (sub, diag, sup) and the explicit one's, or None for theta = 1."""
+    (sub, diag, sup) and the explicit one's, or None for theta = 1.  The
+    explicit rows are written over sup, sub and diag, so building the bands
+    holds six arrays of their size at once."""
     ci = theta * dt
-    implicit = (-ci * sub, 1.0 - ci * diag, -ci * sup)
+    implicit_diag = diag * -ci
+    implicit_diag += 1.0
+    implicit = (-ci * sub, implicit_diag, -ci * sup)
     if theta < 1.0:
         c = (1.0 - theta) * dt
-        return implicit, (c * sub, 1.0 + c * diag, c * sup)
+        sub *= c
+        diag *= c
+        diag += 1.0
+        sup *= c
+        return implicit, (sub, diag, sup)
     return implicit, None
+
+
+# LAPACK's tridiagonal solver in the library numpy's linalg links, with the
+# width of its integers: numpy >= 2 wheels, numpy 1.2x wheels, then a system
+# LAPACK.
+_DGTSV_SYMBOLS = (("scipy_dgtsv_64_", np.int64), ("dgtsv_64_", np.int64), ("dgtsv_", np.int32))
+
+
+def _resolve_dgtsv(lib):
+    """The first ``_DGTSV_SYMBOLS`` routine that the library handle ``lib``
+    exports, typed to take its eight arguments by address, and its integer
+    type; ImportError if it exports none."""
+    import ctypes
+
+    for name, int_type in _DGTSV_SYMBOLS:
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            routine.argtypes = [ctypes.c_void_p] * 8
+            routine.restype = None
+            return routine, int_type
+    tried = ", ".join(name for name, _ in _DGTSV_SYMBOLS)
+    raise ImportError(f"numpy's LAPACK has no dgtsv (tried {tried})")
 
 
 @functools.cache
 def _dgtsv():
-    """LAPACK's tridiagonal solver, imported on first use so that importing
-    the package does not load scipy.linalg."""
-    from scipy.linalg.lapack import dgtsv
+    """LAPACK ``dgtsv`` of numpy's linalg, bound on first use; a ctypes call
+    releases the GIL while it runs."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
 
-    return dgtsv
+    return _resolve_dgtsv(ctypes.CDLL(_umath_linalg.__file__))
+
+
+class _ThetaSolver:
+    """The ``dgtsv`` workspace of theta steps on right-hand sides of
+    ``shape``, (cells,) or (cells, lines): the band buffers that ``dgtsv``
+    overwrites, two result buffers that alternate, and the integer block
+    (n, nrhs, ldb, info), with their addresses taken once.  A result stays
+    valid through the next call, which may read it as its r.  Each march owns
+    its workspace, so marches in different threads solve at once."""
+
+    def __init__(self, shape: tuple):
+        import ctypes
+
+        self.routine, int_type = _dgtsv()
+        n = shape[0]
+        self.bands = (np.empty(n - 1), np.empty(n), np.empty(n - 1))
+        self.ints = np.array([n, math.prod(shape[1:]), n, 0], dtype=int_type)
+        self.col = (slice(None),) + (None,) * (len(shape) - 1)
+
+        def ptr(a: np.ndarray, i: int = 0):
+            return ctypes.c_void_p(a.ctypes.data + i * a.itemsize)
+
+        n_p, nrhs_p, ldb_p, info_p = (ptr(self.ints, i) for i in range(4))
+        dl, d, du = (ptr(b) for b in self.bands)
+        self.slots = []
+        for _ in range(2):
+            out = np.empty(shape, order="F")
+            self.slots.append((out, (n_p, nrhs_p, dl, d, du, ptr(out), ldb_p, info_p)))
+
+    def __call__(self, implicit, explicit, r: np.ndarray) -> np.ndarray:
+        """One step with the ``_theta_bands`` rows ``implicit`` and
+        ``explicit`` along axis 0 of r; see ``_theta_solve``."""
+        out, args = self.slots[0]
+        self.slots.reverse()
+        if explicit is None:
+            out[...] = r
+        else:
+            sub, diag, sup = explicit
+            col = self.col
+            np.multiply(r, diag[col], out=out)
+            out[:-1] += sup[col] * r[1:]
+            out[1:] += sub[col] * r[:-1]
+        dl, d, du = self.bands
+        dl[...], d[...], du[...] = implicit
+        self.routine(*args)
+        info = int(self.ints[3])
+        if info != 0 or not np.isfinite(out).all():
+            raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
+        return out
 
 
 def _theta_solve(implicit, explicit, r: np.ndarray) -> np.ndarray:
     """One step with the ``_theta_bands`` rows ``implicit`` and ``explicit``
     along axis 0 of r, by LAPACK ``dgtsv``, leaving r and the rows as they
     were; QuadratureError if the solve fails or its result is not finite."""
-    if explicit is None:
-        rhs = r
-    else:
-        sub, diag, sup = explicit
-        col = (slice(None),) + (None,) * (r.ndim - 1)
-        rhs = r * diag[col]
-        rhs[:-1] += sup[col] * r[1:]
-        rhs[1:] += sub[col] * r[:-1]
-    *_, out, info = _dgtsv()(*implicit, rhs, overwrite_b=rhs is not r)
-    if info != 0 or not np.isfinite(out).all():
-        raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
-    return out
+    return _ThetaSolver(r.shape)(implicit, explicit, r)
 
 
 def _block_bands(spec, x: np.ndarray, h: float, s: np.ndarray, dt: float, theta: float,
                  adjoint: bool):
     """The ``_theta_bands`` rows of a 1-D march at each mid-time of ``s``,
     stacked on a leading axis; the adjoint march uses the transposed
-    generator with the killing rate beta dV/ds on its diagonal.  The rates
-    die on return, so only the bands stay alive while a block is stepped."""
+    generator with the killing rate beta dV/ds on its diagonal.  The rate is
+    evaluated first, so that its temporaries and the rates' are never alive
+    together; only the bands stay alive while a block is stepped."""
+    kill = spec.beta * spec.potential.dv_ds(x[:, None], s[:, None]) if adjoint else None
     _, (up, down, diag) = _generator_rates(spec, x, h, s)
     if adjoint:
         up, down = down, up
-        diag = diag - spec.beta * spec.potential.dv_ds(x[:, None], s[:, None])
+        diag -= kill
     return _theta_bands(up, down, diag, dt, theta)
 
 
 def _march(spec, x: np.ndarray, h: float, dt: float, n_steps: int, theta: float,
-           adjoint: bool):
-    """Yield (k, implicit, explicit) for each step k of a 1-D fitted-flux march
-    on cell centres ``x``: the ``_block_bands`` rows at the mid-time
-    (k + 1/2) dt, evaluated MARCH_BLOCK steps at a time.  The adjoint march
-    steps backward in k."""
+           r: np.ndarray, adjoint: bool):
+    """Yield (k, r_k) for each step k of a 1-D fitted-flux march on cell
+    centres ``x`` from the state ``r``: step k solves with the
+    ``_block_bands`` rows at the mid-time (k + 1/2) dt, evaluated MARCH_BLOCK
+    steps at a time.  The adjoint march steps backward in k.  r_k is a
+    buffer of the march's ``_ThetaSolver``: the next step reads it, so the
+    caller may change it in place but copies it to keep it.  A block's bands
+    are dropped before the next block's are built."""
+    solve = _ThetaSolver(r.shape)
     starts = range(0, n_steps, MARCH_BLOCK)
     for k0 in reversed(starts) if adjoint else starts:
         s = (np.arange(k0, min(k0 + MARCH_BLOCK, n_steps)) + 0.5) * dt
         implicit, explicit = _block_bands(spec, x, h, s, dt, theta, adjoint)
-        steps = zip(range(k0, k0 + len(s)), zip(*implicit),
-                    [None] * len(s) if explicit is None else zip(*explicit))
-        yield from reversed(list(steps)) if adjoint else steps
+        for j in reversed(range(len(s))) if adjoint else range(len(s)):
+            r = solve([b[j] for b in implicit],
+                      None if explicit is None else [b[j] for b in explicit], r)
+            yield k0 + j, r
+        del implicit, explicit
 
 
 def _grid_steps(horizon: float, dt: float, cells, theta: float = 1.0, axes: int = 1) -> int:
@@ -434,8 +511,7 @@ def solve_fp_1d(spec: BrownianSpec, init, dt: float, cells: int = 1200,
     rec.record(-1, rho)
     mass_drift = abs(np.sum(rho) * h - 1.0)
 
-    for k, implicit, explicit in _march(spec, x, h, dt, n_steps, theta, adjoint=False):
-        rho = _theta_solve(implicit, explicit, rho)
+    for k, rho in _march(spec, x, h, dt, n_steps, theta, rho, adjoint=False):
         _clamp(rho, k)
         mass = rho.sum() * h
         mass_drift = max(mass_drift, abs(mass - 1.0))
@@ -543,8 +619,10 @@ def solve_kinetic_fp_2d(spec: LangevinSpec, init, dt: float,
                                               0.5 * p_face * p_face / m_scalar, xi, beta, hp),
                                0.5 * dt, 1.0)
 
+    solve = _ThetaSolver((npp, nq))
+
     def diffusion_half(r: np.ndarray) -> np.ndarray:
-        return _theta_solve(implicit, None, r.T).T
+        return solve(implicit, None, r.T).T
 
     # A sub-step of dt shifts a line by -dt * velocity / h cells.  The stream
     # velocity, the q-part of the drift on the line q = 0, moves each momentum

@@ -290,7 +290,7 @@ class TestAggregateRun:
         assert "validate" in proc.stdout
 
     def test_validate_does_not_load_scipy(self, tmp_path):
-        """scipy is imported on first use by the solvers, never at start-up."""
+        """No run imports scipy, start-up included."""
         script = ("import sys\n"
                   "import noneq.cli\n"
                   f"assert noneq.cli.main(['validate', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
@@ -304,6 +304,15 @@ class TestAggregateRun:
                   "for name in ('jarzynski', 'zero-variance'):\n"
                   f"    out = {str(tmp_path)!r} + '/' + name\n"
                   "    assert noneq.cli.main([name, '--quick', '--out', out]) == 0\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert last_line_of_fresh_run(script) == "[]"
+
+    def test_all_experiments_do_not_load_scipy(self, tmp_path):
+        """The grid solvers step with numpy's own LAPACK: after every
+        experiment, a fresh interpreter holds no scipy module."""
+        script = ("import sys\n"
+                  "import noneq.cli\n"
+                  f"assert noneq.cli.main(['all', '--quick', '--out', {str(tmp_path)!r}]) == 0\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         assert last_line_of_fresh_run(script) == "[]"
 

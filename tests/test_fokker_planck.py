@@ -1,7 +1,9 @@
 """Grid solvers for the density evolution and entropy quadrature on grids."""
 
 import math
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -40,8 +42,8 @@ from noneq import (
 )
 from noneq.cli import _ou_spec
 from noneq.fokker_planck import (KINETIC_LEAK_RATE, MARCH_BLOCK, _box_from_spec, _centers,
-                                 _dgtsv, _fitted_rates, _init_values, _shift, _shift_taps,
-                                 _theta_bands, _theta_solve)
+                                 _dgtsv, _fitted_rates, _init_values, _resolve_dgtsv, _shift,
+                                 _shift_taps, _theta_bands, _theta_solve, _ThetaSolver)
 
 EPS = np.finfo(float).eps
 
@@ -239,6 +241,98 @@ def reference_theta_step(sup, sub, diag, r, dt, theta):
     if info != 0 or not np.isfinite(out).all():
         raise QuadratureError(f"tridiagonal step failed (LAPACK info {info}) or is not finite")
     return out
+
+
+class TestLapackBinding:
+    """The solver's own binding of numpy's LAPACK ``dgtsv`` gives scipy's
+    f2py ``dgtsv`` bit for bit and keeps the ``_theta_solve`` contract."""
+
+    @staticmethod
+    def bands(n, seed, theta=0.5, dt=0.05):
+        """The ``_theta_bands`` rows of a random fitted-flux-like generator."""
+        rng = np.random.default_rng(seed)
+        up, down = rng.random(n - 1) + 0.1, rng.random(n - 1) + 0.1
+        diag = np.zeros(n)
+        diag[:-1] -= down
+        diag[1:] -= up
+        return _theta_bands(up, down, diag, dt, theta)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0], ids=["overwrite_b", "keep_b"])
+    @pytest.mark.parametrize("lines", [None, 96], ids=["one-rhs", "96-columns"])
+    @pytest.mark.parametrize("n", [3, 4, 400, 800])
+    def test_matches_scipy_dgtsv(self, n, lines, theta):
+        """A step with the explicit product (scipy may overwrite the fresh
+        right-hand side) and one without (r must stay as it was), on one
+        right-hand side or on 96 C-ordered columns; r and every band row
+        are left as they were."""
+        from scipy.linalg.lapack import dgtsv
+
+        implicit, explicit = self.bands(n, seed=n, theta=theta)
+        shape = (n,) if lines is None else (lines, n)
+        r = (np.random.default_rng(7).random(shape) + 0.1).T  # axis 0 is the grid
+        rows = list(implicit) + list(explicit or ())
+        kept = [a.copy() for a in [r] + rows]
+        if explicit is None:
+            rhs = r
+        else:
+            sub, diag, sup = explicit
+            col = (slice(None),) + (None,) * (r.ndim - 1)
+            rhs = r * diag[col]
+            rhs[:-1] += sup[col] * r[1:]
+            rhs[1:] += sub[col] * r[:-1]
+        *_, want, info = dgtsv(*implicit, rhs, overwrite_b=rhs is not r)
+        assert info == 0
+        np.testing.assert_array_equal(_theta_solve(implicit, explicit, r), want, strict=True)
+        for now, before in zip([r] + rows, kept):
+            np.testing.assert_array_equal(now, before, strict=True)
+
+    def test_zero_pivot_raises(self):
+        """A singular system is LAPACK's info > 0, raised as QuadratureError."""
+        implicit = (np.zeros(2), np.zeros(3), np.zeros(2))
+        with pytest.raises(QuadratureError, match=r"LAPACK info 1\)"):
+            _theta_solve(implicit, None, np.ones(3))
+
+    def test_two_threads_solve_at_once(self):
+        """Each march owns its workspace: two threads, each making 200 solves
+        on a system of its own, give the bits of the same solves made one
+        thread after the other."""
+        systems = [self.bands(400, seed) for seed in (1, 2)]
+        start = np.random.default_rng(3).random(400) + 0.1
+
+        def march(bands, out):
+            solve = _ThetaSolver(start.shape)
+            r = start
+            for _ in range(200):
+                r = solve(*bands, r)
+                out.append(r.copy())
+
+        serial = [[], []]
+        for bands, out in zip(systems, serial):
+            march(bands, out)
+        threaded = [[], []]
+        workers = [threading.Thread(target=march, args=pair) for pair in zip(systems, threaded)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        np.testing.assert_array_equal(np.array(threaded), np.array(serial), strict=True)
+
+    def test_resolver_tries_the_symbol_table_in_order(self):
+        """numpy >= 2 names first, then numpy 1.2x, both with 64-bit integers,
+        then a system LAPACK's with 32-bit ones; ImportError naming dgtsv and
+        every name tried if the library has none."""
+        lib = types.SimpleNamespace(**{name: types.SimpleNamespace()
+                                       for name in ("dgtsv_", "dgtsv_64_", "scipy_dgtsv_64_")})
+        assert _resolve_dgtsv(lib) == (lib.scipy_dgtsv_64_, np.int64)
+        del lib.scipy_dgtsv_64_
+        assert _resolve_dgtsv(lib) == (lib.dgtsv_64_, np.int64)
+        del lib.dgtsv_64_
+        assert _resolve_dgtsv(lib) == (lib.dgtsv_, np.int32)
+        del lib.dgtsv_
+        with pytest.raises(ImportError, match="dgtsv .*scipy_dgtsv_64_, dgtsv_64_, dgtsv_"):
+            _resolve_dgtsv(lib)
+        assert _dgtsv()[1] in (np.int64, np.int32)
 
 
 def reference_rates(spec, x, h, dt, k):
@@ -517,7 +611,7 @@ class TestKineticSolver:
         spec = LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 1.0), dimension=1),
                             beta=1.0, horizon=0.25, xi=1.0)
         init = GaussianLaw(np.array([0.6, -0.3]), np.diag([0.5, 0.8]))
-        _dgtsv()  # imports scipy.linalg on first use; not part of the march
+        _dgtsv()  # binds LAPACK on first use; not part of the march
         tracemalloc.start()
         try:
             sol = solve_kinetic_fp_2d(spec, init, dt=1e-3, cells=(96, 96), radius_std=9.0)

@@ -24,12 +24,22 @@ At module level, ``cli`` imports no package module other than ``errors``
 and ``model``: argument parsing, config checks and ``validate`` need no
 more, and the runners bind the numerical library on their first run.
 
+The package runs on numpy and pyyaml alone: every import in
+``src/noneq/*.py``, in a function body or not, names a standard-library
+module, ``numpy``, ``yaml`` or the package itself, and the runtime
+``dependencies`` of ``pyproject.toml`` are exactly numpy and pyyaml.  scipy
+is a test dependency: the tests compare against it.
+
 The checks read the source with ``ast`` and run nothing.
 """
 
 import ast
+import re
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noneq"
@@ -276,3 +286,50 @@ def test_start_up_rule_sees_every_import_form():
               "import numpy\n")
     assert module_level_package_imports(source) == [
         "control", "entropy", "fokker_planck", "jarzynski", "odes", "reversal", "sde"]
+
+
+RUNTIME_IMPORTS = {"numpy", "yaml", "noneq"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level names of the modules that ``source`` imports anywhere,
+    function bodies included, that are neither standard library nor
+    ``RUNTIME_IMPORTS``; a relative import is the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - RUNTIME_IMPORTS - set(sys.stdlib_module_names))
+
+
+def test_package_imports_only_numpy_yaml_and_the_stdlib():
+    offenders = {path.name: foreign_imports(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_dependency_rule_sees_every_import_form():
+    source = ("import numpy as np\n"
+              "import numpy.linalg\n"
+              "import ctypes, functools\n"
+              "from yaml import safe_load\n"
+              "from . import model\n"
+              "from .errors import SpecError\n"
+              "from noneq.sde import simulate_forward\n"
+              "import scipy.linalg\n"
+              "def lazy():\n"
+              "    from scipy.linalg.lapack import dgtsv\n"
+              "    import numba\n"
+              "class Solver:\n"
+              "    from matplotlib import pyplot\n")
+    assert foreign_imports(source) == ["matplotlib", "numba", "scipy"]
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in project["dependencies"]}
+    assert names == {"numpy", "pyyaml"}
+    assert len(project["dependencies"]) == 2
