@@ -368,7 +368,7 @@ class QuadraticValueFunction:
             aw = atil.T.dot(w)
             wgw = wg.dot(w)
             dw = wgw + wgw.T - (aw + aw.T) - qtil
-            dw[-1, -1] -= (2.0 / beta) * np.trace(wg)
+            dw[-1, -1] -= (2.0 / beta) * wg.trace()
             return dw.ravel().tolist()
 
         self.w = _riccati_solve(rhs, coef, (width, width), self.times)

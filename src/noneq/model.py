@@ -19,6 +19,7 @@ family, and the reverse process, depend on the kind of spec.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,7 +36,13 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 class Schedule:
-    """A smooth scalar function of time with an analytic derivative."""
+    """A smooth scalar function of time with an analytic derivative.
+
+    ``value`` and ``derivative`` take a scalar time or an array of times.  On
+    an array they return, elementwise, the values they return at each scalar
+    time, bit for bit: the path step and the grid marches evaluate a block of
+    steps at once and read row k as the value at step k.
+    """
 
     def value(self, s):
         raise NotImplementedError
@@ -389,24 +396,166 @@ class DiffusionFactor:
 # specifications
 # ---------------------------------------------------------------------------
 
-def _mul_t(a, mat, out=None):
-    """``a @ mat.T``, into ``out`` when it is given; a 1 x 1 ``mat`` multiplies
-    by its entry, the same bits without a matmul."""
-    if mat.shape == (1, 1):
-        return np.multiply(a, mat[0, 0], out=out)
-    return np.dot(a, mat.T, out=out)
+def _factor(mat):
+    """A matrix factor as the step reads it: a 1 x 1 one as its float entry."""
+    return float(mat[0, 0]) if mat.shape == (1, 1) else mat
 
 
-def _force(pot, x, s, out, sign=1.0):
-    """``-sign * grad V(x, s)``, into ``out`` when it is given, for ``sign`` =
-    +1 or -1.  A quadratic V is read as floats at time s, in the operation
-    order of its methods: the bits are the same, and a path step running on a
-    worker thread calls no method of V."""
-    if not pot.is_quadratic:
-        return np.multiply(pot.grad(x, s), -sign, out=out)
-    out = np.subtract(x, float(pot.mu.value(s)), out=out)
-    out *= -sign * float(pot.k.value(s))
-    return out
+def _factor_rows(stack):
+    """The factors of a (K, r, c) stack, one per row, as ``_factor`` reads them."""
+    return stack[:, 0, 0].tolist() if stack.shape[1:] == (1, 1) else list(stack)
+
+
+def _mul_t(a, factor, out=None):
+    """``a @ factor.T``, into ``out`` when it is given.  A float ``factor`` is
+    a 1 x 1 matrix: it multiplies ``a``, the same bits without a matmul, and
+    when it is exactly 1.0 with ``out`` absent or ``a`` itself, ``a`` is
+    returned as it is (a * 1.0 is a for every IEEE a)."""
+    if factor.__class__ is not float:
+        return np.dot(a, factor.T, out=out)
+    if factor == 1.0 and (out is None or out is a):
+        return a
+    return np.multiply(a, factor, out=out)
+
+
+def _rows(values, times) -> list:
+    """The values of a schedule on the array ``times``, one float per time."""
+    if np.shape(values) != times.shape:
+        values = np.broadcast_to(values, times.shape)
+    return values.tolist()
+
+
+def _shift_rows(values, times) -> list:
+    """``_rows``, with None for a shift of exactly +0.0: x - (+0.0) is x for
+    every IEEE x, so the step skips it.  (A -0.0 shift is kept: -0.0 - (-0.0)
+    is +0.0.)"""
+    return [None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
+            for c in _rows(values, times)]
+
+
+class _PathTable:
+    """The time-only coefficients of the path step of ``spec`` on the step
+    times ``times`` and, when given, on their mid-times ``mids``, and the
+    step's products at row k: ``noise_times``, ``force``, ``power`` and, per
+    kind of spec, ``drift``.
+
+    Each coefficient is evaluated once on the array of times, in the
+    operation order of the scalar methods, so by the ``Schedule`` contract
+    row k holds the bits that those methods give at ``times[k]``.
+    ``noise[k]`` is B(s_k), a float when it is 1 x 1.  For a quadratic V:
+    ``spring[k]`` = -t k(s_k) and ``center[k]`` = mu(s_k), with t =
+    ``sign``, the transport sign of a kinetic spec and +1 for an overdamped
+    one; at the mid-times, ``half_dk`` = k'/2, ``k_dmu`` = k mu' and
+    ``mid_center`` = mu.  A centre of exactly +0.0 is None.  The products
+    skip a multiply by a 1 x 1 factor of exactly 1.0 and the subtraction of
+    a +0.0 centre, both of which give back their input bit for bit, and
+    read a quadratic V from the rows without a call to a method of V.
+    """
+
+    def __init__(self, spec, times, mids=None, sign=1.0):
+        pot = self.potential = spec.potential
+        times = np.asarray(times, dtype=float)
+        self.spec, self.sign = spec, sign
+        self.times = times.tolist()
+        if pot.is_quadratic:
+            self.spring = _rows(-sign * pot.k.value(times), times)
+            self.center = _shift_rows(pot.mu.value(times), times)
+        if mids is None:
+            return
+        self.mids = mids.tolist()
+        if pot.is_quadratic:
+            self.half_dk = _rows(0.5 * pot.k.derivative(mids), mids)
+            self.k_dmu = _rows(pot.k.value(mids) * pot.mu.derivative(mids), mids)
+            self.mid_center = _shift_rows(pot.mu.value(mids), mids)
+
+    def noise_times(self, a, k, out, scale=1.0):
+        """``(a @ B(s_k).T) * scale``, into ``out``.  A 1 x 1 B of exactly 1.0
+        and a scale of exactly 1.0 are not multiplied by (a * 1.0 is a for
+        every IEEE a): with both, the result is ``a`` itself."""
+        b = self.noise[k]
+        if b.__class__ is float and b == 1.0:
+            return a if scale == 1.0 else np.multiply(a, scale, out=out)
+        out = _mul_t(a, b, out=out)
+        if scale != 1.0:
+            out *= scale
+        return out
+
+    def force(self, x, k, out):
+        """``-t * grad V(x, s_k)``, into ``out`` when it is given; a quadratic
+        V is read from row k."""
+        if not self.potential.is_quadratic:
+            return np.multiply(self.potential.grad(x, self.times[k]), -self.sign, out=out)
+        mu = self.center[k]
+        if mu is None:
+            return np.multiply(x, self.spring[k], out=out)
+        out = np.subtract(x, mu, out=out)
+        out *= self.spring[k]
+        return out
+
+    def power(self, x, k, out):
+        """dV/ds at the mid-time of row k at the points ``x``, which it may
+        overwrite; for a quadratic V with one coordinate, into ``out``.  A
+        quadratic V is read from row k, in the operation order of
+        ``QuadraticPotential.dv_ds``."""
+        if not self.potential.is_quadratic:
+            return self.potential.dv_ds(x, self.mids[k])
+        c1, c2, mu = self.half_dk[k], self.k_dmu[k], self.mid_center[k]
+        if mu is not None:
+            x -= mu
+        if x.shape[1] > 1:
+            return c1 * np.sum(x * x, axis=1) - c2 * np.sum(x, axis=1)
+        d = x[:, 0]
+        out = np.multiply(d, d, out=out)
+        out *= c1
+        d *= c2
+        out -= d
+        return out
+
+
+class _BrownianTable(_PathTable):
+    """``_PathTable`` of an overdamped spec, with gamma(s_k) = sigma sigma^T,
+    a float when it is 1 x 1, and the drift of row k."""
+
+    def __init__(self, spec, times, mids=None):
+        times = np.asarray(times, dtype=float)
+        super().__init__(spec, times, mids)
+        sig = spec.diffusion.sigma(times)
+        self.noise = _factor_rows(sig)
+        self.gamma = _factor_rows(sig @ sig.swapaxes(-1, -2))
+
+    def drift(self, x, k, out=None):
+        """J - gamma grad V at s_k, batched over x; into ``out`` when it is given."""
+        force = self.force(x, k, out)
+        drift = _mul_t(force, self.gamma[k], out=force)
+        circulation = self.spec.circulation
+        if not circulation.is_zero:
+            drift += circulation.j(x, self.times[k])
+        return drift
+
+
+class _KineticTable(_PathTable):
+    """``_PathTable`` of a kinetic spec, whose B is constant, with the drift of row k."""
+
+    def __init__(self, spec, times, mids=None):
+        super().__init__(spec, times, mids, spec.transport)
+        self.noise = [spec.noise_factor(0.0)] * len(self.times)
+        self.mass_inv = _factor(spec.mass_inv)
+
+    def drift(self, x, k, out=None):
+        """(t M^-1 p, -t grad V(q, s_k) - xi M^-1 p) on stacked states x = (q, p),
+        batched over x; into ``out`` when it is given."""
+        spec = self.spec
+        n = spec.dimension
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape) if out is None else out
+        p = x[..., n:]
+        velocity = _mul_t(p, self.mass_inv)  # the momenta themselves for a unit mass
+        np.multiply(velocity, spec.transport, out=out[..., :n])
+        force = self.force(x[..., :n], k, out[..., n:])
+        if spec.xi != 1.0:
+            velocity = np.multiply(velocity, spec.xi, out=None if velocity is p else velocity)
+        force -= velocity
+        return out
 
 
 @dataclass
@@ -445,12 +594,12 @@ class BrownianSpec:
 
     def drift(self, x, s, out=None):
         """J - gamma grad V, batched over x; into ``out`` when it is given."""
-        sig = self.diffusion.sigma(s)
-        force = _force(self.potential, x, s, out)
-        drift = _mul_t(force, sig @ sig.T, out=force)
-        if not self.circulation.is_zero:
-            drift += self.circulation.j(x, s)
-        return drift
+        return self.path_table([s]).drift(x, 0, out)
+
+    def path_table(self, times, mids=None):
+        """The coefficients of the path step on the step times ``times`` and
+        the mid-times ``mids``, with the drift of each row: see ``_PathTable``."""
+        return _BrownianTable(self, times, mids)
 
     def noise_factor(self, s) -> np.ndarray:
         """B(s) = sigma(s): the noise term is sqrt(2/beta) B dw."""
@@ -618,15 +767,12 @@ class LangevinSpec:
     def drift(self, x, s, out=None):
         """(t M^-1 p, -t grad V(q, s) - xi M^-1 p) on stacked states x = (q, p),
         batched over x, with t = ``transport``; into ``out`` when it is given."""
-        n = self.dimension
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape) if out is None else out
-        velocity = _mul_t(x[..., n:], self.mass_inv)
-        np.multiply(velocity, self.transport, out=out[..., :n])
-        force = _force(self.potential, x[..., :n], s, out[..., n:], self.transport)
-        velocity *= self.xi
-        force -= velocity
-        return out
+        return self.path_table([s]).drift(x, 0, out)
+
+    def path_table(self, times, mids=None):
+        """The coefficients of the path step on the step times ``times`` and
+        the mid-times ``mids``, with the drift of each row: see ``_PathTable``."""
+        return _KineticTable(self, times, mids)
 
     def noise_factor(self, s) -> np.ndarray:
         """B = [0; sqrt(xi) I_n], read-only: the noise term is sqrt(2/beta) B dw."""
@@ -687,8 +833,18 @@ class GibbsSnapshot:
     error: float
 
 
+@functools.cache
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights of ``order`` on [-1, 1], read-only:
+    one eigenproblem per order for the life of the process."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _legendre_rule(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -29,6 +29,8 @@ from .odes import _step_count, _time_index
 from . import rng as rngmod
 
 BLOWUP_FRACTION = 1e-3
+#: Steps whose time-only coefficients are evaluated at once (``spec.path_table``).
+STEP_BLOCK = 64
 
 
 @dataclass
@@ -135,9 +137,11 @@ def _run_blocks(spec, control, span, n_paths, dt, seed, init, store_times=None,
 
     Each block's state, stream and step are made here, on the calling thread;
     the blocks are then stepped on up to one thread per usable CPU, which
-    gives the same bits as stepping them in turn.  The stored states, work
-    and log-weights are allocated once per run, and each block writes its
-    columns ``[start, stop)`` of them in place.
+    gives the same bits as stepping them in turn.  Each block evaluates the
+    step's time-only coefficients once per ``STEP_BLOCK`` steps, as one
+    ``spec.path_table`` of those step times and their mid-times.  The stored
+    states, work and log-weights are allocated once per run, and each block
+    writes its columns ``[start, stop)`` of them in place.
     """
     if n_paths < 1:
         raise SpecError(f"n_paths must be at least 1, got {n_paths}")
@@ -177,8 +181,12 @@ def _run_blocks(spec, control, span, n_paths, dt, seed, init, store_times=None,
                 keep[0][slot[k]], keep[1][slot[k]], keep[2][slot[k]] = x, w, g
             if k == n_steps:
                 return
+            row = k % STEP_BLOCK
+            if row == 0:
+                at = s0 + np.arange(k, min(k + STEP_BLOCK, n_steps)) * dt
+                table = spec.path_table(at, at + 0.5 * dt)
             z = gen.standard_normal(out=z) if noise is None else noise[k, start:stop]
-            x = step(x, z, s0 + k * dt, w, g)
+            x = step(x, z, table, row, w, g)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(blocks), cpus or 1)
@@ -191,43 +199,9 @@ def _run_blocks(spec, control, span, n_paths, dt, seed, init, store_times=None,
     return _finalize(store, times, seed, dt, spec.kind)
 
 
-def _mul_t(a, mat, out=None):
-    """``a @ mat.T``, into ``out`` when it is given; a 1 x 1 ``mat`` multiplies
-    by its entry, the same bits without a matmul."""
-    if mat.shape == (1, 1):
-        return np.multiply(a, mat[0, 0], out=out)
-    return np.dot(a, mat.T, out=out)
-
-
 def _rowsum(a):
     """``a`` summed over its last axis; a single column is read, not summed."""
     return a[:, 0] if a.shape[1] == 1 else np.sum(a, axis=1)
-
-
-def _power(pot, x, s, out):
-    """dV/ds at the points ``x``, which it may overwrite; for a quadratic V
-    with one coordinate, into ``out``.  A quadratic V is read as floats at
-    time s, in the operation order of its methods: the bits are the same, and
-    a step running on a worker thread calls no method of V."""
-    if not pot.is_quadratic:
-        return pot.dv_ds(x, s)
-    c1 = 0.5 * float(pot.k.derivative(s))
-    c2 = float(pot.k.value(s)) * float(pot.mu.derivative(s))
-    x -= float(pot.mu.value(s))
-    if x.shape[1] > 1:
-        return c1 * np.sum(x * x, axis=1) - c2 * np.sum(x, axis=1)
-    d = x[:, 0]
-    out = np.multiply(d, d, out=out)
-    out *= c1
-    d *= c2
-    out -= d
-    return out
-
-
-def _girsanov(g, u, z, beta, dt):
-    """Add one step's change-of-measure exponent of the control ``u`` to ``g``."""
-    g -= math.sqrt(beta / 2.0) * math.sqrt(dt) * _rowsum(u * z)
-    g -= 0.25 * beta * dt * _rowsum(u * u)
 
 
 def _step(spec, dt: float, control: Optional[Callable]):
@@ -236,36 +210,40 @@ def _step(spec, dt: float, control: Optional[Callable]):
 
         x' = x + (b(x, s) + B(s) u) dt + sqrt(2 dt / beta) B(s) z,
 
-    with b = ``spec.drift`` and B = ``spec.noise_factor``.  The step writes
-    the next state to one of two buffers that alternate, adds its
-    change-of-measure exponent to ``g``, and adds the midpoint work of the
-    positions, the first ``spec.dimension`` coordinates, to ``w``.
+    with b = ``spec.drift`` and B = ``spec.noise_factor``.  ``step(x, z,
+    table, k, w, g)`` makes the step at the time of row k of ``table``, a
+    ``spec.path_table`` of a block of steps, and reads its coefficients
+    there.  It writes the next state to one of two buffers that alternate,
+    adds its change-of-measure exponent to ``g``, and adds the midpoint work
+    of the positions, the first ``spec.dimension`` coordinates, to ``w``.
     """
-    pot, n = spec.potential, spec.dimension
+    n = spec.dimension
     width, m = spec.noise_factor(0.0).shape
     amp = math.sqrt(2.0 * dt / spec.beta)
+    # the Girsanov exponent's constants, in the rounding of
+    # sqrt(beta / 2) * sqrt(dt) * (u . z) and beta / 4 * dt * |u|^2
+    cz, cu = math.sqrt(spec.beta / 2.0) * math.sqrt(dt), 0.25 * spec.beta * dt
 
     def build(nb):
         states = [np.empty((nb, width)), np.empty((nb, width))]
         f, e = np.empty((nb, width)), np.empty(nb)
+        uz = None if control is None else np.empty((nb, m))
 
-        def step(x, z, s, w, g):
+        def step(x, z, table, k, w, g):
             out = states[0]
             states.reverse()
-            b = spec.noise_factor(s)
-            drift = spec.drift(x, s, out=out)
+            drift = table.drift(x, k, out)
             if control is not None:
-                u = np.asarray(control(x, s), dtype=float).reshape(nb, m)
-                drift += _mul_t(u, b)
-                _girsanov(g, u, z, spec.beta, dt)
+                u = np.asarray(control(x, table.times[k]), dtype=float).reshape(nb, m)
+                drift += table.noise_times(u, k, f)
+                g -= np.multiply(_rowsum(np.multiply(u, z, out=uz)), cz, out=e)
+                g -= np.multiply(_rowsum(np.multiply(u, u, out=uz)), cu, out=e)
             drift *= dt
             np.add(x, drift, out=out)
-            kick = _mul_t(z, b, out=f)
-            kick *= amp
-            out += kick
+            out += table.noise_times(z, k, f, amp)
             mid = np.add(x[:, :n], out[:, :n], out=f[:, :n])
             mid *= 0.5
-            w += np.multiply(_power(pot, mid, s + 0.5 * dt, e), dt, out=e)
+            w += np.multiply(table.power(mid, k, e), dt, out=e)
             return out
 
         return step

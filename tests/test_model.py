@@ -15,6 +15,7 @@ from noneq import (
     LangevinSpec,
     Linear,
     NoCirculation,
+    PiecewiseFrozen,
     QuadraticPotential,
     RadialLinearCirculation,
     RotationCirculation,
@@ -34,7 +35,7 @@ from noneq import (
     spec_from_config,
     validate_spec,
 )
-from noneq.model import Potential
+from noneq.model import Potential, Schedule
 from noneq.rng import block_generator
 
 
@@ -403,3 +404,70 @@ def test_every_potential_has_a_batched_time_case():
     cases |= {type(BrownianSpec(pot, beta=1.0, horizon=1.0).reversed().potential)
               for pot in BATCHED_POTENTIALS}
     assert package_potentials() <= cases
+
+
+# The path step evaluates its coefficients once per block of steps, on an
+# array of times, and reads row k as the value at step k; that rests on the
+# Schedule contract checked here, bit for bit (-0.0 is not +0.0).
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def step_times():
+    """The step times and mid-times of 64 steps of 0.013 from 0.05, and 0,
+    the freeze time 0.45 of ``PiecewiseFrozen`` below, and the horizon 1."""
+    at = 0.05 + np.arange(64) * 0.013
+    return np.concatenate([at, at + 0.5 * 0.013, [0.0, 0.45, 1.0]])
+
+
+def mirrored(schedule):
+    return BrownianSpec(QuadraticPotential(Constant(1.0), schedule), beta=1.0,
+                        horizon=1.0).reversed().potential.mu
+
+
+TIME_SCHEDULES = {
+    "constant": Constant(1.7),
+    "constant-zero": Constant(0.0),
+    "linear": Linear(0.0, 0.4, 1.0),
+    "sine": Sine(0.7, 3.0, 0.4),
+    "frozen-linear": PiecewiseFrozen(Linear(1.0, 2.0, 1.0), 0.45),
+    "frozen-sine": PiecewiseFrozen(Sine(0.5, 4.0, 0.2), 0.45),
+}
+TIME_SCHEDULES.update({f"{name}-mirrored": mirrored(sched)
+                       for name, sched in list(TIME_SCHEDULES.items())})
+
+
+@pytest.mark.parametrize("schedule", TIME_SCHEDULES.values(), ids=TIME_SCHEDULES.keys())
+def test_schedule_on_an_array_of_times_gives_the_scalar_bits(schedule):
+    s = step_times()
+    for method in (schedule.value, schedule.derivative):
+        same_bits(method(s), [method(t) for t in s.tolist()])
+
+
+def test_every_schedule_has_an_array_of_times_case():
+    cases = {type(sched) for sched in TIME_SCHEDULES.values()}
+    assert package_potentials(Schedule) <= cases
+
+
+TIME_FACTORS = {
+    "constant": DiffusionFactor.isotropic(1, 0.8),
+    "unit": DiffusionFactor.isotropic(1),
+    "scheduled": DiffusionFactor.isotropic(1, 0.8, Linear(1.0, 1.5, 1.0)),
+    "matrix": DiffusionFactor(np.array([[1.0, 0.3, 0.2], [0.0, 0.8, -0.4]])),
+    "scheduled-matrix": DiffusionFactor(np.array([[1.0, 0.3, 0.2], [0.0, 0.8, -0.4]]),
+                                        Sine(0.5, 4.0, 1.0)),
+}
+TIME_FACTORS.update({
+    f"{name}-mirrored": BrownianSpec(QuadraticPotential(Constant(1.0), dimension=f.shape[0]),
+                                     beta=1.0, horizon=1.0, diffusion=f).reversed().diffusion
+    for name, f in list(TIME_FACTORS.items())})
+
+
+@pytest.mark.parametrize("factor", TIME_FACTORS.values(), ids=TIME_FACTORS.keys())
+def test_diffusion_factor_on_an_array_of_times_gives_the_scalar_bits(factor):
+    s = step_times()
+    for method in (factor.sigma, factor.gamma):
+        same_bits(method(s), np.stack([method(t) for t in s.tolist()]))

@@ -566,6 +566,44 @@ class TestBlockRunnerBitIdentity:
         assert_same_ensemble(ens, ref_kinetic(kspec, self.n_two, self.dt, 7, {0, 5},
                                               control=kric.control))
 
+    # B and gamma exactly 1.0 and the centre exactly +0.0 at s = 0 and not
+    # after, so the step skips their multiply and subtraction at the first
+    # step only; the kinetic spec has xi = 1 and a unit mass, whose multiplies
+    # it skips at every step.
+
+    def unit_at_start(self):
+        return BrownianSpec(QuadraticPotential(Linear(1.0, 2.0, 0.1), Linear(0.0, 0.4, 0.1), 1),
+                            beta=1.3, horizon=0.1,
+                            diffusion=DiffusionFactor.isotropic(1, 1.0, Linear(1.0, 1.5, 0.1)))
+
+    def unit_kinetic(self):
+        return LangevinSpec(QuadraticPotential(Linear(1.0, 1.5, 0.1), Linear(0.0, 0.4, 0.1), 1),
+                            beta=1.0, horizon=0.1)
+
+    def test_two_blocks_unit_factor_and_zero_centre_at_the_start(self, cpus):
+        spec = self.unit_at_start()
+        assert spec.noise_factor(0.0)[0, 0] == 1.0 != spec.noise_factor(self.dt)[0, 0]
+        assert math.copysign(1.0, spec.potential.mu.value(0.0)) == 1.0
+        field = lambda x, s: 0.7 * np.tanh(x) * (1.0 + s)
+        for control in (None, field):
+            ens = simulate_forward(spec, self.n_two, self.dt, seed=5, control=control,
+                                   store_times=[0.0, 0.02, 0.1])
+            assert_same_ensemble(ens, ref_overdamped(spec, self.n_two, self.dt, 5,
+                                                     gibbs_sampler(spec), {0, 1, 5},
+                                                     control=control))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_blocks_unit_kinetic(self, cpus, reverse):
+        spec = self.unit_kinetic()
+        assert spec.xi == 1.0 and spec.mass_inv[0, 0] == 1.0
+        run = spec.reversed() if reverse else spec
+        field = lambda x, s: 0.6 * np.tanh(x[:, :1])
+        for control in (None, field):
+            ens = simulate_forward(run, self.n_two, self.dt, seed=7, control=control,
+                                   store_times=[0.0, 0.02, 0.1])
+            assert_same_ensemble(ens, ref_kinetic(spec, self.n_two, self.dt, 7, {0, 1, 5},
+                                                  control=control, reverse=reverse))
+
     # A non-quadratic V is stepped through its methods, not read as floats.
 
     def tanh_ramp(self):
